@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -58,7 +57,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     cache = DepthCache(cfg.material, cfg.grid)
-    cache.warm(jobs=args.jobs)
+    cache.warm()
     result = train(cfg.grid, cache, cfg.reward, hp)
     report = brute_force_rank(cfg.grid, cache, cfg.reward.delta_opt, cfg.reward.tol_r)
     verdict = validate_run(report, result)
@@ -91,7 +90,7 @@ def cmd_map(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cache = DepthCache(cfg.material, cfg.grid)
     report = brute_force_rank(cfg.grid, cache, cfg.reward.delta_opt,
-                              cfg.reward.tol_r, jobs=args.jobs)
+                              cfg.reward.tol_r)
     _write_snapshot(out, cfg)
     write_pv_map_csv(out / "pv_map.csv", report)
     write_depth_map_csv(out / "depth_map.csv", cfg.grid, cache)
@@ -112,8 +111,7 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_snapshot(out, cfg)
 
-    results = run_sweep(spec, cfg.material, cfg.grid, cfg.reward, cfg.qlearn,
-                        jobs=args.jobs)
+    results = run_sweep(spec, cfg.material, cfg.grid, cfg.reward, cfg.qlearn)
     with open(out / "summary.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["value", "replicate", "seed", "best_power_w",
@@ -155,9 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None,
                         help=f"YAML config path (default: ${CONFIG_ENV_VAR} "
                              "or built-in defaults)")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="parallel workers for grid evaluation "
-                             "(results are independent of this)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("depth", help="steady-state melt-pool depth for one (P, v)")

@@ -77,6 +77,8 @@ def _number(sec: dict, section: str, key: str, cls=float):
     val = sec[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{section}.{key}: expected a number, got {val!r}")
+    if cls is int and isinstance(val, float) and not val.is_integer():
+        raise ConfigError(f"{section}.{key}: expected an integer, got {val!r}")
     return cls(val)
 
 
@@ -142,20 +144,17 @@ def load_config(path: Optional[str] = None) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    sweep = None
-    if swp["param"] is not None:
-        try:
-            sweep = SweepSpec(
-                param=swp["param"],
-                values=tuple(swp["values"]) if swp["values"] else (),
-                replicates=int(swp["replicates"]),
-                base_seed=int(swp["base_seed"]) if swp["base_seed"] is not None
-                else qlearn.seed,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"sweep: {exc}") from exc
+    # sweep_for reads these back from the snapshot, so store them checked
+    swp["replicates"] = _number(swp, "sweep", "replicates", int)
+    if swp["base_seed"] is not None:
+        swp["base_seed"] = _number(swp, "sweep", "base_seed", int)
 
     snapshot = {"material": mat, "grid": grd, "reward": rew, "qlearn": ql,
                 "sweep": swp}
-    return RunConfig(material, grid, reward, qlearn, sweep, snapshot)
+    cfg = RunConfig(material, grid, reward, qlearn, None, snapshot)
+    if swp["param"] is not None:
+        try:
+            cfg.sweep = cfg.sweep_for(swp["param"])
+        except ValueError as exc:
+            raise ConfigError(f"sweep: {exc}") from exc
+    return cfg

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional
 
 from .thermal import MMPM_TO_MPS, DepthResult, MaterialEnv, batch_depths, melt_pool_depth
 
@@ -135,8 +134,8 @@ class DepthCache:
     """Memoized melt-pool depths over the grid states.
 
     Each state is computed once (bit-identical on re-read); warm() fills
-    the whole grid up front, optionally in parallel, with results
-    independent of the evaluation order.
+    the whole grid up front through batch_depths, with results identical
+    to state-by-state evaluation.
     """
 
     def __init__(self, env: MaterialEnv, grid: StateGrid):
@@ -151,13 +150,13 @@ class DepthCache:
             self._store[key] = melt_pool_depth(self.env, p, v * MMPM_TO_MPS)
         return self._store[key]
 
-    def warm(self, jobs: int = 1) -> None:
+    def warm(self) -> None:
         states = [StateId(i, j) for i in range(self.grid.n) for j in range(self.grid.n)]
         missing = [s for s in states if (s.i, s.j) not in self._store]
         if not missing:
             return
         pv = [state_params(self.grid, s) for s in missing]
-        results = batch_depths(self.env, [(p, v * MMPM_TO_MPS) for p, v in pv], jobs=jobs)
+        results = batch_depths(self.env, [(p, v * MMPM_TO_MPS) for p, v in pv])
         for s, r in zip(missing, results):
             self._store[(s.i, s.j)] = r
 

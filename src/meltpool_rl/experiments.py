@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from .environment import DepthCache, RewardConfig, StateGrid
 from .oracle import Verdict, brute_force_rank, validate_run
@@ -82,17 +81,8 @@ def aggregate_convergence(trace_sets: list[list[EpisodeTrace]]) -> ConvergenceCu
     return ConvergenceCurve(rewards.mean(axis=0), rewards.std(axis=0))
 
 
-def curve_slope(curve: ConvergenceCurve) -> tuple[float, float]:
-    """Least-squares slope of mean reward vs episode and the one-sided
-    p-value for the slope being positive."""
-    episodes = np.arange(len(curve))
-    fit = stats.linregress(episodes, curve.mean)
-    p_one_sided = fit.pvalue / 2 if fit.slope > 0 else 1 - fit.pvalue / 2
-    return float(fit.slope), float(p_one_sided)
-
-
 def run_sweep(spec: SweepSpec, material: MaterialEnv, grid: StateGrid,
-              rc: RewardConfig, hp: Hyperparams, jobs: int = 1,
+              rc: RewardConfig, hp: Hyperparams,
               caches: Optional[dict[int, DepthCache]] = None) -> list[ValueResult]:
     """R replicated runs per swept value, aggregated and oracle-checked.
 
@@ -111,7 +101,7 @@ def run_sweep(spec: SweepSpec, material: MaterialEnv, grid: StateGrid,
             hp_v = replace(hp, **{spec.param: float(value)})
         if g.n not in caches:
             caches[g.n] = DepthCache(material, g)
-            caches[g.n].warm(jobs=jobs)
+            caches[g.n].warm()
         cache = caches[g.n]
         report = brute_force_rank(g, cache, rc.delta_opt, rc.tol_r)
         runs, seeds, verdicts = [], [], []

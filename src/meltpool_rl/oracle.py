@@ -42,9 +42,6 @@ class GridReport:
         flat = s.flat(self.grid)
         return next(r.rank for r in self.rows if r.state_id == flat)
 
-    def band(self) -> list[StateReport]:
-        return [r for r in self.rows if r.in_band]
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -61,10 +58,10 @@ class Verdict:
 
 
 def brute_force_rank(grid: StateGrid, cache: DepthCache, delta_opt: float,
-                     tol_r: float = 0.1, jobs: int = 1) -> GridReport:
+                     tol_r: float = 0.1) -> GridReport:
     """Exhaustive depth evaluation and stable ranking by |depth - target|
     (ties break on flat state id)."""
-    cache.warm(jobs=jobs)
+    cache.warm()
     entries = []
     for i in range(grid.n):
         for j in range(grid.n):

@@ -146,15 +146,6 @@ def run_episode(grid: StateGrid, cache: DepthCache, rc: RewardConfig,
     return trace
 
 
-def replay(q: np.ndarray, grid: StateGrid, transitions, hp: Hyperparams) -> np.ndarray:
-    """Re-apply recorded transitions to a table (no action selection);
-    used to study the update rule on fixed trajectories."""
-    for tr in transitions:
-        q_update(q, tr.state, tr.action, tr.reward, tr.next_state,
-                 valid_actions(grid, state_from_flat(grid, tr.next_state)), hp)
-    return q
-
-
 def best_state_of(q: np.ndarray, grid: StateGrid) -> StateId:
     """Learned optimum: the landing state of the globally maximal
     state-action entry.

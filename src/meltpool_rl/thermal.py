@@ -52,6 +52,9 @@ _T_GROWTH = 1.5
 _MAX_EXTENSIONS = 4
 _DEPTH_TOL_MM = 1e-3
 
+#: 12-point Gauss-Legendre rule on [-1, 1], applied on every panel
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+
 
 class QuadratureError(ArithmeticError):
     """Raised when the temperature integral produces non-finite values
@@ -128,8 +131,28 @@ class DepthResult:
     t_used: float
 
 
+def _profile_basis(env: MaterialEnv, v: float, xs: np.ndarray, y: float,
+                   t: float, n_panels: int):
+    """Power-independent part of the profile on u in [0, sqrt(t)]: nodes
+    u_k, weights w_k and kernel g_ik.  The coefficients at power p are
+    amplitude_per_watt * p * w * g, so one basis serves every power."""
+    a = env.diffusivity
+    sig2 = env.sigma ** 2
+
+    edges = np.linspace(0.0, math.sqrt(t), n_panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    u = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+
+    denom = 4.0 * a * u * u + 2.0 * sig2
+    xd = np.atleast_1d(xs)[:, None] - v * (t - u * u)[None, :]
+    g = 2.0 / (2.0 * a * u * u + sig2) * np.exp(-(xd * xd + y * y) / denom)
+    return u, w, g
+
+
 def _profile_coefficients(env: MaterialEnv, p: float, v: float, xs: np.ndarray,
-                          y: float, t: float, n_panels: int, n_gauss: int = 12):
+                          y: float, t: float, n_panels: int):
     """Quadrature nodes u_k and z-independent weights c_k such that
 
         T(x_i, z) = T0 + sum_k c_ik * exp(-z^2 / (4*a*u_k^2))
@@ -138,19 +161,7 @@ def _profile_coefficients(env: MaterialEnv, p: float, v: float, xs: np.ndarray,
     z-dependence lets the isotherm root-finder reuse one quadrature rule
     for every trial depth, and xs may be a whole scan-line batch.
     """
-    a = env.diffusivity
-    sig2 = env.sigma ** 2
-
-    nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
-    edges = np.linspace(0.0, math.sqrt(t), n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    u = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-
-    denom = 4.0 * a * u * u + 2.0 * sig2
-    xd = np.atleast_1d(xs)[:, None] - v * (t - u * u)[None, :]
-    g = 2.0 / (2.0 * a * u * u + sig2) * np.exp(-(xd * xd + y * y) / denom)
+    u, w, g = _profile_basis(env, v, xs, y, t, n_panels)
     return u, env.amplitude_per_watt * p * w * g
 
 
@@ -163,35 +174,45 @@ def _profile_eval(env: MaterialEnv, u: np.ndarray, coef: np.ndarray, z) -> np.nd
     return env.t0 + np.einsum("ik,ik->i", coef, damp)
 
 
-def _adaptive_profile(env: MaterialEnv, p: float, v: float, xs, y: float,
-                      t: float, rel_tol: float = 1e-6):
-    """Panel-doubling composite Gauss-Legendre profile, converged at the
+def _adaptive_basis(env: MaterialEnv, v: float, xs, y: float, t: float,
+                    rel_tol: float = 1e-6):
+    """Panel-doubling composite Gauss-Legendre basis, converged at the
     surface and at mid-depth (the z-dependent damping only smooths the
-    integrand further, so these two checkpoints bound the refinement)."""
+    integrand further, so these two checkpoints bound the refinement).
+    The test is relative and the rise is linear in P, so it runs at unit
+    power and its panel count holds for every power."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     z_check = np.array([0.0, 0.5e-3])
 
-    def checkpoints(u, coef):
+    def checkpoints(u, w, g):
+        coef = env.amplitude_per_watt * w * g
         vals = np.empty((2, xs.shape[0]))
         for k, z in enumerate(z_check):
             vals[k] = _profile_eval(env, u, coef, np.full(xs.shape[0], z))
         return vals - env.t0
 
     n_panels = 4
-    u, coef = _profile_coefficients(env, p, v, xs, y, t, n_panels)
-    prev = checkpoints(u, coef)
+    basis = _profile_basis(env, v, xs, y, t, n_panels)
+    prev = checkpoints(*basis)
     while True:
         n_panels *= 2
-        u, coef = _profile_coefficients(env, p, v, xs, y, t, n_panels)
-        cur = checkpoints(u, coef)
+        basis = _profile_basis(env, v, xs, y, t, n_panels)
+        cur = checkpoints(*basis)
         if not np.all(np.isfinite(cur)):
             raise QuadratureError("quadrature divergence")
         scale = max(float(np.max(np.abs(cur))), 1e-12)
         if float(np.max(np.abs(cur - prev))) <= rel_tol * scale:
-            return u, coef
+            return basis
         if n_panels > 8192:
             raise QuadratureError("quadrature divergence")
         prev = cur
+
+
+def _adaptive_profile(env: MaterialEnv, p: float, v: float, xs, y: float,
+                      t: float, rel_tol: float = 1e-6):
+    """Converged profile coefficients at power p (see _adaptive_basis)."""
+    u, w, g = _adaptive_basis(env, v, xs, y, t, rel_tol)
+    return u, env.amplitude_per_watt * p * w * g
 
 
 def temperature(env: MaterialEnv, q: LaserQuery, rel_tol: float = 1e-6) -> float:
@@ -208,23 +229,28 @@ def temperature(env: MaterialEnv, q: LaserQuery, rel_tol: float = 1e-6) -> float
     return val
 
 
-def _depth_at_time(env: MaterialEnv, p: float, v: float, t: float) -> float:
+def _depth_at_time(env: MaterialEnv, p: float, v: float, t: float,
+                   bases: dict) -> float:
     """Max over the scan line of the liquidus-isotherm root depth (m).
 
     The pool maximum trails the laser, so x spans [x_laser - 5*sigma,
-    x_laser + 2*sigma].  T is strictly decreasing in z at fixed (x, y, t),
+    x_laser + 2*sigma]; its basis is kept in bases under t for the other
+    powers at speed v.  T is strictly decreasing in z at fixed (x, y, t),
     which makes plain bisection valid.
     """
-    x_laser = v * t
-    xs = np.linspace(x_laser - _X_WINDOW_BEHIND * env.sigma,
-                     x_laser + _X_WINDOW_AHEAD * env.sigma, _N_X_SAMPLES)
-    u, coef = _adaptive_profile(env, p, v, xs, 0.0, t)
+    if t not in bases:
+        x_laser = v * t
+        xs = np.linspace(x_laser - _X_WINDOW_BEHIND * env.sigma,
+                         x_laser + _X_WINDOW_AHEAD * env.sigma, _N_X_SAMPLES)
+        bases[t] = _adaptive_basis(env, v, xs, 0.0, t)
+    u, w, g = bases[t]
+    coef = env.amplitude_per_watt * p * w * g
 
-    melted = _profile_eval(env, u, coef, np.zeros(xs.shape)) >= env.t_liq
+    melted = _profile_eval(env, u, coef, np.zeros(_N_X_SAMPLES)) >= env.t_liq
     if not melted.any():
         return 0.0
-    lo = np.zeros(xs.shape)
-    hi = np.full(xs.shape, _Z_MAX)
+    lo = np.zeros(_N_X_SAMPLES)
+    hi = np.full(_N_X_SAMPLES, _Z_MAX)
     while float(np.max(hi - lo)) > _Z_TOL:
         m = 0.5 * (lo + hi)
         above = _profile_eval(env, u, coef, m) >= env.t_liq
@@ -240,46 +266,48 @@ def melt_pool_depth(env: MaterialEnv, p: float, v: float) -> DepthResult:
     times) until two successive depths agree within 1e-3 mm.  Returns
     converged = False with the last depth if that never happens.
     """
-    if p < 0:
-        raise ValueError("power must be >= 0")
+    return _steady_depth(env, p, v, {})
+
+
+def _steady_depth(env: MaterialEnv, p: float, v: float, bases: dict) -> DepthResult:
+    """melt_pool_depth, sharing the scan-line bases of speed v."""
+    if not 0 <= p < math.inf:
+        raise ValueError("power must be finite and >= 0")
     if not v > 0:
         raise ValueError("speed must be > 0")
     if p == 0.0:
         return DepthResult(0.0, True, 0.0)
 
     t = _T_START
-    d_prev = _depth_at_time(env, p, v, t)
+    d_prev = _depth_at_time(env, p, v, t, bases)
     for _ in range(_MAX_EXTENSIONS):
         t_next = t * _T_GROWTH
-        d_next = _depth_at_time(env, p, v, t_next)
+        d_next = _depth_at_time(env, p, v, t_next, bases)
         if abs(d_next - d_prev) * MM_PER_M < _DEPTH_TOL_MM:
             return DepthResult(d_next * MM_PER_M, True, t_next)
         t, d_prev = t_next, d_next
     return DepthResult(d_prev * MM_PER_M, False, t)
 
 
-def _depth_worker(args):
-    env, p, v = args
-    return melt_pool_depth(env, p, v)
-
-
-def batch_depths(env: MaterialEnv, queries, jobs: int = 1) -> list[DepthResult]:
+def batch_depths(env: MaterialEnv, queries) -> list[DepthResult]:
     """Element-wise melt_pool_depth over (p, v) pairs.
 
-    Results are identical to individual calls regardless of jobs; failures
-    carry the offending query index.
+    Queries are visited speed by speed, so each speed's scan-line bases
+    are built once for all of its powers.  Results are identical to
+    individual calls; failures carry the offending query index.
     """
     queries = list(queries)
-    if jobs > 1 and len(queries) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_depth_worker, [(env, p, v) for p, v in queries]))
-    out = []
-    for idx, (p, v) in enumerate(queries):
-        try:
-            out.append(melt_pool_depth(env, p, v))
-        except Exception as exc:
-            raise RuntimeError(f"depth evaluation failed for query {idx} "
-                               f"(P={p} W, v={v} m/s): {exc}") from exc
+    by_speed: dict[float, list[int]] = {}
+    for idx, (_, v) in enumerate(queries):
+        by_speed.setdefault(v, []).append(idx)
+    out: list[DepthResult] = [None] * len(queries)
+    for v, idxs in by_speed.items():
+        bases: dict = {}
+        for idx in idxs:
+            p = queries[idx][0]
+            try:
+                out[idx] = _steady_depth(env, p, v, bases)
+            except Exception as exc:
+                raise RuntimeError(f"depth evaluation failed for query {idx} "
+                                   f"(P={p} W, v={v} m/s): {exc}") from exc
     return out

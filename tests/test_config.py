@@ -89,6 +89,16 @@ class TestValidation:
             load_config(write(tmp_path,
                               "reward:\n  tol_delta_mm: 0.5\n  tol_r_mm: 0.1\n"))
 
+    @pytest.mark.parametrize("section, key", [
+        ("grid", "n"), ("qlearn", "episodes"), ("qlearn", "n_epochs"),
+        ("qlearn", "seed"), ("sweep", "replicates"), ("sweep", "base_seed"),
+    ])
+    def test_non_integral_integer_is_named(self, tmp_path, section, key):
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}: expected an integer"):
+            load_config(write(tmp_path, f"{section}:\n  {key}: 10.7\n"))
+        assert load_config(write(tmp_path, f"{section}:\n  {key}: 5.0\n")) \
+            .snapshot[section][key] == 5
+
     def test_top_level_must_be_mapping(self, tmp_path):
         with pytest.raises(ConfigError, match="mapping"):
             load_config(write(tmp_path, "- a\n- b\n"))

@@ -6,10 +6,8 @@ import pytest
 
 from meltpool_rl.experiments import (
     DEFAULT_SWEEP_VALUES,
-    ConvergenceCurve,
     SweepSpec,
     aggregate_convergence,
-    curve_slope,
     replicate_seed,
     run_sweep,
 )
@@ -66,19 +64,6 @@ class TestAggregateConvergence:
     def test_ragged_inputs_rejected(self):
         with pytest.raises(ValueError, match="ragged"):
             aggregate_convergence([traces(1.0, 2.0), traces(1.0)])
-
-
-class TestCurveSlope:
-    def test_rising_line_is_significantly_positive(self):
-        y = np.arange(50.0) + np.random.default_rng(0).normal(0, 0.1, 50)
-        slope, p = curve_slope(ConvergenceCurve(y, np.zeros(50)))
-        assert slope == pytest.approx(1.0, abs=0.01)
-        assert p < 1e-6
-
-    def test_flat_noise_is_not_significant(self):
-        y = np.random.default_rng(1).normal(0, 1, 200)
-        _, p = curve_slope(ConvergenceCurve(y, np.zeros(200)))
-        assert p > 0.05
 
 
 @pytest.fixture(scope="module")

@@ -41,7 +41,7 @@ class TestBruteForceRank:
     def test_band_membership(self, report10, reward_config):
         for r in report10.rows:
             assert r.in_band == (r.abs_err <= reward_config.tol_r)
-        assert 0 < len(report10.band()) < len(report10.rows)
+        assert 0 < sum(r.in_band for r in report10.rows) < len(report10.rows)
 
     def test_depths_match_cache(self, report10, cache10):
         for r in report10.rows[:5]:

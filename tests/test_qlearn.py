@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from meltpool_rl.environment import ACTIONS, StateGrid, StateId, valid_actions
+from meltpool_rl.environment import (ACTIONS, StateGrid, StateId, state_from_flat,
+                                     valid_actions)
 from meltpool_rl.qlearn import (
     GENERATOR_NAME,
     EpisodeTrace,
@@ -17,7 +18,6 @@ from meltpool_rl.qlearn import (
     best_state_of,
     new_qtable,
     q_update,
-    replay,
     run_episode,
     select_action,
     train,
@@ -168,10 +168,9 @@ class TestReplay:
                        float(rng.normal()), int(rng.integers(100)), 0.0)
             for _ in range(200)
         ]
-        hp = Hyperparams()
-        q1 = replay(new_qtable(grid.n), grid, transitions, hp)
         scaled = [replace_reward(t, 3.5 * t.reward) for t in transitions]
-        q2 = replay(new_qtable(grid.n), grid, scaled, hp)
+        q1 = apply_updates(grid, transitions)
+        q2 = apply_updates(grid, scaled)
         for row1, row2 in zip(q1, q2):
             assert set(np.flatnonzero(row1 == row1.max())) == \
                 set(np.flatnonzero(row2 == row2.max()))
@@ -179,6 +178,16 @@ class TestReplay:
 
 def replace_reward(t: Transition, r: float) -> Transition:
     return Transition(t.state, t.action, r, t.next_state, t.depth_err)
+
+
+def apply_updates(grid, transitions):
+    """Fresh table after q_update over recorded transitions, in order."""
+    q = new_qtable(grid.n)
+    for t in transitions:
+        q_update(q, t.state, t.action, t.reward, t.next_state,
+                 valid_actions(grid, state_from_flat(grid, t.next_state)),
+                 Hyperparams())
+    return q
 
 
 class TestTrain:

@@ -121,8 +121,9 @@ class TestMeltPoolDepth:
         assert 0.1 < res.depth_mm < 3.0
 
     def test_input_validation(self, material):
-        with pytest.raises(ValueError):
-            melt_pool_depth(material, -10.0, V_MID)
+        for p in (-10.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="power"):
+                melt_pool_depth(material, p, V_MID)
         with pytest.raises(ValueError):
             melt_pool_depth(material, 500.0, 0.0)
 
@@ -134,16 +135,18 @@ class TestMeltPoolDepth:
 
 class TestBatchDepths:
     def test_matches_individual_calls(self, material):
-        queries = [(600.0, 500.0 * MMPM_TO_MPS), (900.0, 650.0 * MMPM_TO_MPS)]
+        """Power-major order over two speeds, plus zero power, a power that
+        never melts and a point whose depth never becomes steady."""
+        queries = [(p, v * MMPM_TO_MPS) for p in (600.0, 900.0)
+                   for v in (500.0, 650.0)]
+        queries += [(0.0, 500.0 * MMPM_TO_MPS), (50.0, 650.0 * MMPM_TO_MPS),
+                    (919.0, 200.0 * MMPM_TO_MPS)]
         batch = batch_depths(material, queries)
         singles = [melt_pool_depth(material, p, v) for p, v in queries]
         assert batch == singles
-
-    def test_parallel_matches_serial(self, material):
-        queries = [(600.0, 500.0 * MMPM_TO_MPS), (900.0, 650.0 * MMPM_TO_MPS),
-                   (750.0, 420.0 * MMPM_TO_MPS)]
-        assert batch_depths(material, queries, jobs=2) == \
-            batch_depths(material, queries, jobs=1)
+        assert batch[4] == DepthResult(0.0, True, 0.0)
+        assert batch[5].depth_mm == 0.0
+        assert not batch[6].converged
 
     def test_failure_names_query_index(self, material):
         with pytest.raises(RuntimeError, match="query 1"):
