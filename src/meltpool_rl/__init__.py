@@ -2,7 +2,7 @@
 deposition, driven by an analytical moving-Gaussian thermal model."""
 
 from .environment import (ACTIONS, DepthCache, RewardConfig, StateGrid,
-                          StateId, state_params, step, valid_actions)
+                          state_params, step, valid_actions)
 from .oracle import brute_force_rank, validate_run
 from .qlearn import Hyperparams, RunResult, train
 from .thermal import (DepthResult, LaserQuery, MaterialEnv, batch_depths,
@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ACTIONS", "DepthCache", "DepthResult", "Hyperparams", "LaserQuery",
-    "MaterialEnv", "RewardConfig", "RunResult", "StateGrid", "StateId",
+    "MaterialEnv", "RewardConfig", "RunResult", "StateGrid",
     "batch_depths", "brute_force_rank", "melt_pool_depth", "state_params",
     "step", "temperature", "train", "valid_actions", "validate_run",
 ]

@@ -57,9 +57,8 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     cache = DepthCache(cfg.material, cfg.grid)
-    cache.warm()
-    result = train(cfg.grid, cache, cfg.reward, hp)
-    report = brute_force_rank(cfg.grid, cache, cfg.reward.delta_opt, cfg.reward.tol_r)
+    result = train(cache, cfg.reward, hp)
+    report = brute_force_rank(cache, cfg.reward.delta_opt, cfg.reward.tol_r)
     verdict = validate_run(report, result)
 
     _write_snapshot(out, cfg)
@@ -89,11 +88,10 @@ def cmd_map(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cache = DepthCache(cfg.material, cfg.grid)
-    report = brute_force_rank(cfg.grid, cache, cfg.reward.delta_opt,
-                              cfg.reward.tol_r)
+    report = brute_force_rank(cache, cfg.reward.delta_opt, cfg.reward.tol_r)
     _write_snapshot(out, cfg)
     write_pv_map_csv(out / "pv_map.csv", report)
-    write_depth_map_csv(out / "depth_map.csv", cfg.grid, cache)
+    write_depth_map_csv(out / "depth_map.csv", cache)
     best = report.best
     print(f"rank-1 state ({best.i},{best.j}): P={best.power:.1f} W "
           f"v={best.speed:.1f} mm/min depth={best.depth:.4f} mm")

@@ -17,27 +17,31 @@ import yaml
 from .environment import RewardConfig, StateGrid
 from .experiments import SweepSpec
 from .qlearn import Hyperparams
-from .thermal import BEAM_TO_SIGMA, DEFAULT_SOURCE_GAIN, MaterialEnv
+from .thermal import BEAM_TO_SIGMA, DEFAULT_BEAM_MM, MaterialEnv
 
 CONFIG_ENV_VAR = "MELTPOOL_RL_CONFIG"
 
-_MATERIAL_DEFAULTS = {
-    "t0_k": 300.0,
-    "t_liq_k": 1700.0,
-    "cp": 680.0,
-    "rho": 7400.0,
-    "diffusivity": 7.1542e-6,
-    "sigma_l_mm": 0.918,
-    "absorptivity": 0.3,
-    "source_gain": DEFAULT_SOURCE_GAIN,
+#: per section, the dataclass it builds and its config key -> field map;
+#: every default is the field's default, so it is written once
+_SECTIONS = {
+    "material": (MaterialEnv, {
+        "t0_k": "t0", "t_liq_k": "t_liq", "cp": "cp", "rho": "rho",
+        "diffusivity": "diffusivity", "sigma_l_mm": "sigma",
+        "absorptivity": "absorptivity", "source_gain": "source_gain"}),
+    "grid": (StateGrid, {"n": "n", "p_min_w": "p_min", "p_max_w": "p_max",
+                         "v_min_mmpm": "v_min", "v_max_mmpm": "v_max"}),
+    "reward": (RewardConfig, {
+        "delta_opt_mm": "delta_opt", "tol_r_mm": "tol_r", "tol_delta_mm": "tol_delta",
+        "denom_floor_mm": "denom_floor", "variant": "variant"}),
+    "qlearn": (Hyperparams, {k: k for k in ("alpha", "gamma", "epsilon", "episodes",
+                                            "n_epochs", "seed")}),
 }
-_GRID_DEFAULTS = {"n": 10, "p_min_w": 500.0, "p_max_w": 1000.0,
-                  "v_min_mmpm": 400.0, "v_max_mmpm": 700.0}
-_REWARD_DEFAULTS = {"delta_opt_mm": 1.0, "tol_r_mm": 0.1, "tol_delta_mm": 0.005,
-                    "denom_floor_mm": 1e-6, "variant": "inverse_error"}
-_QLEARN_DEFAULTS = {"alpha": 0.25, "gamma": 0.25, "epsilon": 0.25,
-                    "episodes": 100, "n_epochs": 50, "seed": 0}
-_SWEEP_DEFAULTS = {"param": None, "values": None, "replicates": 10, "base_seed": None}
+_DEFAULTS = {name: {key: getattr(cls, field) for key, field in keys.items()}
+             for name, (cls, keys) in _SECTIONS.items()}
+# the file gives the beam parameter in mm; MaterialEnv holds sigma in m
+_DEFAULTS["material"]["sigma_l_mm"] = DEFAULT_BEAM_MM
+_DEFAULTS["sweep"] = {"param": None, "values": None,
+                      "replicates": SweepSpec.replicates, "base_seed": None}
 
 
 class ConfigError(ValueError):
@@ -99,59 +103,27 @@ def load_config(path: Optional[str] = None) -> RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
 
-    mat = _section(raw, "material", _MATERIAL_DEFAULTS)
-    grd = _section(raw, "grid", _GRID_DEFAULTS)
-    rew = _section(raw, "reward", _REWARD_DEFAULTS)
-    ql = _section(raw, "qlearn", _QLEARN_DEFAULTS)
-    swp = _section(raw, "sweep", _SWEEP_DEFAULTS)
-
-    try:
-        material = MaterialEnv(
-            t0=_number(mat, "material", "t0_k"),
-            t_liq=_number(mat, "material", "t_liq_k"),
-            cp=_number(mat, "material", "cp"),
-            rho=_number(mat, "material", "rho"),
-            diffusivity=_number(mat, "material", "diffusivity"),
-            sigma=BEAM_TO_SIGMA * _number(mat, "material", "sigma_l_mm") * 1e-3,
-            absorptivity=_number(mat, "material", "absorptivity"),
-            source_gain=_number(mat, "material", "source_gain"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    try:
-        grid = StateGrid(
-            n=_number(grd, "grid", "n", int),
-            p_min=_number(grd, "grid", "p_min_w"),
-            p_max=_number(grd, "grid", "p_max_w"),
-            v_min=_number(grd, "grid", "v_min_mmpm"),
-            v_max=_number(grd, "grid", "v_max_mmpm"),
-        )
-        reward = RewardConfig(
-            delta_opt=_number(rew, "reward", "delta_opt_mm"),
-            tol_r=_number(rew, "reward", "tol_r_mm"),
-            tol_delta=_number(rew, "reward", "tol_delta_mm"),
-            denom_floor=_number(rew, "reward", "denom_floor_mm"),
-            variant=rew["variant"],
-        )
-        qlearn = Hyperparams(
-            alpha=_number(ql, "qlearn", "alpha"),
-            gamma=_number(ql, "qlearn", "gamma"),
-            epsilon=_number(ql, "qlearn", "epsilon"),
-            episodes=_number(ql, "qlearn", "episodes", int),
-            n_epochs=_number(ql, "qlearn", "n_epochs", int),
-            seed=_number(ql, "qlearn", "seed", int),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    snapshot = {name: _section(raw, name, defaults) for name, defaults in _DEFAULTS.items()}
+    built = {}
+    for name, (cls, keys) in _SECTIONS.items():
+        sec = snapshot[name]
+        kwargs = {field: sec[key] if isinstance(getattr(cls, field), str)
+                  else _number(sec, name, key, type(getattr(cls, field)))
+                  for key, field in keys.items()}
+        if cls is MaterialEnv:
+            kwargs["sigma"] = BEAM_TO_SIGMA * kwargs["sigma"] * 1e-3
+        try:
+            built[name] = cls(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     # sweep_for reads these back from the snapshot, so store them checked
+    swp = snapshot["sweep"]
     swp["replicates"] = _number(swp, "sweep", "replicates", int)
     if swp["base_seed"] is not None:
         swp["base_seed"] = _number(swp, "sweep", "base_seed", int)
 
-    snapshot = {"material": mat, "grid": grd, "reward": rew, "qlearn": ql,
-                "sweep": swp}
-    cfg = RunConfig(material, grid, reward, qlearn, None, snapshot)
+    cfg = RunConfig(built["material"], built["grid"], built["reward"],
+                    built["qlearn"], None, snapshot)
     if swp["param"] is not None:
         try:
             cfg.sweep = cfg.sweep_for(swp["param"])

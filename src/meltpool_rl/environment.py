@@ -1,9 +1,10 @@
 """Discrete process-parameter environment over the thermal model.
 
 States are cells of an endpoint-inclusive n x n grid over laser power and
-scan speed; actions are the eight king moves between neighbouring cells.
+scan speed, named by flat id s = i*n + j (power index i, speed index j);
+actions are the eight king moves between neighbouring cells.
 Moves that would leave the grid are masked out rather than clamped, so
-edge states simply have fewer actions.  Rewards compare the cached
+edge states simply have fewer actions.  Rewards compare the tabled
 steady-state melt-pool depth at the landing state against the target.
 """
 
@@ -12,7 +13,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .thermal import MMPM_TO_MPS, DepthResult, MaterialEnv, batch_depths, melt_pool_depth
+import numpy as np
+
+from .thermal import MMPM_TO_MPS, DepthResult, MaterialEnv, batch_depths
 
 #: the 8 actions as (di, dj), row-major over {-1,0,1}^2 minus (0,0).
 #: This ordering defines the Q-table columns and must never change.
@@ -53,38 +56,24 @@ class StateGrid:
         return self.n * self.n
 
 
-@dataclass(frozen=True)
-class StateId:
-    """Grid cell (power index i, speed index j); flat id = i*n + j."""
-
-    i: int
-    j: int
-
-    def flat(self, grid: StateGrid) -> int:
-        return self.i * grid.n + self.j
-
-
-def state_from_flat(grid: StateGrid, flat: int) -> StateId:
-    if not 0 <= flat < grid.n_states:
-        raise ValueError(f"flat state id {flat} out of range for n={grid.n}")
-    return StateId(*divmod(flat, grid.n))
-
-
-def state_params(grid: StateGrid, s: StateId) -> tuple[float, float]:
-    """(power W, speed mm/min) of a state; exact linspace arithmetic."""
-    if not (0 <= s.i < grid.n and 0 <= s.j < grid.n):
-        raise ValueError(f"state ({s.i},{s.j}) out of range for n={grid.n}")
-    p = grid.p_min + s.i * (grid.p_max - grid.p_min) / (grid.n - 1)
-    v = grid.v_min + s.j * (grid.v_max - grid.v_min) / (grid.n - 1)
+def state_params(grid: StateGrid, s: int) -> tuple[float, float]:
+    """(power W, speed mm/min) of flat state s = i*n + j; exact linspace
+    arithmetic."""
+    if not 0 <= s < grid.n_states:
+        raise ValueError(f"state {s} out of range for n={grid.n}")
+    i, j = divmod(s, grid.n)
+    p = grid.p_min + i * (grid.p_max - grid.p_min) / (grid.n - 1)
+    v = grid.v_min + j * (grid.v_max - grid.v_min) / (grid.n - 1)
     return p, v
 
 
-def valid_actions(grid: StateGrid, s: StateId) -> tuple[int, ...]:
+def valid_actions(grid: StateGrid, s: int) -> tuple[int, ...]:
     """Indices into ACTIONS whose landing cell stays on the grid."""
-    if not (0 <= s.i < grid.n and 0 <= s.j < grid.n):
-        raise ValueError(f"state ({s.i},{s.j}) out of range for n={grid.n}")
+    if not 0 <= s < grid.n_states:
+        raise ValueError(f"state {s} out of range for n={grid.n}")
+    i, j = divmod(s, grid.n)
     return tuple(k for k, (di, dj) in enumerate(ACTIONS)
-                 if 0 <= s.i + di < grid.n and 0 <= s.j + dj < grid.n)
+                 if 0 <= i + di < grid.n and 0 <= j + dj < grid.n)
 
 
 @dataclass(frozen=True)
@@ -131,61 +120,58 @@ def reward(rc: RewardConfig, depth_mm: float) -> float:
 
 
 class DepthCache:
-    """Memoized melt-pool depths over the grid states.
-
-    Each state is computed once (bit-identical on re-read); warm() fills
-    the whole grid up front through batch_depths, with results identical
-    to state-by-state evaluation.
-    """
+    """The per-grid tables, built once: next_state[s, a] (-1 where the
+    move leaves the grid), each state's valid actions, and each state's
+    DepthResult, filled by warm() with one batch_depths call (the
+    constructor calls it; later calls are no-ops)."""
 
     def __init__(self, env: MaterialEnv, grid: StateGrid):
         self.env = env
         self.grid = grid
-        self._store: dict[tuple[int, int], DepthResult] = {}
+        self.valid = tuple(valid_actions(grid, s) for s in range(grid.n_states))
+        self.next_state = np.full((grid.n_states, N_ACTIONS), -1, dtype=np.intp)
+        for s, acts in enumerate(self.valid):
+            for a in acts:
+                di, dj = ACTIONS[a]
+                self.next_state[s, a] = s + di * grid.n + dj
+        self._depths: list[DepthResult] = []
+        self.warm()
 
-    def depth(self, s: StateId) -> DepthResult:
-        key = (s.i, s.j)
-        if key not in self._store:
-            p, v = state_params(self.grid, s)
-            self._store[key] = melt_pool_depth(self.env, p, v * MMPM_TO_MPS)
-        return self._store[key]
+    def depth(self, s: int) -> DepthResult:
+        if not 0 <= s < len(self._depths):
+            raise ValueError(f"state {s} out of range for n={self.grid.n}")
+        return self._depths[s]
 
     def warm(self) -> None:
-        states = [StateId(i, j) for i in range(self.grid.n) for j in range(self.grid.n)]
-        missing = [s for s in states if (s.i, s.j) not in self._store]
-        if not missing:
+        if self._depths:
             return
-        pv = [state_params(self.grid, s) for s in missing]
-        results = batch_depths(self.env, [(p, v * MMPM_TO_MPS) for p, v in pv])
-        for s, r in zip(missing, results):
-            self._store[(s.i, s.j)] = r
+        pv = [state_params(self.grid, s) for s in range(self.grid.n_states)]
+        self._depths = batch_depths(self.env, [(p, v * MMPM_TO_MPS) for p, v in pv])
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._depths)
 
 
 @dataclass(frozen=True)
 class StepOutcome:
-    next_state: StateId
+    next_state: int
     depth_mm: float
     reward: float
     terminal: bool
 
 
-def step(grid: StateGrid, cache: DepthCache, s: StateId, action: int,
-         rc: RewardConfig) -> StepOutcome:
+def step(cache: DepthCache, s: int, action: int, rc: RewardConfig) -> StepOutcome:
     """Apply an action, score the landing state, and flag termination.
 
-    The action must be valid for s (callers select from valid_actions);
+    The action must be valid for s (callers select from cache.valid[s]);
     an unconverged depth at the landing state aborts the episode.
     """
-    if action not in valid_actions(grid, s):
-        raise ValueError(f"action {action} invalid in state ({s.i},{s.j})")
-    di, dj = ACTIONS[action]
-    nxt = StateId(s.i + di, s.j + dj)
+    if not 0 <= s < len(cache.valid) or action not in cache.valid[s]:
+        raise ValueError(f"action {action} invalid in state {s}")
+    nxt = int(cache.next_state[s, action])
     res = cache.depth(nxt)
     if not res.converged:
-        p, v = state_params(grid, nxt)
+        p, v = state_params(cache.grid, nxt)
         raise EnvironmentEvalError(
             f"environment evaluation failed: depth not steady at "
             f"P={p:.1f} W, v={v:.1f} mm/min")
@@ -194,14 +180,12 @@ def step(grid: StateGrid, cache: DepthCache, s: StateId, action: int,
     return StepOutcome(nxt, res.depth_mm, r, dd <= rc.tol_delta)
 
 
-def write_depth_map_csv(path, grid: StateGrid, cache: DepthCache) -> None:
+def write_depth_map_csv(path, cache: DepthCache) -> None:
     """Grid depth map: state_id, i, j, power_w, speed_mmpm, depth_mm."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["state_id", "i", "j", "power_w", "speed_mmpm", "depth_mm"])
-        for i in range(grid.n):
-            for j in range(grid.n):
-                s = StateId(i, j)
-                p, v = state_params(grid, s)
-                w.writerow([s.flat(grid), i, j, f"{p:.4f}", f"{v:.4f}",
-                            f"{cache.depth(s).depth_mm:.4f}"])
+        for s in range(cache.grid.n_states):
+            p, v = state_params(cache.grid, s)
+            w.writerow([s, *divmod(s, cache.grid.n), f"{p:.4f}", f"{v:.4f}",
+                        f"{cache.depth(s).depth_mm:.4f}"])

@@ -46,6 +46,12 @@ class SweepSpec:
             raise ValueError("sweep.replicates must be >= 1")
         if not self.values:
             object.__setattr__(self, "values", DEFAULT_SWEEP_VALUES[self.param])
+        if self.param in ("n", "episodes"):
+            for value in self.values:
+                if (isinstance(value, bool) or not isinstance(value, (int, float))
+                        or not float(value).is_integer()):
+                    raise ValueError(f"sweep.values for {self.param} must be "
+                                     f"integers, got {value!r}")
 
 
 @dataclass
@@ -101,14 +107,13 @@ def run_sweep(spec: SweepSpec, material: MaterialEnv, grid: StateGrid,
             hp_v = replace(hp, **{spec.param: float(value)})
         if g.n not in caches:
             caches[g.n] = DepthCache(material, g)
-            caches[g.n].warm()
         cache = caches[g.n]
-        report = brute_force_rank(g, cache, rc.delta_opt, rc.tol_r)
+        report = brute_force_rank(cache, rc.delta_opt, rc.tol_r)
         runs, seeds, verdicts = [], [], []
         for rep in range(spec.replicates):
             seed = replicate_seed(spec.base_seed, vi, rep)
             try:
-                result = train(g, cache, rc, replace(hp_v, seed=seed))
+                result = train(cache, rc, replace(hp_v, seed=seed))
             except Exception as exc:
                 raise RuntimeError(f"sweep {spec.param}={value} replicate {rep} "
                                    f"failed: {exc}") from exc

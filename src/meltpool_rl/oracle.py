@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .environment import DepthCache, StateGrid, StateId, state_params
+from .environment import DepthCache, StateGrid, state_params
 from .qlearn import RunResult
 
 
@@ -38,9 +38,10 @@ class GridReport:
     def best(self) -> StateReport:
         return next(r for r in self.rows if r.rank == 1)
 
-    def rank_of(self, s: StateId) -> int:
-        flat = s.flat(self.grid)
-        return next(r.rank for r in self.rows if r.state_id == flat)
+    def rank_of(self, s: int) -> int:
+        if not 0 <= s < len(self.rows):
+            raise ValueError(f"state {s} out of range for n={self.grid.n}")
+        return self.rows[s].rank
 
 
 @dataclass(frozen=True)
@@ -57,26 +58,22 @@ class Verdict:
         return self.in_top_k or self.depth_ok
 
 
-def brute_force_rank(grid: StateGrid, cache: DepthCache, delta_opt: float,
+def brute_force_rank(cache: DepthCache, delta_opt: float,
                      tol_r: float = 0.1) -> GridReport:
     """Exhaustive depth evaluation and stable ranking by |depth - target|
-    (ties break on flat state id)."""
-    cache.warm()
+    (ties break on flat state id); rows are in flat-id order."""
+    grid = cache.grid
     entries = []
-    for i in range(grid.n):
-        for j in range(grid.n):
-            s = StateId(i, j)
-            res = cache.depth(s)
-            if not res.converged:
-                p, v = state_params(grid, s)
-                raise RuntimeError(f"oracle: depth not steady at state ({i},{j}) "
-                                   f"P={p:.1f} W, v={v:.1f} mm/min")
-            p, v = state_params(grid, s)
-            entries.append((abs(res.depth_mm - delta_opt), s.flat(grid), i, j, p, v,
-                            res.depth_mm))
+    for s in range(grid.n_states):
+        res = cache.depth(s)
+        p, v = state_params(grid, s)
+        if not res.converged:
+            raise RuntimeError(f"oracle: depth not steady at state {s} "
+                               f"P={p:.1f} W, v={v:.1f} mm/min")
+        entries.append((abs(res.depth_mm - delta_opt), s, p, v, res.depth_mm))
     entries.sort(key=lambda e: (e[0], e[1]))
-    rows = [StateReport(flat, i, j, p, v, depth, err, rank + 1, err <= tol_r)
-            for rank, (err, flat, i, j, p, v, depth) in enumerate(entries)]
+    rows = [StateReport(s, *divmod(s, grid.n), p, v, depth, err, rank + 1, err <= tol_r)
+            for rank, (err, s, p, v, depth) in enumerate(entries)]
     rows.sort(key=lambda r: r.state_id)
     return GridReport(grid, delta_opt, tol_r, rows)
 

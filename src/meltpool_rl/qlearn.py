@@ -21,18 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environment import (
-    ACTIONS,
-    N_ACTIONS,
-    DepthCache,
-    RewardConfig,
-    StateGrid,
-    StateId,
-    state_from_flat,
-    state_params,
-    step,
-    valid_actions,
-)
+from .environment import ACTIONS, N_ACTIONS, DepthCache, RewardConfig, state_params, step
 
 GENERATOR_NAME = "numpy.random.PCG64"
 
@@ -80,7 +69,7 @@ class EpisodeTrace:
 class RunResult:
     qtable: np.ndarray
     traces: list[EpisodeTrace]
-    best_state: StateId
+    best_state: int
     best_power: float
     best_speed: float
     best_depth: float
@@ -116,9 +105,8 @@ def select_action(q: np.ndarray, s: int, valid: tuple[int, ...],
     return int(rng.choice(ties))
 
 
-def run_episode(grid: StateGrid, cache: DepthCache, rc: RewardConfig,
-                q: np.ndarray, hp: Hyperparams,
-                rng: np.random.Generator) -> EpisodeTrace:
+def run_episode(cache: DepthCache, rc: RewardConfig, q: np.ndarray,
+                hp: Hyperparams, rng: np.random.Generator) -> EpisodeTrace:
     """One episode: random start, then select/step/update until the
     landing state is within tol_delta of the target or the epoch cap.
 
@@ -126,64 +114,54 @@ def run_episode(grid: StateGrid, cache: DepthCache, rc: RewardConfig,
     records at least one transition.
     """
     trace = EpisodeTrace()
-    s = state_from_flat(grid, int(rng.integers(grid.n_states)))
+    s = int(rng.integers(cache.grid.n_states))
     while trace.epochs < hp.n_epochs:
-        s_flat = s.flat(grid)
-        valid = valid_actions(grid, s)
-        a = select_action(q, s_flat, valid, hp.epsilon, rng)
-        out = step(grid, cache, s, a, rc)
-        nxt_flat = out.next_state.flat(grid)
-        q_update(q, s_flat, a, out.reward, nxt_flat,
-                 valid_actions(grid, out.next_state), hp)
+        a = select_action(q, s, cache.valid[s], hp.epsilon, rng)
+        out = step(cache, s, a, rc)
+        nxt = out.next_state
+        q_update(q, s, a, out.reward, nxt, cache.valid[nxt], hp)
         dd = abs(out.depth_mm - rc.delta_opt)
-        trace.transitions.append(Transition(s_flat, a, out.reward, nxt_flat, dd))
+        trace.transitions.append(Transition(s, a, out.reward, nxt, dd))
         trace.total_reward += out.reward
         trace.epochs += 1
-        s = out.next_state
+        s = nxt
         if out.terminal:
             trace.terminated_early = True
             break
     return trace
 
 
-def best_state_of(q: np.ndarray, grid: StateGrid) -> StateId:
+def best_state_of(q: np.ndarray, cache: DepthCache) -> int:
     """Learned optimum: the landing state of the globally maximal
     state-action entry.
 
     Each Q(s, a) scores the cell the action moves *to* (rewards are
     evaluated at the landing state), so the table maps onto the grid via
-    s + a, and the strongest entry points at the best process parameters.
-    Exact ties resolve to the lowest (flat id, action) for stable output.
+    next_state[s, a], and the strongest entry points at the best process
+    parameters.  Exact ties resolve to the lowest (flat id, action) for
+    stable output.
     """
-    best_flat, best_action, best_val = 0, None, -np.inf
-    for flat in range(grid.n_states):
-        s = state_from_flat(grid, flat)
-        for k in valid_actions(grid, s):
-            if q[flat, k] > best_val:
-                best_flat, best_action, best_val = flat, k, q[flat, k]
-    s = state_from_flat(grid, best_flat)
-    if best_action is None or best_val <= 0:
+    masked = np.where(cache.next_state >= 0, q, -np.inf)
+    s, a = divmod(int(np.argmax(masked)), N_ACTIONS)
+    if masked[s, a] <= 0:
         # nothing positive was ever learned; fall back to the strongest row
         return s
-    di, dj = ACTIONS[best_action]
-    return StateId(s.i + di, s.j + dj)
+    return int(cache.next_state[s, a])
 
 
-def train(grid: StateGrid, cache: DepthCache, rc: RewardConfig,
-          hp: Hyperparams) -> RunResult:
+def train(cache: DepthCache, rc: RewardConfig, hp: Hyperparams) -> RunResult:
     """Run hp.episodes episodes against one persistent Q-table.
 
     Each episode draws from its own spawned substream of the seeded
     PCG64 generator, so traces are reproducible episode by episode.
     """
-    q = new_qtable(grid.n)
+    q = new_qtable(cache.grid.n)
     streams = np.random.SeedSequence(hp.seed).spawn(hp.episodes)
-    traces = [run_episode(grid, cache, rc, q, hp, np.random.default_rng(ss))
+    traces = [run_episode(cache, rc, q, hp, np.random.default_rng(ss))
               for ss in streams]
-    best = best_state_of(q, grid)
-    p, v = state_params(grid, best)
-    depth = cache.depth(best).depth_mm
-    return RunResult(q, traces, best, p, v, depth)
+    best = best_state_of(q, cache)
+    p, v = state_params(cache.grid, best)
+    return RunResult(q, traces, best, p, v, cache.depth(best).depth_mm)
 
 
 def write_qtable_csv(path, q: np.ndarray) -> None:

@@ -38,6 +38,8 @@ MMPM_TO_MPS = 1.0 / 60000.0  # mm/min -> m/s
 
 #: distribution parameter = BEAM_TO_SIGMA * quoted beam parameter
 BEAM_TO_SIGMA = 0.5
+#: the machine's quoted beam parameter, mm (an e^-2 radius)
+DEFAULT_BEAM_MM = 0.918
 #: dimensionless source amplitude calibration (see module docstring)
 DEFAULT_SOURCE_GAIN = 2.42
 
@@ -76,7 +78,7 @@ class MaterialEnv:
     cp: float = 680.0
     rho: float = 7400.0
     diffusivity: float = 7.1542e-6
-    sigma: float = BEAM_TO_SIGMA * 0.918e-3
+    sigma: float = BEAM_TO_SIGMA * DEFAULT_BEAM_MM * 1e-3
     absorptivity: float = 0.3
     source_gain: float = DEFAULT_SOURCE_GAIN
 
@@ -230,8 +232,10 @@ def temperature(env: MaterialEnv, q: LaserQuery, rel_tol: float = 1e-6) -> float
 
 
 def _depth_at_time(env: MaterialEnv, p: float, v: float, t: float,
-                   bases: dict) -> float:
-    """Max over the scan line of the liquidus-isotherm root depth (m).
+                   bases: dict) -> tuple[float, bool]:
+    """Max over the scan line of the liquidus-isotherm root depth (m), and
+    whether a root lies at the bracket edge _Z_MAX (the pool is deeper
+    than the bracket, so the depth is only a lower bound).
 
     The pool maximum trails the laser, so x spans [x_laser - 5*sigma,
     x_laser + 2*sigma]; its basis is kept in bases under t for the other
@@ -248,7 +252,7 @@ def _depth_at_time(env: MaterialEnv, p: float, v: float, t: float,
 
     melted = _profile_eval(env, u, coef, np.zeros(_N_X_SAMPLES)) >= env.t_liq
     if not melted.any():
-        return 0.0
+        return 0.0, False
     lo = np.zeros(_N_X_SAMPLES)
     hi = np.full(_N_X_SAMPLES, _Z_MAX)
     while float(np.max(hi - lo)) > _Z_TOL:
@@ -256,7 +260,8 @@ def _depth_at_time(env: MaterialEnv, p: float, v: float, t: float,
         above = _profile_eval(env, u, coef, m) >= env.t_liq
         lo = np.where(above, m, lo)
         hi = np.where(above, hi, m)
-    return float(np.max(np.where(melted, 0.5 * (lo + hi), 0.0)))
+    return (float(np.max(np.where(melted, 0.5 * (lo + hi), 0.0))),
+            bool(np.any(melted & (hi == _Z_MAX))))
 
 
 def melt_pool_depth(env: MaterialEnv, p: float, v: float) -> DepthResult:
@@ -264,7 +269,8 @@ def melt_pool_depth(env: MaterialEnv, p: float, v: float) -> DepthResult:
 
     Starts at t = 2 s and extends the simulated time by x1.5 (up to 4
     times) until two successive depths agree within 1e-3 mm.  Returns
-    converged = False with the last depth if that never happens.
+    converged = False with the last depth if that never happens, or if
+    the isotherm reaches the 5 mm bracket edge.
     """
     return _steady_depth(env, p, v, {})
 
@@ -279,12 +285,12 @@ def _steady_depth(env: MaterialEnv, p: float, v: float, bases: dict) -> DepthRes
         return DepthResult(0.0, True, 0.0)
 
     t = _T_START
-    d_prev = _depth_at_time(env, p, v, t, bases)
+    d_prev, _ = _depth_at_time(env, p, v, t, bases)
     for _ in range(_MAX_EXTENSIONS):
         t_next = t * _T_GROWTH
-        d_next = _depth_at_time(env, p, v, t_next, bases)
+        d_next, at_edge = _depth_at_time(env, p, v, t_next, bases)
         if abs(d_next - d_prev) * MM_PER_M < _DEPTH_TOL_MM:
-            return DepthResult(d_next * MM_PER_M, True, t_next)
+            return DepthResult(d_next * MM_PER_M, not at_edge, t_next)
         t, d_prev = t_next, d_next
     return DepthResult(d_prev * MM_PER_M, False, t)
 

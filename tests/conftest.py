@@ -36,7 +36,6 @@ def cache_for(material, grid):
     def get(n: int) -> DepthCache:
         if n not in caches:
             caches[n] = DepthCache(material, replace(grid, n=n))
-            caches[n].warm()
         return caches[n]
 
     return get
@@ -45,3 +44,10 @@ def cache_for(material, grid):
 @pytest.fixture(scope="session")
 def cache10(cache_for):
     return cache_for(10)
+
+
+@pytest.fixture(scope="session")
+def edge_cache(material):
+    """2x2 grid whose (20000 W, 400 mm/min) state, flat id 2, melts
+    deeper than the 5 mm depth bracket; its other states are steady."""
+    return DepthCache(material, StateGrid(n=2, p_min=1000.0, p_max=20000.0))

@@ -28,18 +28,12 @@ Seven criteria, one test each, every test printing a single
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from meltpool_rl.environment import (
-    DepthCache,
-    StateGrid,
-    StateId,
-    valid_actions,
-)
+from meltpool_rl.environment import DepthCache, StateGrid, valid_actions
 from meltpool_rl.oracle import brute_force_rank, validate_run
 from meltpool_rl.qlearn import Hyperparams, new_qtable, q_update, train
 from meltpool_rl.experiments import SweepSpec, run_sweep
@@ -69,8 +63,8 @@ def shared_caches(material, grid, cache_for):
 
 
 @pytest.fixture(scope="module")
-def report10(grid, cache_for, reward_config):
-    return brute_force_rank(grid, cache_for(10), reward_config.delta_opt,
+def report10(cache_for, reward_config):
+    return brute_force_rank(cache_for(10), reward_config.delta_opt,
                             reward_config.tol_r)
 
 
@@ -102,26 +96,26 @@ def test_acceptance_1_thermal_anchor_points(material):
            f"times {t1 - t0:.2f}/{t2 - t1:.2f} s (limit 10 s)")
 
 
-def test_acceptance_2_grid_optimum(report10, grid):
-    target_state = StateId(7, 5)  # (888.9 W, 566.7 mm/min)
+def test_acceptance_2_grid_optimum(report10):
+    target_state = 75  # (i, j) = (7, 5): (888.9 W, 566.7 mm/min)
     rank = report10.rank_of(target_state)
     best = report10.best
-    gap = abs(report10.rows[target_state.flat(grid)].depth - TARGET_MM)
+    gap = abs(report10.rows[target_state].depth - TARGET_MM)
     ok = rank <= 3 and gap <= DEPTH_TOL_MM
     report(2, ok,
            f"(888.9 W, 566.7 mm/min) oracle rank {rank} (need <= 3, ideally 1), "
-           f"depth {report10.rows[target_state.flat(grid)].depth:.4f} mm "
+           f"depth {report10.rows[target_state].depth:.4f} mm "
            f"(need within {DEPTH_TOL_MM} of {TARGET_MM}); "
            f"rank-1 state is ({best.power:.1f} W, {best.speed:.1f} mm/min) "
            f"at {best.depth:.4f} mm")
 
 
-def test_acceptance_3_statistical_reproduction(grid, shared_caches, report10,
+def test_acceptance_3_statistical_reproduction(shared_caches, report10,
                                                reward_config):
     t0 = time.perf_counter()
     verdicts = []
     for seed in range(20):
-        result = train(grid, shared_caches[10], reward_config,
+        result = train(shared_caches[10], reward_config,
                        Hyperparams(seed=seed))
         verdicts.append(validate_run(report10, result))
     elapsed = time.perf_counter() - t0
@@ -136,16 +130,16 @@ def test_acceptance_3_statistical_reproduction(grid, shared_caches, report10,
 
 def test_acceptance_4_q_update_arithmetic(grid):
     q = new_qtable(grid.n)
-    v1 = q_update(q, 0, 1, 1.0, 1, valid_actions(grid, StateId(0, 1)),
+    v1 = q_update(q, 0, 1, 1.0, 1, valid_actions(grid, 1),
                   Hyperparams(alpha=0.25, gamma=0.25))
     q2 = new_qtable(grid.n)
     q2[0, 1] = 0.5
     q2[1, 4] = 0.8
-    v2 = q_update(q2, 0, 1, -0.2, 1, valid_actions(grid, StateId(0, 1)),
+    v2 = q_update(q2, 0, 1, -0.2, 1, valid_actions(grid, 1),
                   Hyperparams(alpha=0.5, gamma=0.5))
     q3 = new_qtable(grid.n)
     q3[5, 3] = 123.0
-    v3 = q_update(q3, 5, 3, -0.7, 6, valid_actions(grid, StateId(0, 6)),
+    v3 = q_update(q3, 5, 3, -0.7, 6, valid_actions(grid, 6),
                   Hyperparams(alpha=1.0, gamma=0.0))
     ok = v1 == 0.25 and abs(v2 - 0.35) < 1e-15 and v3 == -0.7
     report(4, ok, f"hand-computed updates: {v1} (want 0.25), "
@@ -194,18 +188,17 @@ def test_acceptance_6_discretization_ordering(material, grid, reward_config,
                   f"(need both of N=15,20 above both of N=5,10)")
 
 
-def test_acceptance_7_property_suite(material, grid, reward_config,
-                                     shared_caches):
+def test_acceptance_7_property_suite(material, reward_config, shared_caches):
     checks = []
 
     # depth monotone in P (fixed v) and in 1/v (fixed P) along grid lines
     cache = shared_caches[10]
     for j in (0, 5, 9):
-        depths = [cache.depth(StateId(i, j)).depth_mm for i in range(10)]
+        depths = [cache.depth(i * 10 + j).depth_mm for i in range(10)]
         checks.append(("depth increasing in P",
                        all(b > a for a, b in zip(depths, depths[1:]))))
     for i in (0, 5, 9):
-        depths = [cache.depth(StateId(i, j)).depth_mm for j in range(10)]
+        depths = [cache.depth(i * 10 + j).depth_mm for j in range(10)]
         checks.append(("depth decreasing in v",
                        all(b < a for a, b in zip(depths, depths[1:]))))
 
@@ -232,20 +225,17 @@ def test_acceptance_7_property_suite(material, grid, reward_config,
 
     # Q-table shape for every swept resolution
     for n in (5, 10, 15, 20):
-        g = replace(grid, n=n)
-        result = train(g, shared_caches[n], reward_config,
+        result = train(shared_caches[n], reward_config,
                        Hyperparams(episodes=2, seed=0))
         checks.append((f"qtable shape {n}", result.qtable.shape == (n * n, 8)))
 
     # identical seeds give bit-identical output; two cold caches agree
     small = StateGrid(n=4)
     c1, c2 = DepthCache(material, small), DepthCache(material, small)
-    c1.warm()
-    c2.warm()
-    checks.append(("depths equal across cold caches", c1._store == c2._store))
+    checks.append(("depths equal across cold caches", c1._depths == c2._depths))
     hp = Hyperparams(episodes=15, seed=77)
-    t1 = train(small, c1, reward_config, hp)
-    t2 = train(small, c2, reward_config, hp)
+    t1 = train(c1, reward_config, hp)
+    t2 = train(c2, reward_config, hp)
     checks.append(("bit-identical training for equal seeds",
                    np.array_equal(t1.qtable, t2.qtable)
                    and t1.traces == t2.traces))

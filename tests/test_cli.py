@@ -45,6 +45,11 @@ class TestDepth:
             EXIT_VALIDATION
         assert "--power" in capsys.readouterr().err
 
+    def test_beyond_depth_bracket_is_a_runtime_failure(self, capsys):
+        assert main(["depth", "--power", "5000", "--speed", "100"]) == \
+            EXIT_RUNTIME
+        assert "converged=False" in capsys.readouterr().out
+
     def test_zero_speed_fails_validation(self):
         assert main(["depth", "--power", "500", "--speed", "0"]) == \
             EXIT_VALIDATION

@@ -3,7 +3,9 @@
 import pytest
 
 from meltpool_rl.config import CONFIG_ENV_VAR, ConfigError, load_config
-from meltpool_rl.thermal import BEAM_TO_SIGMA
+from meltpool_rl.environment import RewardConfig, StateGrid
+from meltpool_rl.qlearn import Hyperparams
+from meltpool_rl.thermal import BEAM_TO_SIGMA, MaterialEnv
 
 
 def write(tmp_path, text):
@@ -21,6 +23,14 @@ class TestDefaults:
         assert cfg.reward.variant == "inverse_error"
         assert cfg.material.t_liq == 1700.0
         assert cfg.sweep is None
+
+    def test_defaults_are_the_dataclass_defaults(self, monkeypatch):
+        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+        cfg = load_config(None)
+        assert cfg.material == MaterialEnv()
+        assert cfg.grid == StateGrid()
+        assert cfg.reward == RewardConfig()
+        assert cfg.qlearn == Hyperparams()
 
     def test_empty_file_equals_defaults(self, tmp_path, monkeypatch):
         monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
@@ -98,6 +108,14 @@ class TestValidation:
             load_config(write(tmp_path, f"{section}:\n  {key}: 10.7\n"))
         assert load_config(write(tmp_path, f"{section}:\n  {key}: 5.0\n")) \
             .snapshot[section][key] == 5
+
+    @pytest.mark.parametrize("param, value", [
+        ("n", 4.6), ("episodes", 10.5), ("n", "five"), ("episodes", True),
+    ])
+    def test_non_integral_sweep_value_is_named(self, tmp_path, param, value):
+        with pytest.raises(ConfigError, match=r"sweep\.values"):
+            load_config(write(tmp_path, f"sweep:\n  param: {param}\n"
+                                        f"  values: [{value}]\n"))
 
     def test_top_level_must_be_mapping(self, tmp_path):
         with pytest.raises(ConfigError, match="mapping"):

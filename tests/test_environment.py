@@ -13,14 +13,13 @@ from meltpool_rl.environment import (
     EnvironmentEvalError,
     RewardConfig,
     StateGrid,
-    StateId,
     reward,
-    state_from_flat,
     state_params,
     step,
     valid_actions,
     write_depth_map_csv,
 )
+from meltpool_rl.thermal import MMPM_TO_MPS, MaterialEnv, melt_pool_depth
 
 
 class TestActions:
@@ -41,43 +40,39 @@ class TestStateGrid:
             StateGrid(v_min=700.0, v_max=700.0)
 
     def test_named_state_params(self, grid):
-        p, v = state_params(grid, StateId(7, 5))
+        p, v = state_params(grid, 75)
         assert p == pytest.approx(888.8889, abs=1e-3)
         assert v == pytest.approx(566.6667, abs=1e-3)
-        assert state_params(grid, StateId(0, 0)) == (500.0, 400.0)
-        assert state_params(grid, StateId(9, 9)) == (1000.0, 700.0)
+        assert state_params(grid, 0) == (500.0, 400.0)
+        assert state_params(grid, 99) == (1000.0, 700.0)
 
     def test_out_of_range_state_rejected(self, grid):
         with pytest.raises(ValueError):
-            state_params(grid, StateId(10, 0))
+            state_params(grid, 100)
         with pytest.raises(ValueError):
-            state_from_flat(grid, 100)
+            valid_actions(grid, -1)
 
-    @given(flat=st.integers(0, 99))
-    def test_flat_roundtrip(self, grid, flat):
-        assert state_from_flat(grid, flat).flat(grid) == flat
-
-    @given(i=st.integers(0, 9), j=st.integers(0, 9))
-    def test_endpoint_inclusive_bounds(self, grid, i, j):
-        p, v = state_params(grid, StateId(i, j))
+    @given(s=st.integers(0, 99))
+    def test_endpoint_inclusive_bounds(self, grid, s):
+        p, v = state_params(grid, s)
         assert grid.p_min <= p <= grid.p_max
         assert grid.v_min <= v <= grid.v_max
 
 
 class TestValidActions:
     def test_interior_has_all_eight(self, grid):
-        assert len(valid_actions(grid, StateId(5, 5))) == 8
+        assert len(valid_actions(grid, 55)) == 8
 
     def test_corner_has_three(self, grid):
-        acts = valid_actions(grid, StateId(0, 0))
+        acts = valid_actions(grid, 0)
         assert {ACTIONS[k] for k in acts} == {(1, 0), (0, 1), (1, 1)}
 
     def test_edge_has_five(self, grid):
-        assert len(valid_actions(grid, StateId(0, 5))) == 5
+        assert len(valid_actions(grid, 5)) == 5
 
-    @given(i=st.integers(0, 9), j=st.integers(0, 9))
-    def test_landing_always_in_grid(self, grid, i, j):
-        s = StateId(i, j)
+    @given(s=st.integers(0, 99))
+    def test_landing_always_in_grid(self, grid, s):
+        i, j = divmod(s, grid.n)
         for k in valid_actions(grid, s):
             di, dj = ACTIONS[k]
             assert 0 <= i + di < grid.n and 0 <= j + dj < grid.n
@@ -135,66 +130,89 @@ class TestReward:
 
 
 class TestStep:
-    def test_invalid_action_rejected(self, grid, cache10, reward_config):
+    def test_invalid_action_rejected(self, cache10, reward_config):
         with pytest.raises(ValueError, match="invalid"):
-            step(grid, cache10, StateId(0, 0), 0, reward_config)
+            step(cache10, 0, 0, reward_config)
 
-    def test_outcome_matches_cache_and_reward(self, grid, cache10, reward_config):
-        s = StateId(6, 5)
+    def test_outcome_matches_cache_and_reward(self, cache10, reward_config):
+        s = 65
         k = ACTIONS.index((1, 0))
-        out = step(grid, cache10, s, k, reward_config)
-        assert out.next_state == StateId(7, 5)
-        assert out.depth_mm == cache10.depth(StateId(7, 5)).depth_mm
+        out = step(cache10, s, k, reward_config)
+        assert out.next_state == 75
+        assert out.depth_mm == cache10.depth(75).depth_mm
         assert out.reward == reward(reward_config, out.depth_mm)
 
-    def test_terminal_at_target_depth(self, grid, cache10, reward_config):
+    def test_terminal_at_target_depth(self, cache10, reward_config):
         # (7,5) is within tol_delta of the 1 mm target on the default grid
-        out = step(grid, cache10, StateId(6, 5), ACTIONS.index((1, 0)),
-                   reward_config)
+        out = step(cache10, 65, ACTIONS.index((1, 0)), reward_config)
         assert out.terminal
 
-    def test_terminal_monotone_in_tolerance(self, grid, cache10, reward_config):
-        s, k = StateId(4, 4), ACTIONS.index((1, 1))
+    def test_terminal_monotone_in_tolerance(self, cache10, reward_config):
+        s, k = 44, ACTIONS.index((1, 1))
         for depth_tol in (1e-6, 1e-3, 0.05, 0.5):
             rc = RewardConfig(tol_delta=depth_tol, tol_r=max(0.1, depth_tol))
-            out = step(grid, cache10, s, k, rc)
+            out = step(cache10, s, k, rc)
             if out.terminal:
                 wider = RewardConfig(tol_delta=0.6, tol_r=0.6)
-                assert step(grid, cache10, s, k, wider).terminal
+                assert step(cache10, s, k, wider).terminal
 
-    def test_unconverged_depth_aborts(self, grid, reward_config, material):
+    def test_unconverged_depth_aborts(self, cache10, reward_config):
         class Unconverged:
+            grid, valid, next_state = cache10.grid, cache10.valid, cache10.next_state
+
             def depth(self, s):
                 from meltpool_rl.thermal import DepthResult
                 return DepthResult(0.5, False, 10.0)
 
         with pytest.raises(EnvironmentEvalError, match="not steady"):
-            step(grid, Unconverged(), StateId(4, 4), 0, reward_config)
+            step(Unconverged(), 44, 0, reward_config)
+
+    def test_depth_beyond_bracket_aborts(self, edge_cache, reward_config):
+        with pytest.raises(EnvironmentEvalError, match="not steady"):
+            step(edge_cache, 0, ACTIONS.index((1, 0)), reward_config)
 
 
 class TestDepthCache:
-    def test_memoized_and_bit_identical(self, material, grid):
-        cache = DepthCache(material, grid)
-        a = cache.depth(StateId(3, 3))
-        b = cache.depth(StateId(3, 3))
-        assert a is b
-        assert len(cache) == 1
+    def test_memoized_and_bit_identical(self, cache10):
+        assert cache10.depth(73) is cache10.depth(73)
+
+    @pytest.mark.parametrize("s", [-1, 100])
+    def test_out_of_range_state_rejected(self, cache10, s):
+        with pytest.raises(ValueError, match="out of range"):
+            cache10.depth(s)
 
     def test_warm_fills_grid_and_matches_lazy(self, cache10, material, grid):
         assert len(cache10) == grid.n_states
-        lazy = DepthCache(material, grid)
-        assert lazy.depth(StateId(7, 5)) == cache10.depth(StateId(7, 5))
+        p, v = state_params(grid, 75)
+        assert cache10.depth(75) == melt_pool_depth(material, p, v * MMPM_TO_MPS)
 
     def test_warm_is_idempotent(self, cache10, grid):
-        before = {k: v for k, v in cache10._store.items()}
+        before = [cache10.depth(s) for s in range(grid.n_states)]
         cache10.warm()
-        assert cache10._store == before
+        assert [cache10.depth(s) for s in range(grid.n_states)] == before
+
+
+class TestNextState:
+    @given(n=st.integers(2, 30))
+    @settings(deadline=None)
+    def test_matches_king_move_arithmetic(self, n):
+        """next_state[s, a] is (i+di)*n + (j+dj) on the grid, -1 off it."""
+        with pytest.MonkeyPatch.context() as mp:  # the tables, not the depths
+            mp.setattr(DepthCache, "warm", lambda self: None)
+            cache = DepthCache(MaterialEnv(), StateGrid(n=n))
+        for s in range(n * n):
+            i, j = divmod(s, n)
+            for a, (di, dj) in enumerate(ACTIONS):
+                inside = 0 <= i + di < n and 0 <= j + dj < n
+                want = (i + di) * n + (j + dj) if inside else -1
+                assert cache.next_state[s, a] == want
+            assert cache.valid[s] == valid_actions(cache.grid, s)
 
 
 class TestDepthMapCsv:
     def test_schema_and_values(self, tmp_path, grid, cache10):
         path = tmp_path / "depth_map.csv"
-        write_depth_map_csv(path, grid, cache10)
+        write_depth_map_csv(path, cache10)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == grid.n_states
@@ -203,4 +221,4 @@ class TestDepthMapCsv:
         row = next(r for r in rows if r["state_id"] == "75")
         assert float(row["power_w"]) == pytest.approx(888.8889, abs=1e-3)
         assert float(row["depth_mm"]) == pytest.approx(
-            cache10.depth(StateId(7, 5)).depth_mm, abs=5e-5)
+            cache10.depth(75).depth_mm, abs=5e-5)

@@ -28,6 +28,17 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="sweep.param"):
             SweepSpec("beta")
 
+    @pytest.mark.parametrize("param, values", [
+        ("n", (5, 4.6)), ("episodes", (10.5,)), ("n", (float("nan"),)),
+        ("episodes", ("10",)),
+    ])
+    def test_non_integral_values_rejected(self, param, values):
+        with pytest.raises(ValueError, match=r"sweep\.values"):
+            SweepSpec(param, values=values)
+
+    def test_integral_floats_accepted(self):
+        assert SweepSpec("n", values=(5.0, 10)).values == (5.0, 10)
+
     def test_replicates_validated(self):
         with pytest.raises(ValueError):
             SweepSpec("n", replicates=0)

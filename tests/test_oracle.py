@@ -1,12 +1,10 @@
 """Brute-force ranking and validation of trained runs against it."""
 
 import csv
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from meltpool_rl.environment import StateGrid, StateId
 from meltpool_rl.oracle import (
     Verdict,
     brute_force_rank,
@@ -17,9 +15,8 @@ from meltpool_rl.qlearn import Hyperparams, train
 
 
 @pytest.fixture(scope="module")
-def report10(grid, cache10, reward_config):
-    return brute_force_rank(grid, cache10, reward_config.delta_opt,
-                            reward_config.tol_r)
+def report10(cache10, reward_config):
+    return brute_force_rank(cache10, reward_config.delta_opt, reward_config.tol_r)
 
 
 class TestBruteForceRank:
@@ -36,27 +33,36 @@ class TestBruteForceRank:
     def test_best_state_minimizes_error(self, report10):
         best = report10.best
         assert best.abs_err == min(r.abs_err for r in report10.rows)
-        assert report10.rank_of(StateId(best.i, best.j)) == 1
+        assert report10.rank_of(best.state_id) == 1
 
     def test_band_membership(self, report10, reward_config):
         for r in report10.rows:
             assert r.in_band == (r.abs_err <= reward_config.tol_r)
         assert 0 < sum(r.in_band for r in report10.rows) < len(report10.rows)
 
+    @pytest.mark.parametrize("s", [-1, 100])
+    def test_rank_of_out_of_range_state_rejected(self, report10, s):
+        with pytest.raises(ValueError, match="out of range"):
+            report10.rank_of(s)
+
     def test_depths_match_cache(self, report10, cache10):
         for r in report10.rows[:5]:
-            assert r.depth == cache10.depth(StateId(r.i, r.j)).depth_mm
+            assert r.depth == cache10.depth(r.state_id).depth_mm
 
-    def test_deterministic(self, grid, cache10, reward_config):
-        a = brute_force_rank(grid, cache10, reward_config.delta_opt)
-        b = brute_force_rank(grid, cache10, reward_config.delta_opt)
+    def test_deterministic(self, cache10, reward_config):
+        a = brute_force_rank(cache10, reward_config.delta_opt)
+        b = brute_force_rank(cache10, reward_config.delta_opt)
         assert a.rows == b.rows
 
 
+    def test_depth_beyond_bracket_raises(self, edge_cache):
+        with pytest.raises(RuntimeError, match="state 2"):
+            brute_force_rank(edge_cache, 1.0)
+
+
 class TestValidateRun:
-    def test_rank_one_passes_with_small_gap(self, report10, grid, cache10,
-                                            reward_config):
-        result = train(grid, cache10, reward_config, Hyperparams(seed=0))
+    def test_rank_one_passes_with_small_gap(self, report10, cache10, reward_config):
+        result = train(cache10, reward_config, Hyperparams(seed=0))
         verdict = validate_run(report10, result)
         assert verdict.rank >= 1
         assert verdict.depth_gap == abs(result.best_depth - 1.0)
@@ -71,10 +77,8 @@ class TestValidateRun:
                     depth_ok=True, depth_tol=0.05)
         assert v.passed
 
-    def test_grid_mismatch_rejected(self, report10, grid, cache_for,
-                                    reward_config):
-        g5 = replace(grid, n=5)
-        small = train(g5, cache_for(5), reward_config,
+    def test_grid_mismatch_rejected(self, report10, cache_for, reward_config):
+        small = train(cache_for(5), reward_config,
                       Hyperparams(episodes=5, seed=0))
         with pytest.raises(ValueError, match="grid mismatch"):
             validate_run(report10, small)

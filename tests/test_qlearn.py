@@ -3,13 +3,14 @@ training loop's determinism guarantees."""
 
 import csv
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from meltpool_rl.environment import (ACTIONS, StateGrid, StateId, state_from_flat,
-                                     valid_actions)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from meltpool_rl.environment import ACTIONS, N_ACTIONS, state_params, valid_actions
 from meltpool_rl.qlearn import (
     GENERATOR_NAME,
     EpisodeTrace,
@@ -45,7 +46,7 @@ class TestQUpdate:
     def test_fresh_entry_quarter(self, grid):
         q = new_qtable(grid.n)
         hp = Hyperparams(alpha=0.25, gamma=0.25)
-        val = q_update(q, 0, 1, 1.0, 1, valid_actions(grid, StateId(0, 1)), hp)
+        val = q_update(q, 0, 1, 1.0, 1, valid_actions(grid, 1), hp)
         assert val == 0.25
         assert q[0, 1] == 0.25
 
@@ -54,7 +55,7 @@ class TestQUpdate:
         q[0, 1] = 0.5
         q[1, 4] = 0.8
         hp = Hyperparams(alpha=0.5, gamma=0.5)
-        val = q_update(q, 0, 1, -0.2, 1, valid_actions(grid, StateId(0, 1)), hp)
+        val = q_update(q, 0, 1, -0.2, 1, valid_actions(grid, 1), hp)
         assert val == pytest.approx(0.35)
 
     def test_degenerate_overwrites_with_reward(self, grid):
@@ -62,7 +63,7 @@ class TestQUpdate:
         q[5, 3] = 123.0
         q[6, :] = 99.0
         hp = Hyperparams(alpha=1.0, gamma=0.0)
-        val = q_update(q, 5, 3, -0.7, 6, valid_actions(grid, StateId(0, 6)), hp)
+        val = q_update(q, 5, 3, -0.7, 6, valid_actions(grid, 6), hp)
         assert val == -0.7
 
     def test_only_target_entry_changes(self, grid):
@@ -128,13 +129,13 @@ class TestSelectAction:
 class TestRunEpisode:
     def test_single_epoch_cap(self, grid, cache10, reward_config):
         hp = Hyperparams(n_epochs=1)
-        trace = run_episode(grid, cache10, reward_config, new_qtable(grid.n),
+        trace = run_episode(cache10, reward_config, new_qtable(grid.n),
                             hp, np.random.default_rng(3))
         assert trace.epochs == 1
         assert len(trace.transitions) == 1
 
     def test_trace_totals_consistent(self, grid, cache10, reward_config):
-        trace = run_episode(grid, cache10, reward_config, new_qtable(grid.n),
+        trace = run_episode(cache10, reward_config, new_qtable(grid.n),
                             Hyperparams(), np.random.default_rng(5))
         assert trace.epochs == len(trace.transitions)
         assert trace.total_reward == pytest.approx(
@@ -146,14 +147,14 @@ class TestRunEpisode:
         """Termination is judged on the landing state, so even an episode
         starting next to the target records a transition."""
         for seed in range(30):
-            trace = run_episode(grid, cache10, reward_config,
+            trace = run_episode(cache10, reward_config,
                                 new_qtable(grid.n), Hyperparams(),
                                 np.random.default_rng(seed))
             assert len(trace.transitions) >= 1
 
     def test_deterministic_for_fixed_seed(self, grid, cache10, reward_config):
         def run():
-            return run_episode(grid, cache10, reward_config,
+            return run_episode(cache10, reward_config,
                                new_qtable(grid.n), Hyperparams(),
                                np.random.default_rng(42))
 
@@ -185,63 +186,82 @@ def apply_updates(grid, transitions):
     q = new_qtable(grid.n)
     for t in transitions:
         q_update(q, t.state, t.action, t.reward, t.next_state,
-                 valid_actions(grid, state_from_flat(grid, t.next_state)),
+                 valid_actions(grid, t.next_state),
                  Hyperparams())
     return q
 
 
 class TestTrain:
-    def test_qtable_shape_across_resolutions(self, material, grid, cache_for,
-                                             reward_config):
+    def test_qtable_shape_across_resolutions(self, cache_for, reward_config):
         for n in (5, 10):
-            g = replace(grid, n=n)
-            result = train(g, cache_for(n), reward_config,
+            result = train(cache_for(n), reward_config,
                            Hyperparams(episodes=5, seed=1))
             assert result.qtable.shape == (n * n, 8)
 
-    def test_only_visited_pairs_deviate_from_zero(self, grid, cache10,
-                                                  reward_config):
-        result = train(grid, cache10, reward_config,
+    def test_only_visited_pairs_deviate_from_zero(self, cache10, reward_config):
+        result = train(cache10, reward_config,
                        Hyperparams(episodes=3, seed=2))
         visited = {(t.state, t.action) for tr in result.traces
                    for t in tr.transitions}
         nonzero = {tuple(idx) for idx in np.argwhere(result.qtable != 0.0)}
         assert nonzero <= visited
 
-    def test_bit_identical_for_identical_seed(self, grid, cache10,
-                                              reward_config):
+    def test_bit_identical_for_identical_seed(self, cache10, reward_config):
         hp = Hyperparams(episodes=20, seed=123)
-        r1 = train(grid, cache10, reward_config, hp)
-        r2 = train(grid, cache10, reward_config, hp)
+        r1 = train(cache10, reward_config, hp)
+        r2 = train(cache10, reward_config, hp)
         assert np.array_equal(r1.qtable, r2.qtable)
         assert r1.traces == r2.traces
         assert r1.best_state == r2.best_state
 
-    def test_different_seeds_differ(self, grid, cache10, reward_config):
-        r1 = train(grid, cache10, reward_config, Hyperparams(episodes=20, seed=0))
-        r2 = train(grid, cache10, reward_config, Hyperparams(episodes=20, seed=1))
+    def test_different_seeds_differ(self, cache10, reward_config):
+        r1 = train(cache10, reward_config, Hyperparams(episodes=20, seed=0))
+        r2 = train(cache10, reward_config, Hyperparams(episodes=20, seed=1))
         assert not np.array_equal(r1.qtable, r2.qtable)
 
     def test_result_fields_consistent(self, grid, cache10, reward_config):
-        result = train(grid, cache10, reward_config, Hyperparams(seed=4))
-        from meltpool_rl.environment import state_params
+        result = train(cache10, reward_config, Hyperparams(seed=4))
         assert (result.best_power, result.best_speed) == \
             state_params(grid, result.best_state)
         assert result.best_depth == cache10.depth(result.best_state).depth_mm
         assert result.generator == GENERATOR_NAME
 
 
-class TestBestStateOf:
-    def test_points_at_landing_state_of_max_entry(self, grid):
-        q = new_qtable(grid.n)
-        s = StateId(4, 4)
-        k = ACTIONS.index((1, 1))
-        q[s.flat(grid), k] = 10.0
-        assert best_state_of(q, grid) == StateId(5, 5)
+def best_state_reference(q, grid):
+    """The learned optimum by a plain loop: the first strictly larger
+    valid entry in row-major order, its landing state if positive."""
+    best_s, best_a, best_val = 0, None, -np.inf
+    for s in range(grid.n_states):
+        for k in valid_actions(grid, s):
+            if q[s, k] > best_val:
+                best_s, best_a, best_val = s, k, q[s, k]
+    if best_a is None or best_val <= 0:
+        return best_s
+    i, j = divmod(best_s, grid.n)
+    di, dj = ACTIONS[best_a]
+    return (i + di) * grid.n + (j + dj)
 
-    def test_all_zero_table_falls_back_to_a_valid_state(self, grid):
-        best = best_state_of(new_qtable(grid.n), grid)
-        assert 0 <= best.i < grid.n and 0 <= best.j < grid.n
+
+class TestBestStateOf:
+    def test_points_at_landing_state_of_max_entry(self, cache10):
+        q = new_qtable(10)
+        k = ACTIONS.index((1, 1))
+        q[44, k] = 10.0
+        assert best_state_of(q, cache10) == 55
+
+    def test_all_zero_table_falls_back_to_a_valid_state(self, cache10):
+        best = best_state_of(new_qtable(10), cache10)
+        assert 0 <= best < 100
+
+    @given(q=st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.5, 3.0]),
+                      min_size=100 * N_ACTIONS, max_size=100 * N_ACTIONS),
+           shift=st.sampled_from([0.0, -5.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_loop(self, cache10, q, shift):
+        """Few distinct values, so ties are common; shift -5 makes every
+        entry non-positive."""
+        q = np.array(q).reshape(100, N_ACTIONS) + shift
+        assert best_state_of(q, cache10) == best_state_reference(q, cache10.grid)
 
 
 class TestSerialization:

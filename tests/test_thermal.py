@@ -120,6 +120,14 @@ class TestMeltPoolDepth:
         assert res.t_used >= 2.0
         assert 0.1 < res.depth_mm < 3.0
 
+    @pytest.mark.parametrize("power", [5000.0, 20000.0])
+    def test_root_at_bracket_edge_is_unconverged(self, material, power):
+        """At 100 mm/min these pools are deeper than the 5 mm bracket; the
+        clamped depth is flagged, not reported as a steady depth."""
+        res = melt_pool_depth(material, power, 100.0 * MMPM_TO_MPS)
+        assert not res.converged
+        assert res.depth_mm == pytest.approx(5.0, abs=1e-4)
+
     def test_input_validation(self, material):
         for p in (-10.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="power"):
