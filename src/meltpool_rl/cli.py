@@ -10,8 +10,6 @@ error, 2 runtime or convergence failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -20,6 +18,7 @@ from .config import CONFIG_ENV_VAR, ConfigError, load_config
 from .environment import DepthCache, write_depth_map_csv
 from .experiments import SWEEPABLE, run_sweep
 from .oracle import brute_force_rank, validate_run, write_pv_map_csv
+from .outputs import write_csv, write_json
 from .qlearn import (GENERATOR_NAME, train, write_convergence_csv,
                      write_qtable_csv, write_qtable_json)
 from .thermal import MMPM_TO_MPS, melt_pool_depth
@@ -30,9 +29,7 @@ EXIT_RUNTIME = 2
 
 
 def _write_snapshot(out: Path, cfg) -> None:
-    with open(out / "config_snapshot.json", "w") as fh:
-        json.dump(cfg.snapshot, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "config_snapshot.json", cfg.snapshot, sort_keys=True)
 
 
 def cmd_depth(args) -> int:
@@ -73,9 +70,7 @@ def cmd_train(args) -> int:
         "seed": hp.seed,
         "generator": GENERATOR_NAME,
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(out / "summary.json", summary)
     print(f"best P={summary['best_power_w']:.1f} W "
           f"v={summary['best_speed_mmpm']:.1f} mm/min "
           f"depth={summary['best_depth_mm']:.4f} mm "
@@ -109,35 +104,28 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_snapshot(out, cfg)
 
-    results = run_sweep(spec, cfg.material, cfg.grid, cfg.reward, cfg.qlearn)
-    with open(out / "summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["value", "replicate", "seed", "best_power_w",
-                    "best_speed_mmpm", "best_depth_mm", "oracle_rank"])
-        for vr in results:
-            vdir = out / f"{spec.param}_{vr.value}"
-            vdir.mkdir(exist_ok=True)
-            with open(vdir / "config.json", "w") as cf:
-                json.dump({"param": spec.param, "value": vr.value,
-                           "replicates": spec.replicates,
-                           "base_seed": spec.base_seed,
-                           "seeds": vr.seeds,
-                           "generator": GENERATOR_NAME,
-                           "band": "across-replicate std",
-                           "base_config": cfg.snapshot}, cf, indent=2)
-                cf.write("\n")
-            with open(vdir / "convergence.csv", "w", newline="") as cc:
-                cw = csv.writer(cc)
-                cw.writerow(["episode", "mean_total_reward", "std_total_reward"])
-                for e, (m, s) in enumerate(zip(vr.curve.mean, vr.curve.std)):
-                    cw.writerow([e, repr(float(m)), repr(float(s))])
-            for rep, (run, verdict, seed) in enumerate(
-                    zip(vr.runs, vr.verdicts, vr.seeds)):
-                write_qtable_csv(vdir / f"run_{rep}_qtable.csv", run.qtable)
-                write_convergence_csv(vdir / f"run_{rep}_convergence.csv", run.traces)
-                w.writerow([vr.value, rep, seed, f"{run.best_power:.4f}",
+    summary = []
+    for vr in run_sweep(spec, cfg.material, cfg.grid, cfg.reward, cfg.qlearn):
+        vdir = out / f"{spec.param}_{vr.value}"
+        vdir.mkdir(exist_ok=True)
+        write_json(vdir / "config.json", {
+            "param": spec.param, "value": vr.value, "replicates": spec.replicates,
+            "base_seed": spec.base_seed, "seeds": vr.seeds, "generator": GENERATOR_NAME,
+            "band": "across-replicate std", "base_config": cfg.snapshot})
+        write_csv(vdir / "convergence.csv",
+                  ["episode", "mean_total_reward", "std_total_reward"],
+                  ([e, repr(float(m)), repr(float(s))]
+                   for e, (m, s) in enumerate(zip(vr.curve.mean, vr.curve.std))))
+        for rep, (run, verdict, seed) in enumerate(
+                zip(vr.runs, vr.verdicts, vr.seeds)):
+            write_qtable_csv(vdir / f"run_{rep}_qtable.csv", run.qtable)
+            write_convergence_csv(vdir / f"run_{rep}_convergence.csv", run.traces)
+            summary.append([vr.value, rep, seed, f"{run.best_power:.4f}",
                             f"{run.best_speed:.4f}", f"{run.best_depth:.4f}",
                             verdict.rank])
+    # written last, so a complete summary.csv marks a finished sweep
+    write_csv(out / "summary.csv", ["value", "replicate", "seed", "best_power_w",
+              "best_speed_mmpm", "best_depth_mm", "oracle_rank"], summary)
     print(f"swept {spec.param} over {list(spec.values)} "
           f"with {spec.replicates} replicates -> {out}")
     return EXIT_OK

@@ -61,7 +61,7 @@ class RunConfig:
         """Sweep spec for a parameter, falling back to defaults when the
         config has no sweep section or names a different parameter."""
         s = self.snapshot["sweep"]
-        values = tuple(s["values"]) if s["param"] == param and s["values"] else ()
+        values = s["values"] if s["param"] == param and s["values"] is not None else ()
         base_seed = s["base_seed"] if s["base_seed"] is not None else self.qlearn.seed
         return SweepSpec(param=param, values=values,
                          replicates=s["replicates"], base_seed=base_seed)

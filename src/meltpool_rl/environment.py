@@ -10,12 +10,12 @@ steady-state melt-pool depth at the landing state against the target.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .thermal import MMPM_TO_MPS, DepthResult, MaterialEnv, batch_depths
+from .outputs import write_csv
+from .thermal import MM_PER_M, MMPM_TO_MPS, Z_MAX, DepthResult, MaterialEnv, batch_depths
 
 #: the 8 actions as (di, dj), row-major over {-1,0,1}^2 minus (0,0).
 #: This ordering defines the Q-table columns and must never change.
@@ -152,6 +152,14 @@ class DepthCache:
         return len(self._depths)
 
 
+def depth_failure(grid: StateGrid, s: int, res: DepthResult) -> str:
+    """Why state s has no usable depth, and its process parameters."""
+    p, v = state_params(grid, s)
+    cause = (f"melt pool deeper than the {Z_MAX * MM_PER_M:g} mm depth bracket"
+             if res.at_edge else f"depth not steady by t={res.t_used:g} s")
+    return f"{cause} at state {s} (P={p:.1f} W, v={v:.1f} mm/min)"
+
+
 @dataclass(frozen=True)
 class StepOutcome:
     next_state: int
@@ -171,10 +179,8 @@ def step(cache: DepthCache, s: int, action: int, rc: RewardConfig) -> StepOutcom
     nxt = int(cache.next_state[s, action])
     res = cache.depth(nxt)
     if not res.converged:
-        p, v = state_params(cache.grid, nxt)
         raise EnvironmentEvalError(
-            f"environment evaluation failed: depth not steady at "
-            f"P={p:.1f} W, v={v:.1f} mm/min")
+            f"environment evaluation failed: {depth_failure(cache.grid, nxt, res)}")
     r = reward(rc, res.depth_mm)
     dd = abs(res.depth_mm - rc.delta_opt)
     return StepOutcome(nxt, res.depth_mm, r, dd <= rc.tol_delta)
@@ -182,10 +188,7 @@ def step(cache: DepthCache, s: int, action: int, rc: RewardConfig) -> StepOutcom
 
 def write_depth_map_csv(path, cache: DepthCache) -> None:
     """Grid depth map: state_id, i, j, power_w, speed_mmpm, depth_mm."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["state_id", "i", "j", "power_w", "speed_mmpm", "depth_mm"])
-        for s in range(cache.grid.n_states):
-            p, v = state_params(cache.grid, s)
-            w.writerow([s, *divmod(s, cache.grid.n), f"{p:.4f}", f"{v:.4f}",
-                        f"{cache.depth(s).depth_mm:.4f}"])
+    grid = cache.grid
+    write_csv(path, ["state_id", "i", "j", "power_w", "speed_mmpm", "depth_mm"],
+              ([s, *divmod(s, grid.n), *(f"{x:.4f}" for x in state_params(grid, s)),
+                f"{cache.depth(s).depth_mm:.4f}"] for s in range(grid.n_states)))

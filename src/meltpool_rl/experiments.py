@@ -29,6 +29,8 @@ DEFAULT_SWEEP_VALUES: dict[str, tuple] = {
 }
 
 SWEEPABLE = tuple(DEFAULT_SWEEP_VALUES)
+#: swept parameters that are integer fields
+_INTEGRAL = ("n", "episodes")
 
 
 @dataclass(frozen=True)
@@ -44,14 +46,25 @@ class SweepSpec:
                              f"got {self.param!r}")
         if self.replicates < 1:
             raise ValueError("sweep.replicates must be >= 1")
-        if not self.values:
-            object.__setattr__(self, "values", DEFAULT_SWEEP_VALUES[self.param])
-        if self.param in ("n", "episodes"):
-            for value in self.values:
-                if (isinstance(value, bool) or not isinstance(value, (int, float))
-                        or not float(value).is_integer()):
-                    raise ValueError(f"sweep.values for {self.param} must be "
-                                     f"integers, got {value!r}")
+        if not isinstance(self.values, (list, tuple)):
+            raise ValueError(f"sweep.values must be a list, got {self.values!r}")
+        object.__setattr__(self, "values",
+                           tuple(self.values) or DEFAULT_SWEEP_VALUES[self.param])
+        integral = self.param in _INTEGRAL
+        for value in self.values:
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or integral and not float(value).is_integer()):
+                raise ValueError(f"sweep.values for {self.param} must be "
+                                 f"{'integers' if integral else 'numbers'}, got {value!r}")
+            try:
+                (StateGrid if self.param == "n" else Hyperparams)(
+                    **{self.param: self.typed(value)})
+            except ValueError as exc:
+                raise ValueError(f"sweep.values: {value!r} is invalid: {exc}") from exc
+
+    def typed(self, value):
+        """value as the StateGrid or Hyperparams field it sets."""
+        return int(value) if self.param in _INTEGRAL else float(value)
 
 
 @dataclass
@@ -98,13 +111,8 @@ def run_sweep(spec: SweepSpec, material: MaterialEnv, grid: StateGrid,
     caches = caches if caches is not None else {}
     out = []
     for vi, value in enumerate(spec.values):
-        g = replace(grid, n=int(value)) if spec.param == "n" else grid
-        if spec.param == "n":
-            hp_v = hp
-        elif spec.param == "episodes":
-            hp_v = replace(hp, episodes=int(value))
-        else:
-            hp_v = replace(hp, **{spec.param: float(value)})
+        g = replace(grid, n=spec.typed(value)) if spec.param == "n" else grid
+        hp_v = hp if spec.param == "n" else replace(hp, **{spec.param: spec.typed(value)})
         if g.n not in caches:
             caches[g.n] = DepthCache(material, g)
         cache = caches[g.n]

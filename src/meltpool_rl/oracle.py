@@ -7,10 +7,10 @@ deliberately independent of anything the learner produces.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
-from .environment import DepthCache, StateGrid, state_params
+from .environment import DepthCache, StateGrid, depth_failure, state_params
+from .outputs import write_csv
 from .qlearn import RunResult
 
 
@@ -68,8 +68,7 @@ def brute_force_rank(cache: DepthCache, delta_opt: float,
         res = cache.depth(s)
         p, v = state_params(grid, s)
         if not res.converged:
-            raise RuntimeError(f"oracle: depth not steady at state {s} "
-                               f"P={p:.1f} W, v={v:.1f} mm/min")
+            raise RuntimeError(f"oracle: {depth_failure(grid, s, res)}")
         entries.append((abs(res.depth_mm - delta_opt), s, p, v, res.depth_mm))
     entries.sort(key=lambda e: (e[0], e[1]))
     rows = [StateReport(s, *divmod(s, grid.n), p, v, depth, err, rank + 1, err <= tol_r)
@@ -91,10 +90,8 @@ def validate_run(report: GridReport, result: RunResult, k: int = 3,
 
 
 def write_pv_map_csv(path, report: GridReport) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["state_id", "i", "j", "power_w", "speed_mmpm",
-                    "depth_mm", "abs_err_mm", "rank", "in_band"])
-        for r in report.rows:
-            w.writerow([r.state_id, r.i, r.j, f"{r.power:.4f}", f"{r.speed:.4f}",
-                        f"{r.depth:.4f}", f"{r.abs_err:.4f}", r.rank, int(r.in_band)])
+    write_csv(path, ["state_id", "i", "j", "power_w", "speed_mmpm",
+                     "depth_mm", "abs_err_mm", "rank", "in_band"],
+              ([r.state_id, r.i, r.j, f"{r.power:.4f}", f"{r.speed:.4f}",
+                f"{r.depth:.4f}", f"{r.abs_err:.4f}", r.rank, int(r.in_band)]
+               for r in report.rows))

@@ -15,13 +15,12 @@ split one substream per episode, so runs are bit-reproducible.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .environment import ACTIONS, N_ACTIONS, DepthCache, RewardConfig, state_params, step
+from .outputs import write_csv, write_json
 
 GENERATOR_NAME = "numpy.random.PCG64"
 
@@ -165,29 +164,16 @@ def train(cache: DepthCache, rc: RewardConfig, hp: Hyperparams) -> RunResult:
 
 
 def write_qtable_csv(path, q: np.ndarray) -> None:
-    header = ["state_id"] + [f"a({di},{dj})" for di, dj in ACTIONS]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for flat, row in enumerate(q):
-            w.writerow([flat] + [repr(float(x)) for x in row])
+    write_csv(path, ["state_id"] + [f"a({di},{dj})" for di, dj in ACTIONS],
+              ([flat] + [repr(float(x)) for x in row] for flat, row in enumerate(q)))
 
 
 def write_qtable_json(path, q: np.ndarray, config_snapshot: dict, seed: int) -> None:
-    payload = {
-        "config": config_snapshot,
-        "seed": seed,
-        "generator": GENERATOR_NAME,
-        "qtable": q.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, {"config": config_snapshot, "seed": seed,
+                      "generator": GENERATOR_NAME, "qtable": q.tolist()})
 
 
 def write_convergence_csv(path, traces) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["episode", "total_reward", "epochs", "terminated_early"])
-        for e, tr in enumerate(traces):
-            w.writerow([e, repr(tr.total_reward), tr.epochs, int(tr.terminated_early)])
+    write_csv(path, ["episode", "total_reward", "epochs", "terminated_early"],
+              ([e, repr(tr.total_reward), tr.epochs, int(tr.terminated_early)]
+               for e, tr in enumerate(traces)))

@@ -29,7 +29,7 @@ the interface, matching how process parameters are quoted for L-DED.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +47,8 @@ DEFAULT_SOURCE_GAIN = 2.42
 _X_WINDOW_BEHIND = 5.0  # trailing window, multiples of sigma
 _X_WINDOW_AHEAD = 2.0
 _N_X_SAMPLES = 64
-_Z_MAX = 5e-3  # m
+#: depth bracket of the liquidus root search, m
+Z_MAX = 5e-3
 _Z_TOL = 1e-7  # m (1e-4 mm)
 _T_START = 2.0  # s
 _T_GROWTH = 1.5
@@ -126,11 +127,14 @@ class LaserQuery:
 @dataclass(frozen=True)
 class DepthResult:
     """Melt-pool depth in mm, whether the steady-state test passed, and
-    the simulated time actually used."""
+    the simulated time actually used.  at_edge marks a depth whose
+    isotherm reached the Z_MAX bracket edge, so it is only a lower bound
+    and not converged; it is left out of the repr."""
 
     depth_mm: float
     converged: bool
     t_used: float
+    at_edge: bool = field(default=False, repr=False)
 
 
 def _profile_basis(env: MaterialEnv, v: float, xs: np.ndarray, y: float,
@@ -234,7 +238,7 @@ def temperature(env: MaterialEnv, q: LaserQuery, rel_tol: float = 1e-6) -> float
 def _depth_at_time(env: MaterialEnv, p: float, v: float, t: float,
                    bases: dict) -> tuple[float, bool]:
     """Max over the scan line of the liquidus-isotherm root depth (m), and
-    whether a root lies at the bracket edge _Z_MAX (the pool is deeper
+    whether a root lies at the bracket edge Z_MAX (the pool is deeper
     than the bracket, so the depth is only a lower bound).
 
     The pool maximum trails the laser, so x spans [x_laser - 5*sigma,
@@ -254,14 +258,14 @@ def _depth_at_time(env: MaterialEnv, p: float, v: float, t: float,
     if not melted.any():
         return 0.0, False
     lo = np.zeros(_N_X_SAMPLES)
-    hi = np.full(_N_X_SAMPLES, _Z_MAX)
+    hi = np.full(_N_X_SAMPLES, Z_MAX)
     while float(np.max(hi - lo)) > _Z_TOL:
         m = 0.5 * (lo + hi)
         above = _profile_eval(env, u, coef, m) >= env.t_liq
         lo = np.where(above, m, lo)
         hi = np.where(above, hi, m)
     return (float(np.max(np.where(melted, 0.5 * (lo + hi), 0.0))),
-            bool(np.any(melted & (hi == _Z_MAX))))
+            bool(np.any(melted & (hi == Z_MAX))))
 
 
 def melt_pool_depth(env: MaterialEnv, p: float, v: float) -> DepthResult:
@@ -285,14 +289,14 @@ def _steady_depth(env: MaterialEnv, p: float, v: float, bases: dict) -> DepthRes
         return DepthResult(0.0, True, 0.0)
 
     t = _T_START
-    d_prev, _ = _depth_at_time(env, p, v, t, bases)
+    d_prev, at_edge = _depth_at_time(env, p, v, t, bases)
     for _ in range(_MAX_EXTENSIONS):
         t_next = t * _T_GROWTH
         d_next, at_edge = _depth_at_time(env, p, v, t_next, bases)
         if abs(d_next - d_prev) * MM_PER_M < _DEPTH_TOL_MM:
-            return DepthResult(d_next * MM_PER_M, not at_edge, t_next)
+            return DepthResult(d_next * MM_PER_M, not at_edge, t_next, at_edge)
         t, d_prev = t_next, d_next
-    return DepthResult(d_prev * MM_PER_M, False, t)
+    return DepthResult(d_prev * MM_PER_M, False, t, at_edge)
 
 
 def batch_depths(env: MaterialEnv, queries) -> list[DepthResult]:

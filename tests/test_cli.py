@@ -123,6 +123,17 @@ class TestSweep:
         assert rc == EXIT_VALIDATION
         assert "beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", ["0.5", "[1.5]"])
+    def test_invalid_sweep_values_exit_before_output(self, tmp_path, capsys, values):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(f"sweep:\n  param: epsilon\n  values: {values}\n")
+        out = tmp_path / "sweep"
+        rc = main(["--config", str(cfg), "sweep", "--param", "epsilon",
+                   "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "sweep.values" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_writes_summary_and_per_value_dirs(self, tmp_path):
         cfg = tmp_path / "config.yaml"
         cfg.write_text(SMALL + """\

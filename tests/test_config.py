@@ -117,6 +117,15 @@ class TestValidation:
             load_config(write(tmp_path, f"sweep:\n  param: {param}\n"
                                         f"  values: [{value}]\n"))
 
+    @pytest.mark.parametrize("param, values", [
+        ("epsilon", "0.5"), ("epsilon", "[1.5]"), ("alpha", "[abc]"),
+        ("gamma", "{a: 1}"), ("n", "[1]"), ("episodes", "[0]"),
+    ])
+    def test_invalid_sweep_values_are_named(self, tmp_path, param, values):
+        with pytest.raises(ConfigError, match=r"sweep\.values"):
+            load_config(write(tmp_path, f"sweep:\n  param: {param}\n"
+                                        f"  values: {values}\n"))
+
     def test_top_level_must_be_mapping(self, tmp_path):
         with pytest.raises(ConfigError, match="mapping"):
             load_config(write(tmp_path, "- a\n- b\n"))

@@ -161,14 +161,18 @@ class TestStep:
             grid, valid, next_state = cache10.grid, cache10.valid, cache10.next_state
 
             def depth(self, s):
+                # melt_pool_depth at 919 W, 200 mm/min
                 from meltpool_rl.thermal import DepthResult
-                return DepthResult(0.5, False, 10.0)
+                return DepthResult(1.423988342285156, False, 10.125)
 
-        with pytest.raises(EnvironmentEvalError, match="not steady"):
+        with pytest.raises(EnvironmentEvalError,
+                           match=r"depth not steady by t=10\.125 s at state 33 "):
             step(Unconverged(), 44, 0, reward_config)
 
     def test_depth_beyond_bracket_aborts(self, edge_cache, reward_config):
-        with pytest.raises(EnvironmentEvalError, match="not steady"):
+        with pytest.raises(EnvironmentEvalError,
+                           match=r"deeper than the 5 mm depth bracket at state 2 "
+                                 r"\(P=20000\.0 W, v=400\.0 mm/min\)"):
             step(edge_cache, 0, ACTIONS.index((1, 0)), reward_config)
 
 

@@ -39,6 +39,20 @@ class TestSweepSpec:
     def test_integral_floats_accepted(self):
         assert SweepSpec("n", values=(5.0, 10)).values == (5.0, 10)
 
+    @pytest.mark.parametrize("param, values", [
+        ("epsilon", 0.5), ("alpha", "0.5"), ("epsilon", [1.5]), ("alpha", ["abc"]),
+        ("alpha", [0]), ("gamma", [float("nan")]), ("epsilon", [True]),
+        ("n", [1]), ("episodes", [0]),
+    ])
+    def test_invalid_values_rejected(self, param, values):
+        """Each value must be a valid StateGrid or Hyperparams field, so a
+        bad one fails here and not partway through run_sweep."""
+        with pytest.raises(ValueError, match=r"sweep\.values"):
+            SweepSpec(param, values=values)
+
+    def test_values_list_accepted(self):
+        assert SweepSpec("alpha", values=[0.5, 1]).values == (0.5, 1)
+
     def test_replicates_validated(self):
         with pytest.raises(ValueError):
             SweepSpec("n", replicates=0)

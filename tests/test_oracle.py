@@ -56,7 +56,7 @@ class TestBruteForceRank:
 
 
     def test_depth_beyond_bracket_raises(self, edge_cache):
-        with pytest.raises(RuntimeError, match="state 2"):
+        with pytest.raises(RuntimeError, match="5 mm depth bracket at state 2"):
             brute_force_rank(edge_cache, 1.0)
 
 

@@ -125,8 +125,14 @@ class TestMeltPoolDepth:
         """At 100 mm/min these pools are deeper than the 5 mm bracket; the
         clamped depth is flagged, not reported as a steady depth."""
         res = melt_pool_depth(material, power, 100.0 * MMPM_TO_MPS)
-        assert not res.converged
+        assert not res.converged and res.at_edge
         assert res.depth_mm == pytest.approx(5.0, abs=1e-4)
+
+    def test_unsettled_depth_is_not_at_edge(self, material):
+        """At 919 W, 200 mm/min the depth still moves after the last time
+        extension, well inside the bracket."""
+        res = melt_pool_depth(material, 919.0, 200.0 * MMPM_TO_MPS)
+        assert res == DepthResult(1.423988342285156, False, 10.125, at_edge=False)
 
     def test_input_validation(self, material):
         for p in (-10.0, math.inf, math.nan):
