@@ -11,6 +11,7 @@ steady-state melt-pool depth at the landing state against the target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,9 +122,10 @@ def reward(rc: RewardConfig, depth_mm: float) -> float:
 
 class DepthCache:
     """The per-grid tables, built once: next_state[s, a] (-1 where the
-    move leaves the grid), each state's valid actions, and each state's
+    move leaves the grid), each state's valid actions, each state's
     DepthResult, filled by warm() with one batch_depths call (the
-    constructor calls it; later calls are no-ops)."""
+    constructor calls it; later calls are no-ops), and per RewardConfig
+    each state's score, which step looks up."""
 
     def __init__(self, env: MaterialEnv, grid: StateGrid):
         self.env = env
@@ -134,7 +136,10 @@ class DepthCache:
             for a in acts:
                 di, dj = ACTIONS[a]
                 self.next_state[s, a] = s + di * grid.n + dj
+        self._moves = self.next_state.tolist()  # step indexes lists, not the array
         self._depths: list[DepthResult] = []
+        self._scores: dict[RewardConfig, list] = {}
+        self._last_scores: tuple = (None, None)
         self.warm()
 
     def depth(self, s: int) -> DepthResult:
@@ -148,6 +153,21 @@ class DepthCache:
         pv = [state_params(self.grid, s) for s in range(self.grid.n_states)]
         self._depths = batch_depths(self.env, [(p, v * MMPM_TO_MPS) for p, v in pv])
 
+    def scores(self, rc: RewardConfig) -> list:
+        """Each state's (reward, depth_mm, terminal) under rc, or None
+        where its depth is unusable; built once per RewardConfig."""
+        last_rc, table = self._last_scores
+        if rc is not last_rc:  # skips hashing the frozen rc on every step
+            table = self._scores.get(rc)
+            if table is None:
+                table = self._scores[rc] = [
+                    (reward(rc, res.depth_mm), res.depth_mm,
+                     abs(res.depth_mm - rc.delta_opt) <= rc.tol_delta)
+                    if res.converged else None
+                    for res in self._depths]
+            self._last_scores = (rc, table)
+        return table
+
     def __len__(self) -> int:
         return len(self._depths)
 
@@ -160,8 +180,7 @@ def depth_failure(grid: StateGrid, s: int, res: DepthResult) -> str:
     return f"{cause} at state {s} (P={p:.1f} W, v={v:.1f} mm/min)"
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     next_state: int
     depth_mm: float
     reward: float
@@ -176,14 +195,13 @@ def step(cache: DepthCache, s: int, action: int, rc: RewardConfig) -> StepOutcom
     """
     if not 0 <= s < len(cache.valid) or action not in cache.valid[s]:
         raise ValueError(f"action {action} invalid in state {s}")
-    nxt = int(cache.next_state[s, action])
-    res = cache.depth(nxt)
-    if not res.converged:
-        raise EnvironmentEvalError(
-            f"environment evaluation failed: {depth_failure(cache.grid, nxt, res)}")
-    r = reward(rc, res.depth_mm)
-    dd = abs(res.depth_mm - rc.delta_opt)
-    return StepOutcome(nxt, res.depth_mm, r, dd <= rc.tol_delta)
+    nxt = cache._moves[s][action]
+    score = cache.scores(rc)[nxt]
+    if score is None:
+        raise EnvironmentEvalError("environment evaluation failed: "
+                                   f"{depth_failure(cache.grid, nxt, cache.depth(nxt))}")
+    r, depth_mm, terminal = score
+    return StepOutcome(nxt, depth_mm, r, terminal)
 
 
 def write_depth_map_csv(path, cache: DepthCache) -> None:

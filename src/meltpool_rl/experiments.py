@@ -48,23 +48,25 @@ class SweepSpec:
             raise ValueError("sweep.replicates must be >= 1")
         if not isinstance(self.values, (list, tuple)):
             raise ValueError(f"sweep.values must be a list, got {self.values!r}")
-        object.__setattr__(self, "values",
-                           tuple(self.values) or DEFAULT_SWEEP_VALUES[self.param])
         integral = self.param in _INTEGRAL
-        for value in self.values:
+        typed = []
+        for value in self.values or DEFAULT_SWEEP_VALUES[self.param]:
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or integral and not float(value).is_integer()):
                 raise ValueError(f"sweep.values for {self.param} must be "
                                  f"{'integers' if integral else 'numbers'}, got {value!r}")
+            # the value as the StateGrid or Hyperparams field it sets
+            field_value = int(value) if integral else float(value)
             try:
                 (StateGrid if self.param == "n" else Hyperparams)(
-                    **{self.param: self.typed(value)})
+                    **{self.param: field_value})
             except ValueError as exc:
                 raise ValueError(f"sweep.values: {value!r} is invalid: {exc}") from exc
-
-    def typed(self, value):
-        """value as the StateGrid or Hyperparams field it sets."""
-        return int(value) if self.param in _INTEGRAL else float(value)
+            if field_value in typed:
+                # each value names its own output directory
+                raise ValueError(f"sweep.values: {value!r} is listed twice")
+            typed.append(field_value)
+        object.__setattr__(self, "values", tuple(typed))
 
 
 @dataclass
@@ -111,8 +113,8 @@ def run_sweep(spec: SweepSpec, material: MaterialEnv, grid: StateGrid,
     caches = caches if caches is not None else {}
     out = []
     for vi, value in enumerate(spec.values):
-        g = replace(grid, n=spec.typed(value)) if spec.param == "n" else grid
-        hp_v = hp if spec.param == "n" else replace(hp, **{spec.param: spec.typed(value)})
+        g = replace(grid, n=value) if spec.param == "n" else grid
+        hp_v = hp if spec.param == "n" else replace(hp, **{spec.param: value})
         if g.n not in caches:
             caches[g.n] = DepthCache(material, g)
         cache = caches[g.n]

@@ -1,7 +1,10 @@
 """Tabular Q-learning over the process-parameter grid.
 
 One table of shape (n^2, 8) holds a quality score per state-action pair,
-initialized to zero.  Episodes start from a uniformly random state and run
+initialized to zero.  During train it is a list of rows of Python floats,
+which index far faster than an ndarray, and train returns it as a float64
+ndarray; q_update and select_action index q[s][a], so they take either
+form.  Episodes start from a uniformly random state and run
 epsilon-greedy until the landing state hits the target depth tolerance or
 the epoch cap is reached.  The per-update rule is the standard one-step
 temporal-difference target:
@@ -15,7 +18,9 @@ split one substream per episode, so runs are bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Union
 
 import numpy as np
 
@@ -23,6 +28,9 @@ from .environment import ACTIONS, N_ACTIONS, DepthCache, RewardConfig, state_par
 from .outputs import write_csv, write_json
 
 GENERATOR_NAME = "numpy.random.PCG64"
+
+#: a (n^2, 8) table: lists of floats while training, an ndarray after
+QTable = Union[list, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -79,32 +87,36 @@ def new_qtable(n: int) -> np.ndarray:
     return np.zeros((n * n, N_ACTIONS))
 
 
-def q_update(q: np.ndarray, s: int, a: int, r: float, s_next: int,
+def q_update(q: QTable, s: int, a: int, r: float, s_next: int,
              next_valid: tuple[int, ...], hp: Hyperparams) -> float:
     """Apply the one-step update in place and return the new entry."""
-    future = max(q[s_next, k] for k in next_valid)
+    row = q[s_next]
+    future = max([row[k] for k in next_valid])
     # algebraically identical to q + alpha*(target - q), but exact at alpha=1
-    val = (1.0 - hp.alpha) * q[s, a] + hp.alpha * (r + hp.gamma * future)
-    if not np.isfinite(val):
+    val = (1.0 - hp.alpha) * q[s][a] + hp.alpha * (r + hp.gamma * future)
+    if not math.isfinite(val):
         raise ArithmeticError(f"non-finite Q-value at state {s}, action {a}")
-    q[s, a] = val
+    q[s][a] = val
     return val
 
 
-def select_action(q: np.ndarray, s: int, valid: tuple[int, ...],
+def select_action(q: QTable, s: int, valid: tuple[int, ...],
                   epsilon: float, rng: np.random.Generator) -> int:
     """Epsilon-greedy over the valid actions; greedy ties are broken
     uniformly at random from the same stream (first-index tie-breaking
-    would bias the all-zero initial table toward action 0)."""
+    would bias the all-zero initial table toward action 0).  Indexing
+    with rng.integers(len(seq)) makes the draw rng.choice(seq) makes,
+    without its array conversion."""
     if rng.random() < epsilon:
-        return int(rng.choice(valid))
-    row = q[s, list(valid)]
-    best = row.max()
-    ties = [k for k, v in zip(valid, row) if v == best]
-    return int(rng.choice(ties))
+        return valid[rng.integers(len(valid))]
+    row = q[s]
+    vals = [row[k] for k in valid]
+    best = max(vals)
+    ties = [k for k, v in zip(valid, vals) if v == best]
+    return ties[rng.integers(len(ties))]
 
 
-def run_episode(cache: DepthCache, rc: RewardConfig, q: np.ndarray,
+def run_episode(cache: DepthCache, rc: RewardConfig, q: QTable,
                 hp: Hyperparams, rng: np.random.Generator) -> EpisodeTrace:
     """One episode: random start, then select/step/update until the
     landing state is within tol_delta of the target or the epoch cap.
@@ -154,13 +166,14 @@ def train(cache: DepthCache, rc: RewardConfig, hp: Hyperparams) -> RunResult:
     Each episode draws from its own spawned substream of the seeded
     PCG64 generator, so traces are reproducible episode by episode.
     """
-    q = new_qtable(cache.grid.n)
+    q = new_qtable(cache.grid.n).tolist()
     streams = np.random.SeedSequence(hp.seed).spawn(hp.episodes)
     traces = [run_episode(cache, rc, q, hp, np.random.default_rng(ss))
               for ss in streams]
-    best = best_state_of(q, cache)
+    qtable = np.array(q)
+    best = best_state_of(qtable, cache)
     p, v = state_params(cache.grid, best)
-    return RunResult(q, traces, best, p, v, cache.depth(best).depth_mm)
+    return RunResult(qtable, traces, best, p, v, cache.depth(best).depth_mm)
 
 
 def write_qtable_csv(path, q: np.ndarray) -> None:

@@ -123,7 +123,7 @@ class TestSweep:
         assert rc == EXIT_VALIDATION
         assert "beta" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("values", ["0.5", "[1.5]"])
+    @pytest.mark.parametrize("values", ["0.5", "[1.5]", "[0.5, 0.5]"])
     def test_invalid_sweep_values_exit_before_output(self, tmp_path, capsys, values):
         cfg = tmp_path / "config.yaml"
         cfg.write_text(f"sweep:\n  param: epsilon\n  values: {values}\n")
@@ -133,6 +133,17 @@ class TestSweep:
         assert rc == EXIT_VALIDATION
         assert "sweep.values" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_outputs_name_the_typed_value(self, tmp_path):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(SMALL + "sweep: {param: n, values: [3.0], replicates: 1}\n")
+        out = tmp_path / "sweep"
+        assert main(["--config", str(cfg), "sweep", "--param", "n",
+                     "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["n_3"]
+        with open(out / "summary.csv", newline="") as fh:
+            assert [row["value"] for row in csv.DictReader(fh)] == ["3"]
+        assert json.loads((out / "n_3" / "config.json").read_text())["value"] == 3
 
     def test_writes_summary_and_per_value_dirs(self, tmp_path):
         cfg = tmp_path / "config.yaml"

@@ -120,6 +120,7 @@ class TestValidation:
     @pytest.mark.parametrize("param, values", [
         ("epsilon", "0.5"), ("epsilon", "[1.5]"), ("alpha", "[abc]"),
         ("gamma", "{a: 1}"), ("n", "[1]"), ("episodes", "[0]"),
+        ("epsilon", "[0.5, 0.5]"), ("n", "[3, 3.0]"),
     ])
     def test_invalid_sweep_values_are_named(self, tmp_path, param, values):
         with pytest.raises(ConfigError, match=r"sweep\.values"):

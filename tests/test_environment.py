@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meltpool_rl import environment
 from meltpool_rl.environment import (
     ACTIONS,
     N_ACTIONS,
@@ -19,7 +20,7 @@ from meltpool_rl.environment import (
     valid_actions,
     write_depth_map_csv,
 )
-from meltpool_rl.thermal import MMPM_TO_MPS, MaterialEnv, melt_pool_depth
+from meltpool_rl.thermal import MMPM_TO_MPS, DepthResult, MaterialEnv, melt_pool_depth
 
 
 class TestActions:
@@ -156,18 +157,14 @@ class TestStep:
                 wider = RewardConfig(tol_delta=0.6, tol_r=0.6)
                 assert step(cache10, s, k, wider).terminal
 
-    def test_unconverged_depth_aborts(self, cache10, reward_config):
-        class Unconverged:
-            grid, valid, next_state = cache10.grid, cache10.valid, cache10.next_state
-
-            def depth(self, s):
-                # melt_pool_depth at 919 W, 200 mm/min
-                from meltpool_rl.thermal import DepthResult
-                return DepthResult(1.423988342285156, False, 10.125)
-
+    def test_unconverged_depth_aborts(self, cache10, reward_config, monkeypatch):
+        depths = [cache10.depth(s) for s in range(100)]
+        depths[33] = DepthResult(1.423988342285156, False, 10.125)  # 919 W, 200 mm/min
+        monkeypatch.setattr(environment, "batch_depths", lambda env, queries: depths)
+        cache = DepthCache(cache10.env, cache10.grid)
         with pytest.raises(EnvironmentEvalError,
                            match=r"depth not steady by t=10\.125 s at state 33 "):
-            step(Unconverged(), 44, 0, reward_config)
+            step(cache, 44, 0, reward_config)
 
     def test_depth_beyond_bracket_aborts(self, edge_cache, reward_config):
         with pytest.raises(EnvironmentEvalError,
@@ -194,6 +191,24 @@ class TestDepthCache:
         before = [cache10.depth(s) for s in range(grid.n_states)]
         cache10.warm()
         assert [cache10.depth(s) for s in range(grid.n_states)] == before
+
+
+class TestScores:
+    def test_match_reward_and_tolerance(self, cache10, reward_config):
+        rc = reward_config
+        for s, score in enumerate(cache10.scores(rc)):
+            d = cache10.depth(s).depth_mm
+            assert score == (reward(rc, d), d, abs(d - rc.delta_opt) <= rc.tol_delta)
+
+    def test_built_once_per_reward_config(self, cache10):
+        table = cache10.scores(RewardConfig())
+        other = cache10.scores(RewardConfig(variant="paper"))
+        assert other is not table
+        assert cache10.scores(RewardConfig()) is table
+
+    def test_unusable_depth_has_no_score(self, edge_cache, reward_config):
+        assert [score is None for score in edge_cache.scores(reward_config)] == \
+            [False, False, True, False]
 
 
 class TestNextState:

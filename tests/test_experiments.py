@@ -39,6 +39,21 @@ class TestSweepSpec:
     def test_integral_floats_accepted(self):
         assert SweepSpec("n", values=(5.0, 10)).values == (5.0, 10)
 
+    def test_values_are_stored_typed(self):
+        """Each value is stored as the field it sets, which names its
+        output directory: n 3.0 is 3, epsilon 1 is 1.0."""
+        assert [repr(v) for v in SweepSpec("n", values=(3.0, 10)).values] == ["3", "10"]
+        assert [repr(v) for v in SweepSpec("epsilon", values=[1, 0.5]).values] == \
+            ["1.0", "0.5"]
+
+    @pytest.mark.parametrize("param, values", [
+        ("epsilon", [0.5, 0.5]), ("alpha", [1, 1.0]), ("n", [3, 5, 3.0]),
+    ])
+    def test_repeated_values_rejected(self, param, values):
+        """Repeated values would share one output directory."""
+        with pytest.raises(ValueError, match=r"sweep\.values: .* is listed twice"):
+            SweepSpec(param, values=values)
+
     @pytest.mark.parametrize("param, values", [
         ("epsilon", 0.5), ("alpha", "0.5"), ("epsilon", [1.5]), ("alpha", ["abc"]),
         ("alpha", [0]), ("gamma", [float("nan")]), ("epsilon", [True]),

@@ -1,6 +1,7 @@
 """Golden outputs: SHA-256 digests of the default 10x10 depth map, of
-every file written by a seed-0 `train` and a default `map`, and that
-training run's best state.  Any change to the thermal quadrature, the
+every file written by a seed-0 `train` and a default `map`, of the run
+files of a small replicated epsilon sweep, and that training run's best
+state.  Any change to the thermal quadrature, the
 bisection, the learner or an output format that moves a single bit shows
 up here."""
 
@@ -25,6 +26,28 @@ MAP_SHA256 = {
     "config_snapshot.json": SNAPSHOT_SHA256,
     "pv_map.csv": "c0ec41d1947cb0b999bf7af01979b3f0433715d40a98f33a6f5dafa7491b7db6",
     "depth_map.csv": "2c034f1b96ec06e63f673d0a25c942a01dbece11c0331c269bae68d0969bbf11",
+}
+#: small `sweep --param epsilon`: 4x4 grid, 2 replicates, 10 episodes,
+#: epsilon 0.25 to 1.0 over eight seeds
+SMALL_SWEEP_YAML = "grid: {n: 4}\nqlearn: {episodes: 10}\nsweep: {param: epsilon, replicates: 2}\n"
+SMALL_SWEEP_SHA256 = {
+    "summary.csv": "e3c65bcc0ffb24a46fc35252ee92a48d1c583eab928d0a76a1ee78fe08a43dfb",
+    "epsilon_0.25/run_0_convergence.csv": "570dfa35ccfaca4243471e746dcc18e1ad6ae429d28e9ad895b235c7c1024611",
+    "epsilon_0.25/run_0_qtable.csv": "63ffab28a3a1f04be056773d7917219cea9a53a21a94c19511d10d8cf51abe17",
+    "epsilon_0.25/run_1_convergence.csv": "eb169d5c7bcba78757b9ebf9080c574d3cd5e30110f9707e53cde227d89db2f7",
+    "epsilon_0.25/run_1_qtable.csv": "d1b10e24d72cb5c5b7a1512f90e87777dbf68d5f83933507893d513b78b07d32",
+    "epsilon_0.5/run_0_convergence.csv": "65089e0b561cb30a436d95fc6034856aa5e002d3a77455022fe5f3956e22f8fe",
+    "epsilon_0.5/run_0_qtable.csv": "072eb45f0f887e9ddd30b7050003f2f3def28daf4eaa02c692dd012f754f6add",
+    "epsilon_0.5/run_1_convergence.csv": "8c72808a16338fa74ef9786d11b2c7338d70605276bad812fa7583abfba39106",
+    "epsilon_0.5/run_1_qtable.csv": "f669cc7ad62cdb41082a5ff5df525c458dea8e9a95e43cc473b92b0e7b279a5a",
+    "epsilon_0.75/run_0_convergence.csv": "54f21057d1e3bceb7be8208eb94a005fd78539c5b588846e22260f8aef7df9fb",
+    "epsilon_0.75/run_0_qtable.csv": "3bdc021231af52b15bea4853d502f9c036c5f1888bfe916d9d6d891dc153eb94",
+    "epsilon_0.75/run_1_convergence.csv": "15c9c3d2f8a1f1fc3ec5950d66fa70c0c5ef9545d5e2c06de382e3b39a007a19",
+    "epsilon_0.75/run_1_qtable.csv": "6bdbe0a6c3ce199fbf19734c874b89acc559b164cdf2810908b31f063497e052",
+    "epsilon_1.0/run_0_convergence.csv": "2a0db8b5193cdbfb7d297a96a22f1c38d7b179758ade112293f19ffcc62cb16d",
+    "epsilon_1.0/run_0_qtable.csv": "790a241ea63335f48b2cc965c9f32643d1e338a86dd8b6408c342e98dd72e882",
+    "epsilon_1.0/run_1_convergence.csv": "6d01fbcd1fcc1f7c470a4f4ec78abd9d9bd91482298efb91021455b85c3b39ca",
+    "epsilon_1.0/run_1_qtable.csv": "d355b7ea02f869053455903b3f5bb3108a5c8014d4546497ed66a165c4be0785",
 }
 
 
@@ -60,3 +83,17 @@ def test_seed0_train_best_state(cache10, monkeypatch):
     assert result.best_state == 75  # (i, j) = (7, 5)
     assert (result.best_power, result.best_speed) == (888.8888888888889, 566.6666666666666)
     assert result.best_depth == 1.0023117065429688
+
+
+def test_small_epsilon_sweep_digests(tmp_path, monkeypatch):
+    """Every replicate's Q-table and convergence file, and the summary,
+    of a sweep that includes epsilon = 1 and eight spawned seeds."""
+    config = tmp_path / "sweep.yaml"
+    config.write_text(SMALL_SWEEP_YAML)
+    out = tmp_path / "out"
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    assert main(["--config", str(config), "sweep", "--param", "epsilon",
+                 "--out", str(out)]) == 0
+    got = {p.relative_to(out).as_posix(): sha256(p.read_bytes())
+           for p in out.rglob("*") if p.name == "summary.csv" or p.name.startswith("run_")}
+    assert got == SMALL_SWEEP_SHA256

@@ -90,6 +90,33 @@ class TestQUpdate:
         ratios = [b / a for a, b in zip(gaps, gaps[1:]) if a > 0]
         assert all(abs(rt - 0.75) < 1e-9 for rt in ratios)
 
+    @given(values=st.lists(st.one_of(st.floats(-1e3, 1e3), st.sampled_from([1e308, -1e308])),
+                           min_size=16, max_size=16),
+           r=st.one_of(st.floats(-1e3, 1e3),
+                       st.sampled_from([float("inf"), -float("inf"), float("nan")])),
+           alpha=st.floats(0.0, 1.0, exclude_min=True), gamma=st.floats(0.0, 1.0),
+           next_valid=st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True))
+    @settings(max_examples=300, deadline=None)
+    def test_list_table_matches_ndarray(self, values, r, alpha, gamma, next_valid):
+        """train updates a list-of-lists table and tests an ndarray: both
+        give the same bits, or both raise on a non-finite value."""
+        arr = np.array(values).reshape(2, N_ACTIONS)
+        lst = arr.tolist()
+        hp = Hyperparams(alpha=alpha, gamma=gamma)
+        args = (0, 3, r, 1, tuple(next_valid), hp)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = q_update(arr, *args)
+            except ArithmeticError:
+                with pytest.raises(ArithmeticError, match="state 0, action 3"):
+                    q_update(lst, *args)
+                assert lst == np.array(values).reshape(2, N_ACTIONS).tolist()
+                return
+        got = q_update(lst, *args)
+        assert type(got) is float
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert np.array(lst).tobytes() == arr.tobytes()
+
 
 class TestSelectAction:
     def test_pure_exploration_is_uniform(self, grid):
@@ -124,6 +151,41 @@ class TestSelectAction:
         expected = n / len(valid)
         sigma = np.sqrt(n * (1 / 3) * (2 / 3))
         assert np.all(np.abs(counts[list(valid)] - expected) < 3 * sigma)
+
+
+def select_action_reference(q, s, valid, epsilon, rng):
+    """select_action as first written: numpy row indexing and
+    rng.choice for both draws."""
+    if rng.random() < epsilon:
+        return int(rng.choice(valid))
+    row = q[s, list(valid)]
+    best = row.max()
+    ties = [k for k, v in zip(valid, row) if v == best]
+    return int(rng.choice(ties))
+
+
+class TestSelectActionDraws:
+    @given(valid=st.lists(st.integers(0, 7), min_size=1, max_size=8,
+                          unique=True).map(tuple),
+           row=st.one_of(
+               st.lists(st.sampled_from([-1.0, 0.0, 2.5]), min_size=8, max_size=8),
+               st.lists(st.floats(-10, 10), min_size=8, max_size=8, unique=True)),
+           epsilon=st.sampled_from([0.0, 0.5, 1.0]),
+           as_list=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_same_draws_as_rng_choice(self, valid, row, epsilon, as_list, seed):
+        """The index draw picks the action rng.choice picks and leaves
+        the stream in the same state, call after call."""
+        q = np.zeros((3, N_ACTIONS))
+        q[1] = row
+        table = q.tolist() if as_list else q
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            got = select_action(table, 1, valid, epsilon, rng)
+            assert type(got) is int
+            assert got == select_action_reference(q, 1, valid, epsilon, ref)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestRunEpisode:
@@ -193,9 +255,12 @@ def apply_updates(grid, transitions):
 
 class TestTrain:
     def test_qtable_shape_across_resolutions(self, cache_for, reward_config):
+        """Q is a list of lists while training and a float64 array after."""
         for n in (5, 10):
             result = train(cache_for(n), reward_config,
                            Hyperparams(episodes=5, seed=1))
+            assert isinstance(result.qtable, np.ndarray)
+            assert result.qtable.dtype == np.float64
             assert result.qtable.shape == (n * n, 8)
 
     def test_only_visited_pairs_deviate_from_zero(self, cache10, reward_config):
