@@ -140,8 +140,13 @@ class DepthResult:
 def _profile_basis(env: MaterialEnv, v: float, xs: np.ndarray, y: float,
                    t: float, n_panels: int):
     """Power-independent part of the profile on u in [0, sqrt(t)]: nodes
-    u_k, weights w_k and kernel g_ik.  The coefficients at power p are
-    amplitude_per_watt * p * w * g, so one basis serves every power."""
+    u_k, weights w_k and kernel g_ik.  At power p the coefficients
+    c_ik = amplitude_per_watt * p * w_k * g_ik give
+
+        T(x_i, z) = T0 + sum_k c_ik * exp(-z^2 / (4*a*u_k^2)),
+
+    so one basis serves every power and every trial depth, and xs may be
+    a whole scan-line batch."""
     a = env.diffusivity
     sig2 = env.sigma ** 2
 
@@ -155,20 +160,6 @@ def _profile_basis(env: MaterialEnv, v: float, xs: np.ndarray, y: float,
     xd = np.atleast_1d(xs)[:, None] - v * (t - u * u)[None, :]
     g = 2.0 / (2.0 * a * u * u + sig2) * np.exp(-(xd * xd + y * y) / denom)
     return u, w, g
-
-
-def _profile_coefficients(env: MaterialEnv, p: float, v: float, xs: np.ndarray,
-                          y: float, t: float, n_panels: int):
-    """Quadrature nodes u_k and z-independent weights c_k such that
-
-        T(x_i, z) = T0 + sum_k c_ik * exp(-z^2 / (4*a*u_k^2))
-
-    for the substituted integrand on u in [0, sqrt(t)].  Factoring out the
-    z-dependence lets the isotherm root-finder reuse one quadrature rule
-    for every trial depth, and xs may be a whole scan-line batch.
-    """
-    u, w, g = _profile_basis(env, v, xs, y, t, n_panels)
-    return u, env.amplitude_per_watt * p * w * g
 
 
 def _profile_eval(env: MaterialEnv, u: np.ndarray, coef: np.ndarray, z) -> np.ndarray:
@@ -214,13 +205,6 @@ def _adaptive_basis(env: MaterialEnv, v: float, xs, y: float, t: float,
         prev = cur
 
 
-def _adaptive_profile(env: MaterialEnv, p: float, v: float, xs, y: float,
-                      t: float, rel_tol: float = 1e-6):
-    """Converged profile coefficients at power p (see _adaptive_basis)."""
-    u, w, g = _adaptive_basis(env, v, xs, y, t, rel_tol)
-    return u, env.amplitude_per_watt * p * w * g
-
-
 def temperature(env: MaterialEnv, q: LaserQuery, rel_tol: float = 1e-6) -> float:
     """Temperature (K) at a single query point.
 
@@ -228,7 +212,8 @@ def temperature(env: MaterialEnv, q: LaserQuery, rel_tol: float = 1e-6) -> float
     """
     if q.t == 0.0 or q.p == 0.0:
         return env.t0
-    u, coef = _adaptive_profile(env, q.p, q.v, q.x, q.y, q.t, rel_tol)
+    u, w, g = _adaptive_basis(env, q.v, q.x, q.y, q.t, rel_tol)
+    coef = env.amplitude_per_watt * q.p * w * g
     val = float(_profile_eval(env, u, coef, np.array([q.z]))[0])
     if not math.isfinite(val):
         raise QuadratureError("quadrature divergence")
@@ -245,6 +230,11 @@ def _depth_at_time(env: MaterialEnv, p: float, v: float, t: float,
     x_laser + 2*sigma]; its basis is kept in bases under t for the other
     powers at speed v.  T is strictly decreasing in z at fixed (x, y, t),
     which makes plain bisection valid.
+
+    One bisection serves the line: a point below the liquidus at a midpoint
+    where another is above ends shallower than the final midpoint, so it is
+    dropped; the rest follow that bisection exactly, so depth and edge flag
+    equal those of bisecting every melted point alone, bit for bit.
     """
     if t not in bases:
         x_laser = v * t
@@ -254,18 +244,20 @@ def _depth_at_time(env: MaterialEnv, p: float, v: float, t: float,
     u, w, g = bases[t]
     coef = env.amplitude_per_watt * p * w * g
 
-    melted = _profile_eval(env, u, coef, np.zeros(_N_X_SAMPLES)) >= env.t_liq
+    # at z = 0 every damping factor exp(-0/den) is exactly 1.0
+    melted = env.t0 + np.einsum("ik,ik->i", coef, np.ones_like(coef)) >= env.t_liq
     if not melted.any():
         return 0.0, False
-    lo = np.zeros(_N_X_SAMPLES)
-    hi = np.full(_N_X_SAMPLES, Z_MAX)
-    while float(np.max(hi - lo)) > _Z_TOL:
+    rows = coef[melted]
+    lo, hi = 0.0, Z_MAX
+    while hi - lo > _Z_TOL:
         m = 0.5 * (lo + hi)
-        above = _profile_eval(env, u, coef, m) >= env.t_liq
-        lo = np.where(above, m, lo)
-        hi = np.where(above, hi, m)
-    return (float(np.max(np.where(melted, 0.5 * (lo + hi), 0.0))),
-            bool(np.any(melted & (hi == Z_MAX))))
+        above = _profile_eval(env, u, rows, np.full(len(rows), m)) >= env.t_liq
+        if above.any():
+            lo, rows = m, rows[above]
+        else:
+            hi = m
+    return 0.5 * (lo + hi), hi == Z_MAX
 
 
 def melt_pool_depth(env: MaterialEnv, p: float, v: float) -> DepthResult:

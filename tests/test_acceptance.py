@@ -42,8 +42,8 @@ from meltpool_rl.thermal import (
     LaserQuery,
     melt_pool_depth,
     temperature,
-    _adaptive_profile,
-    _profile_coefficients,
+    _adaptive_basis,
+    _profile_basis,
     _profile_eval,
 )
 
@@ -215,9 +215,10 @@ def test_acceptance_7_property_suite(material, reward_config, shared_caches):
 
     # quadrature self-convergence < 1e-5 relative on refinement
     xs = np.array([v * 2.0 - 2e-4])
-    u, coef = _adaptive_profile(material, 800.0, v, xs, 0.0, 2.0)
-    u2, coef2 = _profile_coefficients(material, 800.0, v, xs, 0.0, 2.0,
-                                      (len(u) // 12) * 2)
+    u, w, g = _adaptive_basis(material, v, xs, 0.0, 2.0)
+    coef = material.amplitude_per_watt * 800.0 * w * g
+    u2, w2, g2 = _profile_basis(material, v, xs, 0.0, 2.0, (len(u) // 12) * 2)
+    coef2 = material.amplitude_per_watt * 800.0 * w2 * g2
     z = np.array([2e-4])
     a = float(_profile_eval(material, u, coef, z)[0]) - material.t0
     b = float(_profile_eval(material, u2, coef2, z)[0]) - material.t0

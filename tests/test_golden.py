@@ -1,7 +1,7 @@
-"""Golden outputs: SHA-256 digests of the default 10x10 depth map, of
-every file written by a seed-0 `train` and a default `map`, of the run
-files of a small replicated epsilon sweep, and that training run's best
-state.  Any change to the thermal quadrature, the
+"""Golden outputs: SHA-256 digests of the default 10x10 depth map, of a
+wide 12x12 depth map, of every file written by a seed-0 `train` and a
+default `map`, of the run files of a small replicated epsilon sweep, and
+that training run's best state.  Any change to the thermal quadrature, the
 bisection, the learner or an output format that moves a single bit shows
 up here."""
 
@@ -9,9 +9,15 @@ import hashlib
 
 from meltpool_rl.cli import main
 from meltpool_rl.config import CONFIG_ENV_VAR, load_config
+from meltpool_rl.environment import StateGrid, state_params
 from meltpool_rl.qlearn import train
+from meltpool_rl.thermal import MMPM_TO_MPS, batch_depths
 
 DEPTHS_SHA256 = "23ace9cf50196e2ed2ca68d83d1e8a5accad510753b60bd6adda7389c39cff14"
+#: 12x12 over 100-20000 W x 100-1200 mm/min: 34 states at the 5 mm bracket
+#: edge, 4 not steady and 12 that never melt
+WIDE_GRID = StateGrid(n=12, p_min=100.0, p_max=20000.0, v_min=100.0, v_max=1200.0)
+WIDE_DEPTHS_SHA256 = "abbe5d2e97989ee650f552f6b74747ec9412aa879d2e34b907b0d4a7854dd5b4"
 QTABLE_SHA256 = "28185f7b9ad111caae8727eab0d56161827c7a36b26e51b2e8185008e373f56f"
 CONVERGENCE_SHA256 = "f37f62d0af87613e618210772baea341b04d688daac487b6a18b0879b2078d43"
 SNAPSHOT_SHA256 = "1606a55eaebed94d299b0dfa107d50902b3642ff6130a84fae32cf94ff52df9b"
@@ -58,6 +64,14 @@ def sha256(data: bytes) -> str:
 def test_default_depth_map_digest(cache10):
     text = "\n".join(repr(cache10.depth(s)) for s in range(100))
     assert sha256(text.encode()) == DEPTHS_SHA256
+
+
+def test_wide_depth_map_digest(material):
+    queries = [(p, v * MMPM_TO_MPS) for p, v in
+               (state_params(WIDE_GRID, s) for s in range(WIDE_GRID.n_states))]
+    text = "\n".join(f"{res!r} at_edge={res.at_edge}"
+                     for res in batch_depths(material, queries))
+    assert sha256(text.encode()) == WIDE_DEPTHS_SHA256
 
 
 def run_and_digest(tmp_path, monkeypatch, argv) -> dict:

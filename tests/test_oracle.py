@@ -4,7 +4,10 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from meltpool_rl.environment import DepthCache, StateGrid
 from meltpool_rl.oracle import (
     Verdict,
     brute_force_rank,
@@ -54,10 +57,31 @@ class TestBruteForceRank:
         b = brute_force_rank(cache10, reward_config.delta_opt)
         assert a.rows == b.rows
 
-
     def test_depth_beyond_bracket_raises(self, edge_cache):
         with pytest.raises(RuntimeError, match="5 mm depth bracket at state 2"):
             brute_force_rank(edge_cache, 1.0)
+
+    @given(powers=st.lists(st.floats(100.0, 20000.0), min_size=2, max_size=2,
+                           unique=True).map(sorted),
+           speeds=st.lists(st.floats(100.0, 1200.0), min_size=2, max_size=2,
+                           unique=True).map(sorted))
+    @settings(max_examples=8, deadline=None)
+    def test_edge_states_are_flagged(self, material, powers, speeds):
+        """A state at the 5 mm bracket edge is unconverged at 5 mm, and the
+        oracle names the first unusable state with its own cause."""
+        cache = DepthCache(material, StateGrid(2, *powers, *speeds))
+        results = [cache.depth(s) for s in range(4)]
+        for res in results:
+            if res.at_edge:
+                assert not res.converged
+                assert res.depth_mm == pytest.approx(5.0, abs=1e-4)
+        unusable = [s for s, res in enumerate(results) if not res.converged]
+        if not unusable:
+            brute_force_rank(cache, 1.0)
+            return
+        with pytest.raises(RuntimeError, match=f"at state {unusable[0]} ") as exc:
+            brute_force_rank(cache, 1.0)
+        assert ("5 mm depth bracket" in str(exc.value)) == results[unusable[0]].at_edge
 
 
 class TestValidateRun:

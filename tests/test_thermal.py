@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from meltpool_rl.thermal import (
     MMPM_TO_MPS,
+    Z_MAX,
     DepthResult,
     LaserQuery,
     MaterialEnv,
@@ -17,12 +18,54 @@ from meltpool_rl.thermal import (
     batch_depths,
     melt_pool_depth,
     temperature,
-    _adaptive_profile,
-    _profile_coefficients,
+    _N_X_SAMPLES,
+    _X_WINDOW_AHEAD,
+    _X_WINDOW_BEHIND,
+    _Z_TOL,
+    _adaptive_basis,
+    _depth_at_time,
+    _profile_basis,
     _profile_eval,
 )
 
 V_MID = 550.0 * MMPM_TO_MPS
+#: the simulated times melt_pool_depth visits: 2 s grown by x1.5 four times
+DEPTH_TIMES = (2.0, 3.0, 4.5, 6.75, 10.125)
+
+
+def depth_at_time_reference(env, p, v, t, bases):
+    """_depth_at_time before it pruned the scan line: every point is
+    bisected on its own, and the deepest melted midpoint is kept."""
+    if t not in bases:
+        x_laser = v * t
+        xs = np.linspace(x_laser - _X_WINDOW_BEHIND * env.sigma,
+                         x_laser + _X_WINDOW_AHEAD * env.sigma, _N_X_SAMPLES)
+        bases[t] = _adaptive_basis(env, v, xs, 0.0, t)
+    u, w, g = bases[t]
+    coef = env.amplitude_per_watt * p * w * g
+
+    melted = _profile_eval(env, u, coef, np.zeros(_N_X_SAMPLES)) >= env.t_liq
+    if not melted.any():
+        return 0.0, False
+    lo = np.zeros(_N_X_SAMPLES)
+    hi = np.full(_N_X_SAMPLES, Z_MAX)
+    while float(np.max(hi - lo)) > _Z_TOL:
+        m = 0.5 * (lo + hi)
+        above = _profile_eval(env, u, coef, m) >= env.t_liq
+        lo = np.where(above, m, lo)
+        hi = np.where(above, hi, m)
+    return (float(np.max(np.where(melted, 0.5 * (lo + hi), 0.0))),
+            bool(np.any(melted & (hi == Z_MAX))))
+
+
+def assert_depths_bit_identical(env, p, v_mmpm, times=DEPTH_TIMES):
+    """_depth_at_time equals the reference bit for bit, edge flag included."""
+    v = v_mmpm * MMPM_TO_MPS
+    bases: dict = {}
+    for t in times:
+        depth, at_edge = _depth_at_time(env, p, v, t, bases)
+        ref_depth, ref_edge = depth_at_time_reference(env, p, v, t, bases)
+        assert (depth.hex(), at_edge) == (ref_depth.hex(), ref_edge), (p, v_mmpm, t)
 
 
 class TestTemperature:
@@ -76,10 +119,11 @@ class TestQuadrature:
     def test_self_convergence_on_panel_doubling(self, material):
         """The converged rule changes by < 1e-5 relative when refined again."""
         xs = np.array([V_MID * 2.0 - 2e-4])
-        u, coef = _adaptive_profile(material, 800.0, V_MID, xs, 0.0, 2.0)
+        u, w, g = _adaptive_basis(material, V_MID, xs, 0.0, 2.0)
+        coef = material.amplitude_per_watt * 800.0 * w * g
         n_panels = (len(u) // 12) * 2
-        u2, coef2 = _profile_coefficients(material, 800.0, V_MID, xs, 0.0, 2.0,
-                                          n_panels)
+        u2, w2, g2 = _profile_basis(material, V_MID, xs, 0.0, 2.0, n_panels)
+        coef2 = material.amplitude_per_watt * 800.0 * w2 * g2
         for z in (0.0, 2e-4, 1e-3):
             zz = np.array([z])
             a = float(_profile_eval(material, u, coef, zz)[0]) - material.t0
@@ -88,8 +132,9 @@ class TestQuadrature:
 
     def test_coefficients_scale_with_power(self, material):
         xs = np.array([1e-3])
-        _, c1 = _profile_coefficients(material, 500.0, V_MID, xs, 0.0, 2.0, 32)
-        _, c2 = _profile_coefficients(material, 1000.0, V_MID, xs, 0.0, 2.0, 32)
+        _, w, g = _profile_basis(material, V_MID, xs, 0.0, 2.0, 32)
+        c1 = material.amplitude_per_watt * 500.0 * w * g
+        c2 = material.amplitude_per_watt * 1000.0 * w * g
         assert np.allclose(c2, 2.0 * c1)
 
 
@@ -145,6 +190,25 @@ class TestMeltPoolDepth:
         a = melt_pool_depth(material, 777.0, 500.0 * MMPM_TO_MPS)
         b = melt_pool_depth(material, 777.0, 500.0 * MMPM_TO_MPS)
         assert a == b
+
+
+class TestDepthAtTime:
+    """The pruned bisection against every point bisected on its own."""
+
+    @given(p=st.floats(0.0, 20000.0), v_mmpm=st.floats(100.0, 2000.0),
+           t=st.sampled_from(DEPTH_TIMES))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_per_point_bisection(self, material, p, v_mmpm, t):
+        assert_depths_bit_identical(material, p, v_mmpm, times=(t,))
+
+    @pytest.mark.parametrize("p, v_mmpm", [
+        (50.0, 550.0),      # never melts
+        (5000.0, 100.0),    # isotherm at the bracket edge
+        (20000.0, 100.0),
+        (919.0, 200.0),     # not steady after the last time extension
+    ])
+    def test_named_points_bit_identical(self, material, p, v_mmpm):
+        assert_depths_bit_identical(material, p, v_mmpm)
 
 
 class TestBatchDepths:
