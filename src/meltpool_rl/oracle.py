@@ -61,14 +61,23 @@ class Verdict:
 def brute_force_rank(cache: DepthCache, delta_opt: float,
                      tol_r: float = 0.1) -> GridReport:
     """Exhaustive depth evaluation and stable ranking by |depth - target|
-    (ties break on flat state id); rows are in flat-id order."""
+    (ties break on flat state id); rows are in flat-id order.  Any
+    unusable state fails the whole ranking with one error that counts them
+    and names the first state of each cause, the bracket edge first."""
     grid = cache.grid
+    unusable = [s for s in range(grid.n_states) if not cache.depth(s).converged]
+    if unusable:
+        first: dict[bool, int] = {}
+        for s in unusable:
+            first.setdefault(cache.depth(s).at_edge, s)
+        causes = "; ".join(depth_failure(grid, s, cache.depth(s))
+                           for _, s in sorted(first.items(), reverse=True))
+        raise RuntimeError(f"oracle: {len(unusable)} of {grid.n_states} states "
+                           f"have no usable depth: {causes}")
     entries = []
     for s in range(grid.n_states):
         res = cache.depth(s)
         p, v = state_params(grid, s)
-        if not res.converged:
-            raise RuntimeError(f"oracle: {depth_failure(grid, s, res)}")
         entries.append((abs(res.depth_mm - delta_opt), s, p, v, res.depth_mm))
     entries.sort(key=lambda e: (e[0], e[1]))
     rows = [StateReport(s, *divmod(s, grid.n), p, v, depth, err, rank + 1, err <= tol_r)

@@ -1,8 +1,10 @@
 """Output files, written whole: each is formatted in memory, written to
 ``<path>.tmp`` and renamed onto ``path``, so an interrupted run leaves the
-previous file or none, never a truncated one.  No fsync: this guards
-against process interruption, not power loss."""
+previous file or none, never a truncated one; a failed write or rename
+removes its ``.tmp`` file.  No fsync: this guards against process
+interruption, not power loss."""
 
+import contextlib
 import csv
 import io
 import json
@@ -11,9 +13,14 @@ import os
 
 def _replace(path, text: str) -> None:
     tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def write_csv(path, header, rows) -> None:

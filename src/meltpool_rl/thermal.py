@@ -139,11 +139,12 @@ class DepthResult:
 
 def _profile_basis(env: MaterialEnv, v: float, xs: np.ndarray, y: float,
                    t: float, n_panels: int):
-    """Power-independent part of the profile on u in [0, sqrt(t)]: nodes
-    u_k, weights w_k and kernel g_ik.  At power p the coefficients
+    """Power-independent part of the profile on u in [0, sqrt(t)]: damping
+    denominators den_k = 4*a*u_k^2 at the Gauss-Legendre nodes u_k, weights
+    w_k and kernel g_ik.  At power p the coefficients
     c_ik = amplitude_per_watt * p * w_k * g_ik give
 
-        T(x_i, z) = T0 + sum_k c_ik * exp(-z^2 / (4*a*u_k^2)),
+        T(x_i, z) = T0 + sum_k c_ik * exp(-z^2 / den_k),
 
     so one basis serves every power and every trial depth, and xs may be
     a whole scan-line batch."""
@@ -156,19 +157,23 @@ def _profile_basis(env: MaterialEnv, v: float, xs: np.ndarray, y: float,
     u = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
 
-    denom = 4.0 * a * u * u + 2.0 * sig2
+    den = 4.0 * a * u * u
     xd = np.atleast_1d(xs)[:, None] - v * (t - u * u)[None, :]
-    g = 2.0 / (2.0 * a * u * u + sig2) * np.exp(-(xd * xd + y * y) / denom)
-    return u, w, g
+    g = 2.0 / (2.0 * a * u * u + sig2) * np.exp(-(xd * xd + y * y) / (den + 2.0 * sig2))
+    return den, w, g
 
 
-def _profile_eval(env: MaterialEnv, u: np.ndarray, coef: np.ndarray, z) -> np.ndarray:
-    """Temperature at per-point depths z (one entry per scan-line point)
-    for precomputed profile coefficients of shape (len(z), len(u))."""
-    z = np.asarray(z, dtype=float)
+def _profile_eval(env: MaterialEnv, den: np.ndarray, coef: np.ndarray,
+                  z: float) -> np.ndarray:
+    """Temperature at one scalar depth z for every row of coef (rows, K).
+    The damping row exp(-z^2/den_k) is shared by all rows and computed
+    once.  einsum's inner loop runs along k, where coef and the damping row
+    are both contiguous, so each row's sum over k takes the same kernel and
+    order as with one damping row per row: only the step between rows
+    changes, to 0.  tests/test_thermal.py pins this bit for bit."""
     with np.errstate(under="ignore"):
-        damp = np.exp(-(z[:, None] ** 2) / (4.0 * env.diffusivity * u * u)[None, :])
-    return env.t0 + np.einsum("ik,ik->i", coef, damp)
+        damp = np.exp(-(z * z) / den)
+    return env.t0 + np.einsum("ik,k->i", coef, damp)
 
 
 def _adaptive_basis(env: MaterialEnv, v: float, xs, y: float, t: float,
@@ -179,14 +184,11 @@ def _adaptive_basis(env: MaterialEnv, v: float, xs, y: float, t: float,
     The test is relative and the rise is linear in P, so it runs at unit
     power and its panel count holds for every power."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    z_check = np.array([0.0, 0.5e-3])
 
-    def checkpoints(u, w, g):
+    def checkpoints(den, w, g):
         coef = env.amplitude_per_watt * w * g
-        vals = np.empty((2, xs.shape[0]))
-        for k, z in enumerate(z_check):
-            vals[k] = _profile_eval(env, u, coef, np.full(xs.shape[0], z))
-        return vals - env.t0
+        return np.array([_profile_eval(env, den, coef, z)
+                         for z in (0.0, 0.5e-3)]) - env.t0
 
     n_panels = 4
     basis = _profile_basis(env, v, xs, y, t, n_panels)
@@ -212,9 +214,9 @@ def temperature(env: MaterialEnv, q: LaserQuery, rel_tol: float = 1e-6) -> float
     """
     if q.t == 0.0 or q.p == 0.0:
         return env.t0
-    u, w, g = _adaptive_basis(env, q.v, q.x, q.y, q.t, rel_tol)
+    den, w, g = _adaptive_basis(env, q.v, q.x, q.y, q.t, rel_tol)
     coef = env.amplitude_per_watt * q.p * w * g
-    val = float(_profile_eval(env, u, coef, np.array([q.z]))[0])
+    val = float(_profile_eval(env, den, coef, q.z)[0])
     if not math.isfinite(val):
         raise QuadratureError("quadrature divergence")
     return val
@@ -241,18 +243,17 @@ def _depth_at_time(env: MaterialEnv, p: float, v: float, t: float,
         xs = np.linspace(x_laser - _X_WINDOW_BEHIND * env.sigma,
                          x_laser + _X_WINDOW_AHEAD * env.sigma, _N_X_SAMPLES)
         bases[t] = _adaptive_basis(env, v, xs, 0.0, t)
-    u, w, g = bases[t]
+    den, w, g = bases[t]
     coef = env.amplitude_per_watt * p * w * g
 
-    # at z = 0 every damping factor exp(-0/den) is exactly 1.0
-    melted = env.t0 + np.einsum("ik,ik->i", coef, np.ones_like(coef)) >= env.t_liq
+    melted = _profile_eval(env, den, coef, 0.0) >= env.t_liq
     if not melted.any():
         return 0.0, False
     rows = coef[melted]
     lo, hi = 0.0, Z_MAX
     while hi - lo > _Z_TOL:
         m = 0.5 * (lo + hi)
-        above = _profile_eval(env, u, rows, np.full(len(rows), m)) >= env.t_liq
+        above = _profile_eval(env, den, rows, m) >= env.t_liq
         if above.any():
             lo, rows = m, rows[above]
         else:

@@ -215,13 +215,12 @@ def test_acceptance_7_property_suite(material, reward_config, shared_caches):
 
     # quadrature self-convergence < 1e-5 relative on refinement
     xs = np.array([v * 2.0 - 2e-4])
-    u, w, g = _adaptive_basis(material, v, xs, 0.0, 2.0)
+    den, w, g = _adaptive_basis(material, v, xs, 0.0, 2.0)
     coef = material.amplitude_per_watt * 800.0 * w * g
-    u2, w2, g2 = _profile_basis(material, v, xs, 0.0, 2.0, (len(u) // 12) * 2)
+    den2, w2, g2 = _profile_basis(material, v, xs, 0.0, 2.0, (len(den) // 12) * 2)
     coef2 = material.amplitude_per_watt * 800.0 * w2 * g2
-    z = np.array([2e-4])
-    a = float(_profile_eval(material, u, coef, z)[0]) - material.t0
-    b = float(_profile_eval(material, u2, coef2, z)[0]) - material.t0
+    a = float(_profile_eval(material, den, coef, 2e-4)[0]) - material.t0
+    b = float(_profile_eval(material, den2, coef2, 2e-4)[0]) - material.t0
     checks.append(("quadrature self-convergence", abs(a - b) <= 1e-5 * abs(b)))
 
     # Q-table shape for every swept resolution

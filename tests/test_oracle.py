@@ -68,7 +68,8 @@ class TestBruteForceRank:
     @settings(max_examples=8, deadline=None)
     def test_edge_states_are_flagged(self, material, powers, speeds):
         """A state at the 5 mm bracket edge is unconverged at 5 mm, and the
-        oracle names the first unusable state with its own cause."""
+        oracle counts the unusable states, names the first one, and names
+        the bracket cause exactly when some state is at the edge."""
         cache = DepthCache(material, StateGrid(2, *powers, *speeds))
         results = [cache.depth(s) for s in range(4)]
         for res in results:
@@ -81,7 +82,19 @@ class TestBruteForceRank:
             return
         with pytest.raises(RuntimeError, match=f"at state {unusable[0]} ") as exc:
             brute_force_rank(cache, 1.0)
-        assert ("5 mm depth bracket" in str(exc.value)) == results[unusable[0]].at_edge
+        assert f"{len(unusable)} of 4 states" in str(exc.value)
+        assert ("5 mm depth bracket" in str(exc.value)) == any(r.at_edge for r in results)
+
+    def test_every_cause_is_named_bracket_edge_first(self, material):
+        """State 0 (919 W, 200 mm/min) is not steady and state 2 (20000 W,
+        200 mm/min) is at the bracket edge; neither cause hides the other."""
+        cache = DepthCache(material, StateGrid(2, 919.0, 20000.0, 200.0, 700.0))
+        with pytest.raises(RuntimeError) as exc:
+            brute_force_rank(cache, 1.0)
+        assert str(exc.value) == (
+            "oracle: 2 of 4 states have no usable depth: melt pool deeper than "
+            "the 5 mm depth bracket at state 2 (P=20000.0 W, v=200.0 mm/min); "
+            "depth not steady by t=10.125 s at state 0 (P=919.0 W, v=200.0 mm/min)")
 
 
 class TestValidateRun:

@@ -42,6 +42,23 @@ def test_failing_rows_leave_the_target_untouched(tmp_path):
     assert list(tmp_path.glob("*.tmp")) == []
 
 
+@pytest.mark.parametrize("write", [
+    lambda path: write_csv(path, ["a"], [[1]]),
+    lambda path: write_json(path, {"a": 1}),
+], ids=["csv", "json"])
+def test_failing_rename_removes_the_temporary_file(tmp_path, write):
+    """Writing onto a directory fails at the rename; the directory and
+    its contents stay as they were and no .tmp file is left."""
+    target = tmp_path / "target"
+    target.mkdir()
+    (target / "kept.csv").write_text("previous\n")
+    with pytest.raises(IsADirectoryError):
+        write(target)
+    assert list(tmp_path.rglob("*.tmp")) == []
+    assert [p.name for p in target.iterdir()] == ["kept.csv"]
+    assert (target / "kept.csv").read_text() == "previous\n"
+
+
 @settings(max_examples=50, deadline=None)
 @given(rows=st.lists(st.lists(cells, max_size=4), max_size=6))
 def test_csv_round_trip(tmp_path_factory, rows):

@@ -18,6 +18,7 @@ from meltpool_rl.thermal import (
     batch_depths,
     melt_pool_depth,
     temperature,
+    _GL_NODES,
     _N_X_SAMPLES,
     _X_WINDOW_AHEAD,
     _X_WINDOW_BEHIND,
@@ -33,25 +34,48 @@ V_MID = 550.0 * MMPM_TO_MPS
 DEPTH_TIMES = (2.0, 3.0, 4.5, 6.75, 10.125)
 
 
+def basis_nodes(t, n_panels):
+    """The Gauss-Legendre nodes u_k on [0, sqrt(t)] that _profile_basis
+    folds into its damping denominators."""
+    edges = np.linspace(0.0, math.sqrt(t), n_panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+
+
+def profile_eval_reference(env, u, coef, z_per_row):
+    """_profile_eval before it took one scalar depth: one depth per row of
+    coef, and an exp damping row computed for each of them."""
+    z = np.asarray(z_per_row, dtype=float)
+    with np.errstate(under="ignore"):
+        damp = np.exp(-(z[:, None] ** 2) / (4.0 * env.diffusivity * u * u)[None, :])
+    return env.t0 + np.einsum("ik,ik->i", coef, damp)
+
+
+def scan_line(env, v, t):
+    """The scan-line points _depth_at_time bisects at speed v and time t."""
+    x_laser = v * t
+    return np.linspace(x_laser - _X_WINDOW_BEHIND * env.sigma,
+                       x_laser + _X_WINDOW_AHEAD * env.sigma, _N_X_SAMPLES)
+
+
 def depth_at_time_reference(env, p, v, t, bases):
     """_depth_at_time before it pruned the scan line: every point is
     bisected on its own, and the deepest melted midpoint is kept."""
     if t not in bases:
-        x_laser = v * t
-        xs = np.linspace(x_laser - _X_WINDOW_BEHIND * env.sigma,
-                         x_laser + _X_WINDOW_AHEAD * env.sigma, _N_X_SAMPLES)
-        bases[t] = _adaptive_basis(env, v, xs, 0.0, t)
-    u, w, g = bases[t]
+        bases[t] = _adaptive_basis(env, v, scan_line(env, v, t), 0.0, t)
+    den, w, g = bases[t]
+    u = basis_nodes(t, len(den) // len(_GL_NODES))
     coef = env.amplitude_per_watt * p * w * g
 
-    melted = _profile_eval(env, u, coef, np.zeros(_N_X_SAMPLES)) >= env.t_liq
+    melted = profile_eval_reference(env, u, coef, np.zeros(_N_X_SAMPLES)) >= env.t_liq
     if not melted.any():
         return 0.0, False
     lo = np.zeros(_N_X_SAMPLES)
     hi = np.full(_N_X_SAMPLES, Z_MAX)
     while float(np.max(hi - lo)) > _Z_TOL:
         m = 0.5 * (lo + hi)
-        above = _profile_eval(env, u, coef, m) >= env.t_liq
+        above = profile_eval_reference(env, u, coef, m) >= env.t_liq
         lo = np.where(above, m, lo)
         hi = np.where(above, hi, m)
     return (float(np.max(np.where(melted, 0.5 * (lo + hi), 0.0))),
@@ -119,15 +143,14 @@ class TestQuadrature:
     def test_self_convergence_on_panel_doubling(self, material):
         """The converged rule changes by < 1e-5 relative when refined again."""
         xs = np.array([V_MID * 2.0 - 2e-4])
-        u, w, g = _adaptive_basis(material, V_MID, xs, 0.0, 2.0)
+        den, w, g = _adaptive_basis(material, V_MID, xs, 0.0, 2.0)
         coef = material.amplitude_per_watt * 800.0 * w * g
-        n_panels = (len(u) // 12) * 2
-        u2, w2, g2 = _profile_basis(material, V_MID, xs, 0.0, 2.0, n_panels)
+        n_panels = (len(den) // 12) * 2
+        den2, w2, g2 = _profile_basis(material, V_MID, xs, 0.0, 2.0, n_panels)
         coef2 = material.amplitude_per_watt * 800.0 * w2 * g2
         for z in (0.0, 2e-4, 1e-3):
-            zz = np.array([z])
-            a = float(_profile_eval(material, u, coef, zz)[0]) - material.t0
-            b = float(_profile_eval(material, u2, coef2, zz)[0]) - material.t0
+            a = float(_profile_eval(material, den, coef, z)[0]) - material.t0
+            b = float(_profile_eval(material, den2, coef2, z)[0]) - material.t0
             assert abs(a - b) <= 1e-5 * abs(b)
 
     def test_coefficients_scale_with_power(self, material):
@@ -190,6 +213,28 @@ class TestMeltPoolDepth:
         a = melt_pool_depth(material, 777.0, 500.0 * MMPM_TO_MPS)
         b = melt_pool_depth(material, 777.0, 500.0 * MMPM_TO_MPS)
         assert a == b
+
+
+class TestProfileEval:
+    """The scalar-depth evaluator against one depth per row."""
+
+    @given(v_mmpm=st.floats(100.0, 2000.0), t=st.sampled_from(DEPTH_TIMES),
+           n_panels=st.sampled_from([4, 8, 16, 32, 64]), p=st.floats(0.0, 20000.0),
+           z=st.floats(0.0, Z_MAX),
+           mask=st.lists(st.booleans(), min_size=_N_X_SAMPLES,
+                         max_size=_N_X_SAMPLES).filter(any))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_per_row_depths(self, material, v_mmpm, t, n_panels,
+                                             p, z, mask):
+        v = v_mmpm * MMPM_TO_MPS
+        den, w, g = _profile_basis(material, v, scan_line(material, v, t), 0.0, t,
+                                   n_panels)
+        u = basis_nodes(t, n_panels)
+        assert den.tobytes() == (4.0 * material.diffusivity * u * u).tobytes()
+        rows = (material.amplitude_per_watt * p * w * g)[np.array(mask)]
+        new = _profile_eval(material, den, rows, z)
+        old = profile_eval_reference(material, u, rows, np.full(len(rows), z))
+        assert [x.hex() for x in new.tolist()] == [x.hex() for x in old.tolist()]
 
 
 class TestDepthAtTime:
