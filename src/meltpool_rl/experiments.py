@@ -46,6 +46,8 @@ class SweepSpec:
                              f"got {self.param!r}")
         if self.replicates < 1:
             raise ValueError("sweep.replicates must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"sweep.base_seed must be >= 0, got {self.base_seed}")
         if not isinstance(self.values, (list, tuple)):
             raise ValueError(f"sweep.values must be a list, got {self.values!r}")
         integral = self.param in _INTEGRAL

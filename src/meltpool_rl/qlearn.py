@@ -13,13 +13,15 @@ temporal-difference target:
 
 with the max taken over the actions actually available at s' (edge states
 have fewer than 8).  All randomness flows through a seeded PCG64 stream,
-split one substream per episode, so runs are bit-reproducible.
+split one substream per episode, so runs are bit-reproducible.  train
+draws each episode's numbers with _Draws, which rebuilds in Python the
+values numpy's Generator makes from the same raw PCG64 words.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -53,20 +55,12 @@ class Hyperparams:
             raise ValueError("qlearn.episodes must be >= 1")
         if self.n_epochs < 1:
             raise ValueError("qlearn.n_epochs must be >= 1")
-
-
-@dataclass
-class Transition:
-    state: int
-    action: int
-    reward: float
-    next_state: int
-    depth_err: float
+        if self.seed < 0:
+            raise ValueError(f"qlearn.seed must be >= 0, got {self.seed}")
 
 
 @dataclass
 class EpisodeTrace:
-    transitions: list[Transition] = field(default_factory=list)
     total_reward: float = 0.0
     epochs: int = 0
     terminated_early: bool = False
@@ -81,6 +75,61 @@ class RunResult:
     best_speed: float
     best_depth: float
     generator: str = GENERATOR_NAME
+
+
+#: raw 64-bit words a _Draws takes from PCG64 at a time
+_CHUNK = 64
+_TO_UNIT = 1.0 / 9007199254740992.0  # 2**-53
+_2_32 = 0x100000000
+
+
+class _Draws:
+    """The draws select_action and run_episode ask of a Generator, made
+    from the same PCG64 stream without the cost of numpy's scalar calls.
+
+    random() and integers(n) return the values
+    np.random.default_rng(seed_seq) returns, call for call, in any
+    interleaving: random() is a raw word's top 53 bits times 2**-53, and
+    integers(n), for 1 <= n <= 2**32, is numpy's 32-bit Lemire rejection
+    on 32-bit halves of the raw words, low half first, the high half kept
+    for the next call as PCG64's next_uint32 keeps it (random() leaves it
+    in place).  n == 1 draws nothing.  tests/test_qlearn.py pins this
+    against numpy's Generator."""
+
+    __slots__ = ("_bits", "_words", "_half")
+
+    def __init__(self, seed_seq: np.random.SeedSequence):
+        self._bits = np.random.PCG64(seed_seq)
+        self._words: list[int] = []  # reversed, so pop() takes the next
+        self._half = None  # the unused high half of the last word, if any
+
+    def _refill(self) -> list[int]:
+        words = self._bits.random_raw(_CHUNK).tolist()
+        words.reverse()
+        self._words = words
+        return words
+
+    def random(self) -> float:
+        return ((self._words or self._refill()).pop() >> 11) * _TO_UNIT
+
+    def integers(self, n: int) -> int:
+        if n <= 1 or n > _2_32:
+            if n == 1:
+                return 0
+            raise ValueError(f"integers: n must be in [1, 2**32], got {n}")
+        while True:
+            half = self._half
+            if half is None:
+                w = (self._words or self._refill()).pop()
+                self._half = w >> 32
+                m = (w & 0xFFFFFFFF) * n
+            else:
+                self._half = None
+                m = half * n
+            low = m & 0xFFFFFFFF
+            # numpy rejects low < (2**32 - n) % n, a threshold below n
+            if low >= n or low >= (_2_32 - n) % n:
+                return m >> 32
 
 
 def new_qtable(n: int) -> np.ndarray:
@@ -117,12 +166,13 @@ def select_action(q: QTable, s: int, valid: tuple[int, ...],
 
 
 def run_episode(cache: DepthCache, rc: RewardConfig, q: QTable,
-                hp: Hyperparams, rng: np.random.Generator) -> EpisodeTrace:
+                hp: Hyperparams, rng: Union[np.random.Generator, _Draws]) -> EpisodeTrace:
     """One episode: random start, then select/step/update until the
     landing state is within tol_delta of the target or the epoch cap.
 
     Termination is evaluated on the landing state, so even a lucky start
-    records at least one transition.
+    takes at least one step.  rng is a Generator or the _Draws train
+    passes, which draws the same numbers.
     """
     trace = EpisodeTrace()
     s = int(rng.integers(cache.grid.n_states))
@@ -131,8 +181,6 @@ def run_episode(cache: DepthCache, rc: RewardConfig, q: QTable,
         out = step(cache, s, a, rc)
         nxt = out.next_state
         q_update(q, s, a, out.reward, nxt, cache.valid[nxt], hp)
-        dd = abs(out.depth_mm - rc.delta_opt)
-        trace.transitions.append(Transition(s, a, out.reward, nxt, dd))
         trace.total_reward += out.reward
         trace.epochs += 1
         s = nxt
@@ -168,8 +216,7 @@ def train(cache: DepthCache, rc: RewardConfig, hp: Hyperparams) -> RunResult:
     """
     q = new_qtable(cache.grid.n).tolist()
     streams = np.random.SeedSequence(hp.seed).spawn(hp.episodes)
-    traces = [run_episode(cache, rc, q, hp, np.random.default_rng(ss))
-              for ss in streams]
+    traces = [run_episode(cache, rc, q, hp, _Draws(ss)) for ss in streams]
     qtable = np.array(q)
     best = best_state_of(qtable, cache)
     p, v = state_params(cache.grid, best)

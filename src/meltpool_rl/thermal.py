@@ -170,9 +170,9 @@ def _profile_eval(env: MaterialEnv, den: np.ndarray, coef: np.ndarray,
     once.  einsum's inner loop runs along k, where coef and the damping row
     are both contiguous, so each row's sum over k takes the same kernel and
     order as with one damping row per row: only the step between rows
-    changes, to 0.  tests/test_thermal.py pins this bit for bit."""
-    with np.errstate(under="ignore"):
-        damp = np.exp(-(z * z) / den)
+    changes, to 0.  tests/test_thermal.py pins this bit for bit.  Deep z
+    underflows damping terms to 0, which numpy ignores by default."""
+    damp = np.exp(-(z * z) / den)
     return env.t0 + np.einsum("ik,k->i", coef, damp)
 
 

@@ -103,6 +103,26 @@ class TestTrain:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+class TestNegativeSeeds:
+    """A negative seed fails validation, naming its key, before any output
+    directory exists."""
+
+    @pytest.mark.parametrize("config, argv, key", [
+        ("qlearn:\n  seed: -1\n", ["train"], "qlearn.seed"),
+        ("", ["train", "--seed", "-5"], "qlearn.seed"),
+        ("sweep:\n  base_seed: -3\n", ["sweep", "--param", "epsilon"],
+         "sweep.base_seed"),
+    ])
+    def test_exits_before_output(self, tmp_path, capsys, config, argv, key):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfg), *argv, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert f"{key} must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestMap:
     def test_writes_oracle_maps(self, tmp_path, small_config, capsys):
         out = tmp_path / "map"

@@ -1,9 +1,13 @@
 """YAML configuration loading, defaults, and validation messages."""
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meltpool_rl.config import CONFIG_ENV_VAR, ConfigError, load_config
 from meltpool_rl.environment import RewardConfig, StateGrid
+from meltpool_rl.experiments import SWEEPABLE
 from meltpool_rl.qlearn import Hyperparams
 from meltpool_rl.thermal import BEAM_TO_SIGMA, MaterialEnv
 
@@ -12,6 +16,42 @@ def write(tmp_path, text):
     path = tmp_path / "config.yaml"
     path.write_text(text)
     return str(path)
+
+
+INTEGER_KEYS = [("grid", "n"), ("qlearn", "episodes"), ("qlearn", "n_epochs"),
+                ("qlearn", "seed"), ("sweep", "replicates"), ("sweep", "base_seed")]
+
+#: per sweepable parameter, values its field accepts and values it rejects
+_BELOW_ZERO = st.floats(-10.0, 0.0, exclude_max=True)
+_ABOVE_ONE = st.floats(1.0, 10.0, exclude_min=True)
+SWEEP_IN_RANGE = {"n": st.integers(2, 40), "episodes": st.integers(1, 500),
+                  "epsilon": st.floats(0.0, 1.0), "gamma": st.floats(0.0, 1.0),
+                  "alpha": st.floats(0.0, 1.0, exclude_min=True)}
+SWEEP_OUT_OF_RANGE = {"n": st.integers(-5, 1), "episodes": st.integers(-5, 0),
+                      "epsilon": _BELOW_ZERO | _ABOVE_ONE,
+                      "gamma": _BELOW_ZERO | _ABOVE_ONE,
+                      "alpha": st.floats(-10.0, 0.0) | _ABOVE_ONE}
+
+
+@st.composite
+def sweep_values_with_one_bad(draw):
+    """(param, values): distinct valid values and one bad entry, a bool,
+    a string, an out-of-range number or a value equal as its field to
+    one already listed, at a random position."""
+    param = draw(st.sampled_from(SWEEPABLE))
+    values = draw(st.lists(SWEEP_IN_RANGE[param], min_size=1, max_size=5, unique=True))
+    kind = draw(st.sampled_from(["bool", "string", "range", "twice"]))
+    if kind == "bool":
+        bad = draw(st.booleans())
+    elif kind == "string":
+        bad = draw(st.text(max_size=5))
+    elif kind == "range":
+        bad = draw(SWEEP_OUT_OF_RANGE[param])
+    else:
+        twin = draw(st.sampled_from(values))
+        bad = float(twin) if isinstance(twin, int) else twin
+    values.insert(draw(st.integers(0, len(values))), bad)
+    return param, values
 
 
 class TestDefaults:
@@ -99,15 +139,38 @@ class TestValidation:
             load_config(write(tmp_path,
                               "reward:\n  tol_delta_mm: 0.5\n  tol_r_mm: 0.1\n"))
 
-    @pytest.mark.parametrize("section, key", [
-        ("grid", "n"), ("qlearn", "episodes"), ("qlearn", "n_epochs"),
-        ("qlearn", "seed"), ("sweep", "replicates"), ("sweep", "base_seed"),
-    ])
+    @pytest.mark.parametrize("section, key", INTEGER_KEYS)
     def test_non_integral_integer_is_named(self, tmp_path, section, key):
         with pytest.raises(ConfigError, match=rf"{section}\.{key}: expected an integer"):
             load_config(write(tmp_path, f"{section}:\n  {key}: 10.7\n"))
         assert load_config(write(tmp_path, f"{section}:\n  {key}: 5.0\n")) \
             .snapshot[section][key] == 5
+
+    @given(key=st.sampled_from(INTEGER_KEYS),
+           value=st.floats().filter(lambda x: not x.is_integer()))
+    @settings(max_examples=100, deadline=None)
+    def test_any_non_integral_float_is_named(self, tmp_path_factory, key, value):
+        """Fractions, nan and the infinities all fail on the key they sit at."""
+        section, name = key
+        path = tmp_path_factory.mktemp("cfg") / "config.yaml"
+        path.write_text(yaml.safe_dump({section: {name: value}}))
+        with pytest.raises(ConfigError, match=rf"^{section}\.{name}: expected an integer"):
+            load_config(str(path))
+
+    @given(case=sweep_values_with_one_bad())
+    @settings(max_examples=100, deadline=None)
+    def test_any_bad_sweep_value_is_named(self, tmp_path_factory, case):
+        param, values = case
+        path = tmp_path_factory.mktemp("cfg") / "config.yaml"
+        path.write_text(yaml.safe_dump({"sweep": {"param": param, "values": values}}))
+        with pytest.raises(ConfigError, match=r"sweep\.values"):
+            load_config(str(path))
+
+    def test_negative_seeds_are_named(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"qlearn\.seed must be >= 0, got -1"):
+            load_config(write(tmp_path, "qlearn:\n  seed: -1\n"))
+        with pytest.raises(ConfigError, match=r"sweep\.base_seed must be >= 0, got -3"):
+            load_config(write(tmp_path, "sweep:\n  param: epsilon\n  base_seed: -3\n"))
 
     @pytest.mark.parametrize("param, value", [
         ("n", 4.6), ("episodes", 10.5), ("n", "five"), ("episodes", True),

@@ -15,7 +15,7 @@ from meltpool_rl.qlearn import EpisodeTrace, Hyperparams
 
 
 def traces(*totals, epochs=10):
-    return [EpisodeTrace([], t, epochs, False) for t in totals]
+    return [EpisodeTrace(t, epochs, False) for t in totals]
 
 
 class TestSweepSpec:
@@ -71,6 +71,10 @@ class TestSweepSpec:
     def test_replicates_validated(self):
         with pytest.raises(ValueError):
             SweepSpec("n", replicates=0)
+
+    def test_negative_base_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"sweep\.base_seed must be >= 0, got -3"):
+            SweepSpec("n", base_seed=-3)
 
 
 class TestReplicateSeed:

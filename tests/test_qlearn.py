@@ -2,20 +2,22 @@
 training loop's determinism guarantees."""
 
 import csv
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from meltpool_rl import qlearn
 from meltpool_rl.environment import ACTIONS, N_ACTIONS, state_params, valid_actions
 from meltpool_rl.qlearn import (
     GENERATOR_NAME,
     EpisodeTrace,
     Hyperparams,
-    Transition,
+    _Draws,
     best_state_of,
     new_qtable,
     q_update,
@@ -40,6 +42,8 @@ class TestHyperparams:
             Hyperparams(episodes=0)
         with pytest.raises(ValueError):
             Hyperparams(n_epochs=0)
+        with pytest.raises(ValueError, match=r"qlearn\.seed must be >= 0, got -1"):
+            Hyperparams(seed=-1)
 
 
 class TestQUpdate:
@@ -188,31 +192,107 @@ class TestSelectActionDraws:
             assert rng.bit_generator.state == ref.bit_generator.state
 
 
+#: integers(n) bounds: n == 1 draws nothing; 2**31 + 1 rejects about half
+#: of its 32-bit draws; 2**32 takes a whole 32-bit half
+DRAW_BOUNDS = (1, 2, 8, 100, 2**31 + 1, 2**32)
+
+
+class TestDraws:
+    @given(seed=st.integers(0, 2**64 - 1),
+           calls=st.lists(st.one_of(st.none(), st.sampled_from(DRAW_BOUNDS)),
+                          min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_same_values_as_generator(self, seed, calls):
+        """random() (None) and integers(n) interleaved in any order give
+        numpy's values.  The calls repeat until they have taken at least
+        130 raw words, so each example crosses two 64-word refills."""
+        assume(any(n != 1 for n in calls))
+        ss = np.random.SeedSequence(seed)
+        draws, ref = _Draws(ss), np.random.default_rng(ss)
+        halves = 0  # at least this many 32-bit halves taken; random() takes two
+        for n in itertools.cycle(calls):
+            if halves >= 2 * 130:
+                break
+            if n is None:
+                got, want = draws.random(), ref.random()
+                assert type(got) is float
+                halves += 2
+            else:
+                got, want = draws.integers(n), ref.integers(n)
+                assert type(got) is int
+                halves += n != 1
+            assert got == want
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32 + 1])
+    def test_bound_outside_range_rejected(self, n):
+        with pytest.raises(ValueError, match="integers"):
+            _Draws(np.random.SeedSequence(0)).integers(n)
+
+    @given(seed=st.integers(0, 2**32 - 1), epsilon=st.sampled_from([0.0, 0.25, 1.0]),
+           n_epochs=st.sampled_from([1, 5, 50]))
+    @settings(max_examples=60, deadline=None)
+    def test_episodes_match_generator(self, cache10, reward_config, seed,
+                                      epsilon, n_epochs):
+        """Successive episodes on one Q list, each drawing from its own
+        substream, give the same traces and Q lists from either source."""
+        hp = Hyperparams(epsilon=epsilon, n_epochs=n_epochs)
+        q_draws, q_ref = new_qtable(10).tolist(), new_qtable(10).tolist()
+        for ss in np.random.SeedSequence(seed).spawn(4):
+            got = run_episode(cache10, reward_config, q_draws, hp, _Draws(ss))
+            want = run_episode(cache10, reward_config, q_ref, hp,
+                               np.random.default_rng(ss))
+            assert got == want
+            assert q_draws == q_ref
+
+
+def record_calls(monkeypatch, name):
+    """Wrap qlearn.<name>, which run_episode calls by name, so that every
+    call's arguments and result are recorded, in order."""
+    calls = []
+    real = getattr(qlearn, name)
+
+    def recording(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(qlearn, name, recording)
+    return calls
+
+
 class TestRunEpisode:
     def test_single_epoch_cap(self, grid, cache10, reward_config):
         hp = Hyperparams(n_epochs=1)
-        trace = run_episode(cache10, reward_config, new_qtable(grid.n),
-                            hp, np.random.default_rng(3))
-        assert trace.epochs == 1
-        assert len(trace.transitions) == 1
+        for seed in range(10):
+            trace = run_episode(cache10, reward_config, new_qtable(grid.n),
+                                hp, np.random.default_rng(seed))
+            assert trace.epochs == 1
 
-    def test_trace_totals_consistent(self, grid, cache10, reward_config):
+    def test_trace_totals_consistent(self, grid, cache10, reward_config,
+                                     monkeypatch):
+        """epochs counts the steps taken, total_reward sums their rewards
+        in order, and terminated_early says whether the last one landed
+        on a terminal state, which ends the episode."""
+        steps = record_calls(monkeypatch, "step")
         trace = run_episode(cache10, reward_config, new_qtable(grid.n),
                             Hyperparams(), np.random.default_rng(5))
-        assert trace.epochs == len(trace.transitions)
-        assert trace.total_reward == pytest.approx(
-            sum(t.reward for t in trace.transitions))
-        assert trace.epochs <= Hyperparams().n_epochs
+        assert trace.epochs == len(steps) <= Hyperparams().n_epochs
+        total = 0.0
+        for _, out in steps:
+            total += out.reward
+        assert trace.total_reward == total
+        assert trace.terminated_early == steps[-1][1].terminal
+        assert not any(out.terminal for _, out in steps[:-1])
 
     def test_always_records_at_least_one_transition(self, grid, cache10,
                                                     reward_config):
         """Termination is judged on the landing state, so even an episode
-        starting next to the target records a transition."""
+        starting next to the target takes a step."""
         for seed in range(30):
             trace = run_episode(cache10, reward_config,
                                 new_qtable(grid.n), Hyperparams(),
                                 np.random.default_rng(seed))
-            assert len(trace.transitions) >= 1
+            assert trace.epochs >= 1
 
     def test_deterministic_for_fixed_seed(self, grid, cache10, reward_config):
         def run():
@@ -227,11 +307,11 @@ class TestReplay:
     def test_reward_scaling_preserves_greedy_policy(self, grid):
         rng = np.random.default_rng(9)
         transitions = [
-            Transition(int(rng.integers(100)), int(rng.integers(8)),
-                       float(rng.normal()), int(rng.integers(100)), 0.0)
+            (int(rng.integers(100)), int(rng.integers(8)),
+             float(rng.normal()), int(rng.integers(100)))
             for _ in range(200)
         ]
-        scaled = [replace_reward(t, 3.5 * t.reward) for t in transitions]
+        scaled = [(s, a, 3.5 * r, s_next) for s, a, r, s_next in transitions]
         q1 = apply_updates(grid, transitions)
         q2 = apply_updates(grid, scaled)
         for row1, row2 in zip(q1, q2):
@@ -239,17 +319,11 @@ class TestReplay:
                 set(np.flatnonzero(row2 == row2.max()))
 
 
-def replace_reward(t: Transition, r: float) -> Transition:
-    return Transition(t.state, t.action, r, t.next_state, t.depth_err)
-
-
 def apply_updates(grid, transitions):
-    """Fresh table after q_update over recorded transitions, in order."""
+    """Fresh table after q_update over (s, a, r, s_next) tuples, in order."""
     q = new_qtable(grid.n)
-    for t in transitions:
-        q_update(q, t.state, t.action, t.reward, t.next_state,
-                 valid_actions(grid, t.next_state),
-                 Hyperparams())
+    for s, a, r, s_next in transitions:
+        q_update(q, s, a, r, s_next, valid_actions(grid, s_next), Hyperparams())
     return q
 
 
@@ -263,11 +337,13 @@ class TestTrain:
             assert result.qtable.dtype == np.float64
             assert result.qtable.shape == (n * n, 8)
 
-    def test_only_visited_pairs_deviate_from_zero(self, cache10, reward_config):
+    def test_only_visited_pairs_deviate_from_zero(self, cache10, reward_config,
+                                                  monkeypatch):
+        updates = record_calls(monkeypatch, "q_update")
         result = train(cache10, reward_config,
                        Hyperparams(episodes=3, seed=2))
-        visited = {(t.state, t.action) for tr in result.traces
-                   for t in tr.transitions}
+        visited = {(args[1], args[2]) for args, _ in updates}
+        assert len(updates) == sum(tr.epochs for tr in result.traces)
         nonzero = {tuple(idx) for idx in np.argwhere(result.qtable != 0.0)}
         assert nonzero <= visited
 
@@ -353,7 +429,7 @@ class TestSerialization:
         assert np.array_equal(np.array(payload["qtable"]), q)
 
     def test_convergence_csv(self, tmp_path):
-        traces = [EpisodeTrace([], 1.5, 3, False), EpisodeTrace([], -0.25, 50, True)]
+        traces = [EpisodeTrace(1.5, 3, False), EpisodeTrace(-0.25, 50, True)]
         path = tmp_path / "convergence.csv"
         write_convergence_csv(path, traces)
         with open(path, newline="") as fh:
