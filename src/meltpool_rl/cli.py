@@ -28,8 +28,13 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
-def _write_snapshot(out: Path, cfg) -> None:
+def _open_output(path: str, cfg) -> Path:
+    """Create the output directory and write its config snapshot; called
+    once a command's results exist, so a failed run leaves no directory."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "config_snapshot.json", cfg.snapshot, sort_keys=True)
+    return out
 
 
 def cmd_depth(args) -> int:
@@ -50,15 +55,13 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     hp = cfg.qlearn if args.seed is None else replace(cfg.qlearn, seed=args.seed)
     cfg.snapshot["qlearn"]["seed"] = hp.seed
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     cache = DepthCache(cfg.material, cfg.grid)
     result = train(cache, cfg.reward, hp)
-    report = brute_force_rank(cache, cfg.reward.delta_opt, cfg.reward.tol_r)
+    report = brute_force_rank(cache, cfg.reward)
     verdict = validate_run(report, result)
 
-    _write_snapshot(out, cfg)
+    out = _open_output(args.out, cfg)
     write_qtable_csv(out / "qtable.csv", result.qtable)
     write_qtable_json(out / "qtable.json", result.qtable, cfg.snapshot, hp.seed)
     write_convergence_csv(out / "convergence.csv", result.traces)
@@ -80,11 +83,9 @@ def cmd_train(args) -> int:
 
 def cmd_map(args) -> int:
     cfg = load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cache = DepthCache(cfg.material, cfg.grid)
-    report = brute_force_rank(cache, cfg.reward.delta_opt, cfg.reward.tol_r)
-    _write_snapshot(out, cfg)
+    report = brute_force_rank(cache, cfg.reward)
+    out = _open_output(args.out, cfg)
     write_pv_map_csv(out / "pv_map.csv", report)
     write_depth_map_csv(out / "depth_map.csv", cache)
     best = report.best
@@ -100,12 +101,11 @@ def cmd_sweep(args) -> int:
               f"valid: {', '.join(SWEEPABLE)}", file=sys.stderr)
         return EXIT_VALIDATION
     spec = cfg.sweep_for(args.param)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_snapshot(out, cfg)
+    results = run_sweep(spec, cfg.material, cfg.grid, cfg.reward, cfg.qlearn)
 
+    out = _open_output(args.out, cfg)
     summary = []
-    for vr in run_sweep(spec, cfg.material, cfg.grid, cfg.reward, cfg.qlearn):
+    for vr in results:
         vdir = out / f"{spec.param}_{vr.value}"
         vdir.mkdir(exist_ok=True)
         write_json(vdir / "config.json", {

@@ -8,6 +8,7 @@ configuration.  Validation failures name the offending key.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -54,7 +55,6 @@ class RunConfig:
     grid: StateGrid
     reward: RewardConfig
     qlearn: Hyperparams
-    sweep: Optional[SweepSpec]
     snapshot: dict
 
     def sweep_for(self, param: str) -> SweepSpec:
@@ -83,6 +83,8 @@ def _number(sec: dict, section: str, key: str, cls=float):
         raise ConfigError(f"{section}.{key}: expected a number, got {val!r}")
     if cls is int and isinstance(val, float) and not val.is_integer():
         raise ConfigError(f"{section}.{key}: expected an integer, got {val!r}")
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(f"{section}.{key}: expected a finite number, got {val!r}")
     return cls(val)
 
 
@@ -123,10 +125,10 @@ def load_config(path: Optional[str] = None) -> RunConfig:
         swp["base_seed"] = _number(swp, "sweep", "base_seed", int)
 
     cfg = RunConfig(built["material"], built["grid"], built["reward"],
-                    built["qlearn"], None, snapshot)
+                    built["qlearn"], snapshot)
     if swp["param"] is not None:
-        try:
-            cfg.sweep = cfg.sweep_for(swp["param"])
+        try:  # a bad sweep section fails here, not when a sweep starts
+            cfg.sweep_for(swp["param"])
         except ValueError as exc:
             raise ConfigError(f"sweep: {exc}") from exc
     return cfg

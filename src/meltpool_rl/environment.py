@@ -47,6 +47,10 @@ class StateGrid:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("grid.n must be >= 2")
+        if self.p_min < 0:
+            raise ValueError(f"grid.p_min_w must be >= 0, got {self.p_min}")
+        if self.v_min <= 0:
+            raise ValueError(f"grid.v_min_mmpm must be > 0, got {self.v_min}")
         if not self.p_min < self.p_max:
             raise ValueError("grid.p_min_w must be < grid.p_max_w")
         if not self.v_min < self.v_max:
@@ -154,14 +158,14 @@ class DepthCache:
         self._depths = batch_depths(self.env, [(p, v * MMPM_TO_MPS) for p, v in pv])
 
     def scores(self, rc: RewardConfig) -> list:
-        """Each state's (reward, depth_mm, terminal) under rc, or None
-        where its depth is unusable; built once per RewardConfig."""
+        """Each state's (reward, terminal) under rc, or None where its
+        depth is unusable; built once per RewardConfig."""
         last_rc, table = self._last_scores
         if rc is not last_rc:  # skips hashing the frozen rc on every step
             table = self._scores.get(rc)
             if table is None:
                 table = self._scores[rc] = [
-                    (reward(rc, res.depth_mm), res.depth_mm,
+                    (reward(rc, res.depth_mm),
                      abs(res.depth_mm - rc.delta_opt) <= rc.tol_delta)
                     if res.converged else None
                     for res in self._depths]
@@ -182,7 +186,6 @@ def depth_failure(grid: StateGrid, s: int, res: DepthResult) -> str:
 
 class StepOutcome(NamedTuple):
     next_state: int
-    depth_mm: float
     reward: float
     terminal: bool
 
@@ -200,8 +203,8 @@ def step(cache: DepthCache, s: int, action: int, rc: RewardConfig) -> StepOutcom
     if score is None:
         raise EnvironmentEvalError("environment evaluation failed: "
                                    f"{depth_failure(cache.grid, nxt, cache.depth(nxt))}")
-    r, depth_mm, terminal = score
-    return StepOutcome(nxt, depth_mm, r, terminal)
+    r, terminal = score
+    return StepOutcome(nxt, r, terminal)
 
 
 def write_depth_map_csv(path, cache: DepthCache) -> None:

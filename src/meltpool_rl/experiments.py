@@ -76,9 +76,6 @@ class ConvergenceCurve:
     mean: np.ndarray
     std: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.mean)
-
 
 @dataclass
 class ValueResult:
@@ -120,7 +117,7 @@ def run_sweep(spec: SweepSpec, material: MaterialEnv, grid: StateGrid,
         if g.n not in caches:
             caches[g.n] = DepthCache(material, g)
         cache = caches[g.n]
-        report = brute_force_rank(cache, rc.delta_opt, rc.tol_r)
+        report = brute_force_rank(cache, rc)
         runs, seeds, verdicts = [], [], []
         for rep in range(spec.replicates):
             seed = replicate_seed(spec.base_seed, vi, rep)

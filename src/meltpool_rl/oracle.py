@@ -9,9 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .environment import DepthCache, StateGrid, depth_failure, state_params
+from .environment import DepthCache, RewardConfig, StateGrid, depth_failure, state_params
 from .outputs import write_csv
 from .qlearn import RunResult
+
+TOP_K = 3
+DEPTH_TOL_MM = 0.05
 
 
 @dataclass(frozen=True)
@@ -31,7 +34,6 @@ class StateReport:
 class GridReport:
     grid: StateGrid
     delta_opt: float
-    tol_r: float
     rows: list[StateReport]
 
     @property
@@ -47,23 +49,20 @@ class GridReport:
 @dataclass(frozen=True)
 class Verdict:
     rank: int
-    top_k: int
     in_top_k: bool
     depth_gap: float
     depth_ok: bool
-    depth_tol: float
 
     @property
     def passed(self) -> bool:
         return self.in_top_k or self.depth_ok
 
 
-def brute_force_rank(cache: DepthCache, delta_opt: float,
-                     tol_r: float = 0.1) -> GridReport:
-    """Exhaustive depth evaluation and stable ranking by |depth - target|
-    (ties break on flat state id); rows are in flat-id order.  Any
-    unusable state fails the whole ranking with one error that counts them
-    and names the first state of each cause, the bracket edge first."""
+def brute_force_rank(cache: DepthCache, rc: RewardConfig) -> GridReport:
+    """Exhaustive ranking by |depth - rc.delta_opt|, stable on flat id;
+    rows in flat-id order, in_band within rc.tol_r.  Any unusable state
+    fails the whole ranking with one error that counts them and names the
+    first state of each cause, the bracket edge first."""
     grid = cache.grid
     unusable = [s for s in range(grid.n_states) if not cache.depth(s).converged]
     if unusable:
@@ -78,24 +77,23 @@ def brute_force_rank(cache: DepthCache, delta_opt: float,
     for s in range(grid.n_states):
         res = cache.depth(s)
         p, v = state_params(grid, s)
-        entries.append((abs(res.depth_mm - delta_opt), s, p, v, res.depth_mm))
+        entries.append((abs(res.depth_mm - rc.delta_opt), s, p, v, res.depth_mm))
     entries.sort(key=lambda e: (e[0], e[1]))
-    rows = [StateReport(s, *divmod(s, grid.n), p, v, depth, err, rank + 1, err <= tol_r)
+    rows = [StateReport(s, *divmod(s, grid.n), p, v, depth, err, rank + 1, err <= rc.tol_r)
             for rank, (err, s, p, v, depth) in enumerate(entries)]
     rows.sort(key=lambda r: r.state_id)
-    return GridReport(grid, delta_opt, tol_r, rows)
+    return GridReport(grid, rc.delta_opt, rows)
 
 
-def validate_run(report: GridReport, result: RunResult, k: int = 3,
-                 depth_tol: float = 0.05) -> Verdict:
-    """Is the learner's best state within the oracle's top-k, and how far
-    is its depth from the target?  Both criteria are reported; passed is
-    their disjunction."""
+def validate_run(report: GridReport, result: RunResult) -> Verdict:
+    """Is the learner's best state within the oracle's top TOP_K, and is
+    its depth within DEPTH_TOL_MM of the target?  Both criteria are
+    reported; passed is their disjunction."""
     if report.grid.n_states != result.qtable.shape[0]:
         raise ValueError("grid mismatch between oracle report and run result")
     rank = report.rank_of(result.best_state)
     gap = abs(result.best_depth - report.delta_opt)
-    return Verdict(rank, k, rank <= k, gap, gap <= depth_tol, depth_tol)
+    return Verdict(rank, rank <= TOP_K, gap, gap <= DEPTH_TOL_MM)
 
 
 def write_pv_map_csv(path, report: GridReport) -> None:

@@ -74,7 +74,6 @@ class RunResult:
     best_power: float
     best_speed: float
     best_depth: float
-    generator: str = GENERATOR_NAME
 
 
 #: raw 64-bit words a _Draws takes from PCG64 at a time

@@ -47,6 +47,7 @@ DEFAULT_SOURCE_GAIN = 2.42
 _X_WINDOW_BEHIND = 5.0  # trailing window, multiples of sigma
 _X_WINDOW_AHEAD = 2.0
 _N_X_SAMPLES = 64
+_QUAD_REL_TOL = 1e-6  # panel doubling stops at this relative change
 #: depth bracket of the liquidus root search, m
 Z_MAX = 5e-3
 _Z_TOL = 1e-7  # m (1e-4 mm)
@@ -176,8 +177,7 @@ def _profile_eval(env: MaterialEnv, den: np.ndarray, coef: np.ndarray,
     return env.t0 + np.einsum("ik,k->i", coef, damp)
 
 
-def _adaptive_basis(env: MaterialEnv, v: float, xs, y: float, t: float,
-                    rel_tol: float = 1e-6):
+def _adaptive_basis(env: MaterialEnv, v: float, xs, y: float, t: float):
     """Panel-doubling composite Gauss-Legendre basis, converged at the
     surface and at mid-depth (the z-dependent damping only smooths the
     integrand further, so these two checkpoints bound the refinement).
@@ -200,21 +200,21 @@ def _adaptive_basis(env: MaterialEnv, v: float, xs, y: float, t: float,
         if not np.all(np.isfinite(cur)):
             raise QuadratureError("quadrature divergence")
         scale = max(float(np.max(np.abs(cur))), 1e-12)
-        if float(np.max(np.abs(cur - prev))) <= rel_tol * scale:
+        if float(np.max(np.abs(cur - prev))) <= _QUAD_REL_TOL * scale:
             return basis
         if n_panels > 8192:
             raise QuadratureError("quadrature divergence")
         prev = cur
 
 
-def temperature(env: MaterialEnv, q: LaserQuery, rel_tol: float = 1e-6) -> float:
+def temperature(env: MaterialEnv, q: LaserQuery) -> float:
     """Temperature (K) at a single query point.
 
     Exact T0 for t = 0 (empty interval) or P = 0 (integrand scales with P).
     """
     if q.t == 0.0 or q.p == 0.0:
         return env.t0
-    den, w, g = _adaptive_basis(env, q.v, q.x, q.y, q.t, rel_tol)
+    den, w, g = _adaptive_basis(env, q.v, q.x, q.y, q.t)
     coef = env.amplitude_per_watt * q.p * w * g
     val = float(_profile_eval(env, den, coef, q.z)[0])
     if not math.isfinite(val):

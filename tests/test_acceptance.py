@@ -64,8 +64,7 @@ def shared_caches(material, grid, cache_for):
 
 @pytest.fixture(scope="module")
 def report10(cache_for, reward_config):
-    return brute_force_rank(cache_for(10), reward_config.delta_opt,
-                            reward_config.tol_r)
+    return brute_force_rank(cache_for(10), reward_config)
 
 
 def per_epoch_curve(runs):

@@ -70,6 +70,16 @@ class TestConfigHandling:
         assert rc == EXIT_VALIDATION
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, key", [("p_min_w: -1.0", "grid.p_min_w"),
+                                           ("v_min_mmpm: 0.0", "grid.v_min_mmpm")])
+    def test_grid_lower_bounds_exit_before_output(self, tmp_path, capsys, grid, key):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(f"grid: {{{grid}}}\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "map", "--out", str(out)]) == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_all_outputs(self, tmp_path, small_config, capsys):
@@ -120,6 +130,20 @@ class TestNegativeSeeds:
         rc = main(["--config", str(cfg), *argv, "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert f"{key} must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOutputOnlyAfterResults:
+    """A run that fails leaves no --out: on this 2x2 grid the
+    (20000 W, 400 mm/min) state melts past the 5 mm depth bracket."""
+
+    @pytest.mark.parametrize("argv", [["train"], ["map"], ["sweep", "--param", "epsilon"]])
+    def test_runtime_failure_leaves_no_output(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text("grid: {n: 2, p_min_w: 1000.0, p_max_w: 20000.0}\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), *argv, "--out", str(out)]) == EXIT_RUNTIME
+        assert "5 mm depth bracket at state 2" in capsys.readouterr().err
         assert not out.exists()
 
 

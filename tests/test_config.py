@@ -5,6 +5,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meltpool_rl.cli import EXIT_VALIDATION, main
 from meltpool_rl.config import CONFIG_ENV_VAR, ConfigError, load_config
 from meltpool_rl.environment import RewardConfig, StateGrid
 from meltpool_rl.experiments import SWEEPABLE
@@ -20,6 +21,11 @@ def write(tmp_path, text):
 
 INTEGER_KEYS = [("grid", "n"), ("qlearn", "episodes"), ("qlearn", "n_epochs"),
                 ("qlearn", "seed"), ("sweep", "replicates"), ("sweep", "base_seed")]
+FLOAT_KEYS = [("material", k) for k in ("t0_k", "t_liq_k", "cp", "rho", "diffusivity",
+                                        "sigma_l_mm", "absorptivity", "source_gain")] + \
+    [("grid", k) for k in ("p_min_w", "p_max_w", "v_min_mmpm", "v_max_mmpm")] + \
+    [("reward", k) for k in ("delta_opt_mm", "tol_r_mm", "tol_delta_mm", "denom_floor_mm")] + \
+    [("qlearn", k) for k in ("alpha", "gamma", "epsilon")]
 
 #: per sweepable parameter, values its field accepts and values it rejects
 _BELOW_ZERO = st.floats(-10.0, 0.0, exclude_max=True)
@@ -62,7 +68,7 @@ class TestDefaults:
         assert cfg.qlearn.alpha == 0.25
         assert cfg.reward.variant == "inverse_error"
         assert cfg.material.t_liq == 1700.0
-        assert cfg.sweep is None
+        assert cfg.snapshot["sweep"]["param"] is None
 
     def test_defaults_are_the_dataclass_defaults(self, monkeypatch):
         monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
@@ -104,9 +110,10 @@ class TestOverrides:
         cfg = load_config(write(
             tmp_path,
             "sweep:\n  param: epsilon\n  replicates: 3\n  base_seed: 5\n"))
-        assert cfg.sweep.param == "epsilon"
-        assert cfg.sweep.replicates == 3
-        assert cfg.sweep.values == (0.25, 0.5, 0.75, 1.0)
+        spec = cfg.sweep_for("epsilon")
+        assert spec.replicates == 3
+        assert spec.base_seed == 5
+        assert spec.values == (0.25, 0.5, 0.75, 1.0)
 
     def test_sweep_for_falls_back_for_other_param(self, tmp_path):
         cfg = load_config(write(tmp_path, "sweep:\n  param: epsilon\n"))
@@ -156,6 +163,22 @@ class TestValidation:
         path.write_text(yaml.safe_dump({section: {name: value}}))
         with pytest.raises(ConfigError, match=rf"^{section}\.{name}: expected an integer"):
             load_config(str(path))
+
+    @given(key=st.sampled_from(FLOAT_KEYS),
+           value=st.sampled_from([float("inf"), float("-inf"), float("nan")]))
+    @settings(max_examples=60, deadline=None)
+    def test_any_non_finite_float_is_named(self, tmp_path_factory, key, value):
+        """A non-finite number fails on its key at load, so the CLI exits
+        1 before making --out."""
+        section, name = key
+        tmp = tmp_path_factory.mktemp("cfg")
+        path = tmp / "config.yaml"
+        path.write_text(yaml.safe_dump({section: {name: value}}))
+        with pytest.raises(ConfigError, match=rf"^{section}\.{name}: expected a finite number"):
+            load_config(str(path))
+        out = tmp / "out"
+        assert main(["--config", str(path), "map", "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
 
     @given(case=sweep_values_with_one_bad())
     @settings(max_examples=100, deadline=None)

@@ -40,6 +40,13 @@ class TestStateGrid:
         with pytest.raises(ValueError):
             StateGrid(v_min=700.0, v_max=700.0)
 
+    def test_lower_bounds_are_named(self):
+        with pytest.raises(ValueError, match=r"grid\.p_min_w must be >= 0, got -1\.0"):
+            StateGrid(p_min=-1.0)
+        with pytest.raises(ValueError, match=r"grid\.v_min_mmpm must be > 0, got 0\.0"):
+            StateGrid(v_min=0.0)
+        assert state_params(StateGrid(p_min=0.0), 0) == (0.0, 400.0)
+
     def test_named_state_params(self, grid):
         p, v = state_params(grid, 75)
         assert p == pytest.approx(888.8889, abs=1e-3)
@@ -140,8 +147,7 @@ class TestStep:
         k = ACTIONS.index((1, 0))
         out = step(cache10, s, k, reward_config)
         assert out.next_state == 75
-        assert out.depth_mm == cache10.depth(75).depth_mm
-        assert out.reward == reward(reward_config, out.depth_mm)
+        assert out.reward == reward(reward_config, cache10.depth(75).depth_mm)
 
     def test_terminal_at_target_depth(self, cache10, reward_config):
         # (7,5) is within tol_delta of the 1 mm target on the default grid
@@ -198,7 +204,7 @@ class TestScores:
         rc = reward_config
         for s, score in enumerate(cache10.scores(rc)):
             d = cache10.depth(s).depth_mm
-            assert score == (reward(rc, d), d, abs(d - rc.delta_opt) <= rc.tol_delta)
+            assert score == (reward(rc, d), abs(d - rc.delta_opt) <= rc.tol_delta)
 
     def test_built_once_per_reward_config(self, cache10):
         table = cache10.scores(RewardConfig())

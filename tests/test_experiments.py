@@ -124,7 +124,7 @@ class TestRunSweep:
         assert [vr.value for vr in results] == [5, 10]
         for vr, episodes in zip(results, (5, 10)):
             assert len(vr.runs) == 2
-            assert len(vr.curve) == episodes
+            assert len(vr.curve.mean) == len(vr.curve.std) == episodes
             assert all(len(r.traces) == episodes for r in vr.runs)
 
     def test_every_replicate_gets_a_verdict(self, small_sweep):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meltpool_rl.environment import DepthCache, StateGrid
+from meltpool_rl.environment import DepthCache, RewardConfig, StateGrid
 from meltpool_rl.oracle import (
     Verdict,
     brute_force_rank,
@@ -19,7 +19,7 @@ from meltpool_rl.qlearn import Hyperparams, train
 
 @pytest.fixture(scope="module")
 def report10(cache10, reward_config):
-    return brute_force_rank(cache10, reward_config.delta_opt, reward_config.tol_r)
+    return brute_force_rank(cache10, reward_config)
 
 
 class TestBruteForceRank:
@@ -53,13 +53,13 @@ class TestBruteForceRank:
             assert r.depth == cache10.depth(r.state_id).depth_mm
 
     def test_deterministic(self, cache10, reward_config):
-        a = brute_force_rank(cache10, reward_config.delta_opt)
-        b = brute_force_rank(cache10, reward_config.delta_opt)
+        a = brute_force_rank(cache10, reward_config)
+        b = brute_force_rank(cache10, reward_config)
         assert a.rows == b.rows
 
-    def test_depth_beyond_bracket_raises(self, edge_cache):
+    def test_depth_beyond_bracket_raises(self, edge_cache, reward_config):
         with pytest.raises(RuntimeError, match="5 mm depth bracket at state 2"):
-            brute_force_rank(edge_cache, 1.0)
+            brute_force_rank(edge_cache, reward_config)
 
     @given(powers=st.lists(st.floats(100.0, 20000.0), min_size=2, max_size=2,
                            unique=True).map(sorted),
@@ -78,10 +78,10 @@ class TestBruteForceRank:
                 assert res.depth_mm == pytest.approx(5.0, abs=1e-4)
         unusable = [s for s, res in enumerate(results) if not res.converged]
         if not unusable:
-            brute_force_rank(cache, 1.0)
+            brute_force_rank(cache, RewardConfig())
             return
         with pytest.raises(RuntimeError, match=f"at state {unusable[0]} ") as exc:
-            brute_force_rank(cache, 1.0)
+            brute_force_rank(cache, RewardConfig())
         assert f"{len(unusable)} of 4 states" in str(exc.value)
         assert ("5 mm depth bracket" in str(exc.value)) == any(r.at_edge for r in results)
 
@@ -90,7 +90,7 @@ class TestBruteForceRank:
         200 mm/min) is at the bracket edge; neither cause hides the other."""
         cache = DepthCache(material, StateGrid(2, 919.0, 20000.0, 200.0, 700.0))
         with pytest.raises(RuntimeError) as exc:
-            brute_force_rank(cache, 1.0)
+            brute_force_rank(cache, RewardConfig())
         assert str(exc.value) == (
             "oracle: 2 of 4 states have no usable depth: melt pool deeper than "
             "the 5 mm depth bracket at state 2 (P=20000.0 W, v=200.0 mm/min); "
@@ -107,11 +107,9 @@ class TestValidateRun:
             assert verdict.in_top_k and verdict.passed
 
     def test_top_k_and_depth_are_independent_clauses(self):
-        v = Verdict(rank=4, top_k=3, in_top_k=False, depth_gap=0.2,
-                    depth_ok=False, depth_tol=0.05)
+        v = Verdict(rank=4, in_top_k=False, depth_gap=0.2, depth_ok=False)
         assert not v.passed
-        v = Verdict(rank=4, top_k=3, in_top_k=False, depth_gap=0.01,
-                    depth_ok=True, depth_tol=0.05)
+        v = Verdict(rank=4, in_top_k=False, depth_gap=0.01, depth_ok=True)
         assert v.passed
 
     def test_grid_mismatch_rejected(self, report10, cache_for, reward_config):

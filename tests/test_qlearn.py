@@ -365,7 +365,6 @@ class TestTrain:
         assert (result.best_power, result.best_speed) == \
             state_params(grid, result.best_state)
         assert result.best_depth == cache10.depth(result.best_state).depth_mm
-        assert result.generator == GENERATOR_NAME
 
 
 def best_state_reference(q, grid):
@@ -394,14 +393,14 @@ class TestBestStateOf:
         best = best_state_of(new_qtable(10), cache10)
         assert 0 <= best < 100
 
-    @given(q=st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.5, 3.0]),
-                      min_size=100 * N_ACTIONS, max_size=100 * N_ACTIONS),
-           shift=st.sampled_from([0.0, -5.0]))
+    @given(seed=st.integers(0, 2**32 - 1), shift=st.sampled_from([0.0, -5.0]))
     @settings(max_examples=200, deadline=None)
-    def test_matches_reference_loop(self, cache10, q, shift):
+    def test_matches_reference_loop(self, cache10, seed, shift):
         """Few distinct values, so ties are common; shift -5 makes every
-        entry non-positive."""
-        q = np.array(q).reshape(100, N_ACTIONS) + shift
+        entry non-positive.  The table is filled from a drawn seed, not
+        drawn entry by entry, which would cost 800 draws an example."""
+        values = np.array([-2.0, -0.5, 0.0, 0.5, 3.0])
+        q = np.random.default_rng(seed).choice(values, size=(100, N_ACTIONS)) + shift
         assert best_state_of(q, cache10) == best_state_reference(q, cache10.grid)
 
 
