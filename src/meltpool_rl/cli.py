@@ -10,6 +10,7 @@ error, 2 runtime or convergence failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -39,11 +40,11 @@ def _open_output(path: str, cfg) -> Path:
 
 def cmd_depth(args) -> int:
     cfg = load_config(args.config)
-    if args.power < 0:
-        print("error: --power must be >= 0", file=sys.stderr)
+    if not 0 <= args.power < math.inf:
+        print("error: --power must be finite and >= 0", file=sys.stderr)
         return EXIT_VALIDATION
-    if args.speed <= 0:
-        print("error: --speed must be > 0", file=sys.stderr)
+    if not 0 < args.speed < math.inf:
+        print("error: --speed must be finite and > 0", file=sys.stderr)
         return EXIT_VALIDATION
     res = melt_pool_depth(cfg.material, args.power, args.speed * MMPM_TO_MPS)
     print(f"depth_mm={res.depth_mm:.4f} converged={res.converged} "

@@ -85,7 +85,11 @@ def _number(sec: dict, section: str, key: str, cls=float):
         raise ConfigError(f"{section}.{key}: expected an integer, got {val!r}")
     if isinstance(val, float) and not math.isfinite(val):
         raise ConfigError(f"{section}.{key}: expected a finite number, got {val!r}")
-    return cls(val)
+    try:
+        return cls(val)
+    except OverflowError:
+        raise ConfigError(f"{section}.{key}: expected a finite number, "
+                          "got an integer too large for a float") from None
 
 
 def load_config(path: Optional[str] = None) -> RunConfig:

@@ -184,6 +184,12 @@ def depth_failure(grid: StateGrid, s: int, res: DepthResult) -> str:
     return f"{cause} at state {s} (P={p:.1f} W, v={v:.1f} mm/min)"
 
 
+def landing_error(cache: DepthCache, s: int) -> EnvironmentEvalError:
+    """The error for a move onto state s, whose depth is unusable."""
+    return EnvironmentEvalError("environment evaluation failed: "
+                                f"{depth_failure(cache.grid, s, cache.depth(s))}")
+
+
 class StepOutcome(NamedTuple):
     next_state: int
     reward: float
@@ -201,8 +207,7 @@ def step(cache: DepthCache, s: int, action: int, rc: RewardConfig) -> StepOutcom
     nxt = cache._moves[s][action]
     score = cache.scores(rc)[nxt]
     if score is None:
-        raise EnvironmentEvalError("environment evaluation failed: "
-                                   f"{depth_failure(cache.grid, nxt, cache.depth(nxt))}")
+        raise landing_error(cache, nxt)
     r, terminal = score
     return StepOutcome(nxt, r, terminal)
 

@@ -2,20 +2,24 @@
 
 One table of shape (n^2, 8) holds a quality score per state-action pair,
 initialized to zero.  During train it is a list of rows of Python floats,
-which index far faster than an ndarray, and train returns it as a float64
-ndarray; q_update and select_action index q[s][a], so they take either
-form.  Episodes start from a uniformly random state and run
-epsilon-greedy until the landing state hits the target depth tolerance or
-the epoch cap is reached.  The per-update rule is the standard one-step
-temporal-difference target:
+which index far faster than an ndarray, holding -inf at every move that
+would leave the grid, so a row's max() is the max over the actions
+actually available; train returns it as a float64 ndarray with those
+entries set back to zero.  Episodes start from a uniformly random state
+and run epsilon-greedy until the landing state hits the target depth
+tolerance or the epoch cap is reached.  The per-update rule is the
+standard one-step temporal-difference target:
 
     Q(s,a) <- Q(s,a) + alpha * (r + gamma * max_a' Q(s',a') - Q(s,a))
 
 with the max taken over the actions actually available at s' (edge states
-have fewer than 8).  All randomness flows through a seeded PCG64 stream,
-split one substream per episode, so runs are bit-reproducible.  train
-draws each episode's numbers with _Draws, which rebuilds in Python the
-values numpy's Generator makes from the same raw PCG64 words.
+have fewer than 8).  run_episode is the training loop, one step inlined;
+select_action, environment.step and q_update are the same step as
+single-call functions that take an unmasked list or ndarray table.  All
+randomness flows through a seeded PCG64 stream, split one substream per
+episode, so runs are bit-reproducible.  train draws each episode's
+numbers with _Draws, which rebuilds in Python the values numpy's
+Generator makes from the same raw PCG64 words.
 """
 
 from __future__ import annotations
@@ -26,12 +30,13 @@ from typing import Union
 
 import numpy as np
 
-from .environment import ACTIONS, N_ACTIONS, DepthCache, RewardConfig, state_params, step
+from .environment import ACTIONS, N_ACTIONS, DepthCache, RewardConfig, landing_error, state_params
 from .outputs import write_csv, write_json
 
 GENERATOR_NAME = "numpy.random.PCG64"
 
-#: a (n^2, 8) table: lists of floats while training, an ndarray after
+#: a (n^2, 8) table as select_action and q_update take it: a list of
+#: float lists or an ndarray
 QTable = Union[list, np.ndarray]
 
 
@@ -164,29 +169,62 @@ def select_action(q: QTable, s: int, valid: tuple[int, ...],
     return ties[rng.integers(len(ties))]
 
 
-def run_episode(cache: DepthCache, rc: RewardConfig, q: QTable,
-                hp: Hyperparams, rng: Union[np.random.Generator, _Draws]) -> EpisodeTrace:
-    """One episode: random start, then select/step/update until the
-    landing state is within tol_delta of the target or the epoch cap.
+def masked_qtable(cache: DepthCache) -> list:
+    """The zero Q list train starts from, with -inf at every off-grid
+    (s, a), which then never wins a row's max()."""
+    return np.where(cache.next_state < 0, -np.inf, 0.0).tolist()
 
-    Termination is evaluated on the landing state, so even a lucky start
-    takes at least one step.  rng is a Generator or the _Draws train
-    passes, which draws the same numbers.
+
+def run_episode(cache: DepthCache, rc: RewardConfig, q: list,
+                hp: Hyperparams, rng: Union[np.random.Generator, _Draws]) -> EpisodeTrace:
+    """One episode on a masked_qtable list: random start, then
+    select/step/update until the landing state is within tol_delta of
+    the target or the epoch cap.
+
+    Each step draws, moves and updates as select_action, step and
+    q_update do, in the same order.  With off-grid entries at -inf the
+    greedy pick is max() over the row; a unique max takes no draw, as
+    select_action's integers(1) takes none.  Termination is evaluated on
+    the landing state, so even a lucky start takes at least one step.
+    rng is a Generator or the _Draws train passes, which draws the same
+    numbers.
     """
-    trace = EpisodeTrace()
-    s = int(rng.integers(cache.grid.n_states))
-    while trace.epochs < hp.n_epochs:
-        a = select_action(q, s, cache.valid[s], hp.epsilon, rng)
-        out = step(cache, s, a, rc)
-        nxt = out.next_state
-        q_update(q, s, a, out.reward, nxt, cache.valid[nxt], hp)
-        trace.total_reward += out.reward
-        trace.epochs += 1
+    valid, moves, scores = cache.valid, cache._moves, cache.scores(rc)
+    alpha, gamma, epsilon = hp.alpha, hp.gamma, hp.epsilon
+    keep = 1.0 - alpha
+    random, integers = rng.random, rng.integers
+    total, epochs, terminal = 0.0, 0, False
+    s = int(integers(cache.grid.n_states))
+    while epochs < hp.n_epochs:
+        row = q[s]
+        if random() < epsilon:
+            acts = valid[s]
+            a = acts[integers(len(acts))]
+        else:
+            best = max(row)
+            if row.count(best) == 1:
+                a = row.index(best)
+            else:
+                ties = [k for k, v in enumerate(row) if v == best]
+                a = ties[integers(len(ties))]
+        nxt = moves[s][a]
+        if nxt < 0:
+            raise ValueError(f"off-grid move at state {s}, action {a}: "
+                             "the Q list must hold -inf there")
+        score = scores[nxt]
+        if score is None:
+            raise landing_error(cache, nxt)
+        r, terminal = score
+        val = keep * row[a] + alpha * (r + gamma * max(q[nxt]))
+        if not math.isfinite(val):
+            raise ArithmeticError(f"non-finite Q-value at state {s}, action {a}")
+        row[a] = val
+        total += r
+        epochs += 1
         s = nxt
-        if out.terminal:
-            trace.terminated_early = True
+        if terminal:
             break
-    return trace
+    return EpisodeTrace(total, epochs, terminal)
 
 
 def best_state_of(q: np.ndarray, cache: DepthCache) -> int:
@@ -213,10 +251,11 @@ def train(cache: DepthCache, rc: RewardConfig, hp: Hyperparams) -> RunResult:
     Each episode draws from its own spawned substream of the seeded
     PCG64 generator, so traces are reproducible episode by episode.
     """
-    q = new_qtable(cache.grid.n).tolist()
+    q = masked_qtable(cache)
     streams = np.random.SeedSequence(hp.seed).spawn(hp.episodes)
     traces = [run_episode(cache, rc, q, hp, _Draws(ss)) for ss in streams]
     qtable = np.array(q)
+    qtable[cache.next_state < 0] = 0.0
     best = best_state_of(qtable, cache)
     p, v = state_params(cache.grid, best)
     return RunResult(qtable, traces, best, p, v, cache.depth(best).depth_mm)

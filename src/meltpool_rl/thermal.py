@@ -276,8 +276,8 @@ def _steady_depth(env: MaterialEnv, p: float, v: float, bases: dict) -> DepthRes
     """melt_pool_depth, sharing the scan-line bases of speed v."""
     if not 0 <= p < math.inf:
         raise ValueError("power must be finite and >= 0")
-    if not v > 0:
-        raise ValueError("speed must be > 0")
+    if not 0 < v < math.inf:
+        raise ValueError("speed must be finite and > 0")
     if p == 0.0:
         return DepthResult(0.0, True, 0.0)
 

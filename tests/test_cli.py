@@ -54,6 +54,14 @@ class TestDepth:
         assert main(["depth", "--power", "500", "--speed", "0"]) == \
             EXIT_VALIDATION
 
+    @pytest.mark.parametrize("flag, value", [("--speed", "inf"), ("--speed", "nan"),
+                                             ("--power", "inf"), ("--power", "nan")])
+    def test_non_finite_value_fails_validation(self, capsys, flag, value):
+        argv = {"--power": "800", "--speed": "500", flag: value}
+        assert main(["depth", *(x for kv in argv.items() for x in kv)]) == \
+            EXIT_VALIDATION
+        assert f"error: {flag} must be finite" in capsys.readouterr().err
+
 
 class TestConfigHandling:
     def test_bad_config_path(self, capsys):

@@ -165,11 +165,13 @@ class TestValidation:
             load_config(str(path))
 
     @given(key=st.sampled_from(FLOAT_KEYS),
-           value=st.sampled_from([float("inf"), float("-inf"), float("nan")]))
+           value=st.sampled_from([float("inf"), float("-inf"), float("nan"),
+                                  int("9" * 400), -int("9" * 400)]))
     @settings(max_examples=60, deadline=None)
     def test_any_non_finite_float_is_named(self, tmp_path_factory, key, value):
-        """A non-finite number fails on its key at load, so the CLI exits
-        1 before making --out."""
+        """A non-finite number, or an integer too large for a float,
+        fails on its key at load, so the CLI exits 1 before making
+        --out."""
         section, name = key
         tmp = tmp_path_factory.mktemp("cfg")
         path = tmp / "config.yaml"

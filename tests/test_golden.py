@@ -1,7 +1,7 @@
 """Golden outputs: SHA-256 digests of the default 10x10 depth map, of a
 wide 12x12 depth map, of every file written by a seed-0 `train` and a
-default `map`, of the run files of a small replicated epsilon sweep, and
-that training run's best state.  Any change to the thermal quadrature, the
+default `map`, of the run files of a small replicated epsilon sweep, of a
+greedy training run on a 2x2 grid, and the seed-0 run's best state.  Any change to the thermal quadrature, the
 bisection, the learner or an output format that moves a single bit shows
 up here."""
 
@@ -9,8 +9,8 @@ import hashlib
 
 from meltpool_rl.cli import main
 from meltpool_rl.config import CONFIG_ENV_VAR, load_config
-from meltpool_rl.environment import StateGrid, state_params
-from meltpool_rl.qlearn import train
+from meltpool_rl.environment import DepthCache, RewardConfig, StateGrid, state_params
+from meltpool_rl.qlearn import Hyperparams, train
 from meltpool_rl.thermal import MMPM_TO_MPS, batch_depths
 
 DEPTHS_SHA256 = "23ace9cf50196e2ed2ca68d83d1e8a5accad510753b60bd6adda7389c39cff14"
@@ -55,6 +55,11 @@ SMALL_SWEEP_SHA256 = {
     "epsilon_1.0/run_1_convergence.csv": "6d01fbcd1fcc1f7c470a4f4ec78abd9d9bd91482298efb91021455b85c3b39ca",
     "epsilon_1.0/run_1_qtable.csv": "d355b7ea02f869053455903b3f5bb3108a5c8014d4546497ed66a165c4be0785",
 }
+
+#: `train` on a 2x2 grid, where every state has 3 of the 8 actions, with
+#: the paper reward, gamma = alpha = 1 and epsilon = 0: greedy picks over
+#: tied and untied rows and a bootstrap that never discounts
+GREEDY_2X2_SHA256 = "12f814bca2605be5169786994b6f7c9101dc2a91db74c097b5279dbcfe482c39"
 
 
 def sha256(data: bytes) -> str:
@@ -111,3 +116,12 @@ def test_small_epsilon_sweep_digests(tmp_path, monkeypatch):
     got = {p.relative_to(out).as_posix(): sha256(p.read_bytes())
            for p in out.rglob("*") if p.name == "summary.csv" or p.name.startswith("run_")}
     assert got == SMALL_SWEEP_SHA256
+
+
+def test_greedy_2x2_train_digest(material):
+    """Q-table bytes, every trace and the best state of one run."""
+    result = train(DepthCache(material, StateGrid(n=2)), RewardConfig(variant="paper"),
+                   Hyperparams(alpha=1.0, gamma=1.0, epsilon=0.0))
+    traces = [(tr.total_reward.hex(), tr.epochs, tr.terminated_early) for tr in result.traces]
+    data = result.qtable.tobytes() + repr((traces, result.best_state)).encode()
+    assert sha256(data) == GREEDY_2X2_SHA256

@@ -1,5 +1,6 @@
-"""Q-update arithmetic, action selection, episode mechanics, and the
-training loop's determinism guarantees."""
+"""Q-update arithmetic, action selection, episode mechanics, the
+training loop's determinism guarantees, and the fused training loop
+pinned to the single-step functions it inlines."""
 
 import csv
 import itertools
@@ -11,14 +12,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from meltpool_rl import qlearn
-from meltpool_rl.environment import ACTIONS, N_ACTIONS, state_params, valid_actions
+from meltpool_rl import environment, qlearn
+from meltpool_rl.environment import (ACTIONS, N_ACTIONS, EnvironmentEvalError, RewardConfig,
+                                     state_params, valid_actions)
 from meltpool_rl.qlearn import (
     GENERATOR_NAME,
     EpisodeTrace,
     Hyperparams,
     _Draws,
     best_state_of,
+    masked_qtable,
     new_qtable,
     q_update,
     run_episode,
@@ -236,7 +239,7 @@ class TestDraws:
         """Successive episodes on one Q list, each drawing from its own
         substream, give the same traces and Q lists from either source."""
         hp = Hyperparams(epsilon=epsilon, n_epochs=n_epochs)
-        q_draws, q_ref = new_qtable(10).tolist(), new_qtable(10).tolist()
+        q_draws, q_ref = masked_qtable(cache10), masked_qtable(cache10)
         for ss in np.random.SeedSequence(seed).spawn(4):
             got = run_episode(cache10, reward_config, q_draws, hp, _Draws(ss))
             want = run_episode(cache10, reward_config, q_ref, hp,
@@ -245,26 +248,56 @@ class TestDraws:
             assert q_draws == q_ref
 
 
-def record_calls(monkeypatch, name):
-    """Wrap qlearn.<name>, which run_episode calls by name, so that every
-    call's arguments and result are recorded, in order."""
+def run_episode_reference(cache, rc, q, hp, rng):
+    """The training loop as calls to the single-step functions
+    select_action, environment.step and q_update, looked up by name on
+    each step, on an unmasked table: run_episode must match it."""
+    trace = EpisodeTrace()
+    s = int(rng.integers(cache.grid.n_states))
+    while trace.epochs < hp.n_epochs:
+        a = qlearn.select_action(q, s, cache.valid[s], hp.epsilon, rng)
+        out = environment.step(cache, s, a, rc)
+        nxt = out.next_state
+        qlearn.q_update(q, s, a, out.reward, nxt, cache.valid[nxt], hp)
+        trace.total_reward += out.reward
+        trace.epochs += 1
+        s = nxt
+        if out.terminal:
+            trace.terminated_early = True
+            break
+    return trace
+
+
+def train_reference(cache, rc, hp):
+    """train built on run_episode_reference and a zero table: the
+    Q-table, the traces and the best state."""
+    q = new_qtable(cache.grid.n).tolist()
+    traces = [run_episode_reference(cache, rc, q, hp, _Draws(ss))
+              for ss in np.random.SeedSequence(hp.seed).spawn(hp.episodes)]
+    qtable = np.array(q)
+    return qtable, traces, best_state_of(qtable, cache)
+
+
+def record_calls(monkeypatch, module, name):
+    """Wrap module.<name>, which run_episode_reference calls by name, so
+    that every call's arguments and result are recorded, in order."""
     calls = []
-    real = getattr(qlearn, name)
+    real = getattr(module, name)
 
     def recording(*args):
         out = real(*args)
         calls.append((args, out))
         return out
 
-    monkeypatch.setattr(qlearn, name, recording)
+    monkeypatch.setattr(module, name, recording)
     return calls
 
 
 class TestRunEpisode:
-    def test_single_epoch_cap(self, grid, cache10, reward_config):
+    def test_single_epoch_cap(self, cache10, reward_config):
         hp = Hyperparams(n_epochs=1)
         for seed in range(10):
-            trace = run_episode(cache10, reward_config, new_qtable(grid.n),
+            trace = run_episode(cache10, reward_config, masked_qtable(cache10),
                                 hp, np.random.default_rng(seed))
             assert trace.epochs == 1
 
@@ -272,10 +305,13 @@ class TestRunEpisode:
                                      monkeypatch):
         """epochs counts the steps taken, total_reward sums their rewards
         in order, and terminated_early says whether the last one landed
-        on a terminal state, which ends the episode."""
-        steps = record_calls(monkeypatch, "step")
-        trace = run_episode(cache10, reward_config, new_qtable(grid.n),
-                            Hyperparams(), np.random.default_rng(5))
+        on a terminal state, which ends the episode.  The steps are
+        recorded on the reference loop, which gives the same trace."""
+        steps = record_calls(monkeypatch, environment, "step")
+        trace = run_episode_reference(cache10, reward_config, new_qtable(grid.n),
+                                      Hyperparams(), np.random.default_rng(5))
+        assert trace == run_episode(cache10, reward_config, masked_qtable(cache10),
+                                    Hyperparams(), np.random.default_rng(5))
         assert trace.epochs == len(steps) <= Hyperparams().n_epochs
         total = 0.0
         for _, out in steps:
@@ -284,23 +320,80 @@ class TestRunEpisode:
         assert trace.terminated_early == steps[-1][1].terminal
         assert not any(out.terminal for _, out in steps[:-1])
 
-    def test_always_records_at_least_one_transition(self, grid, cache10,
-                                                    reward_config):
+    def test_always_records_at_least_one_transition(self, cache10, reward_config):
         """Termination is judged on the landing state, so even an episode
         starting next to the target takes a step."""
         for seed in range(30):
             trace = run_episode(cache10, reward_config,
-                                new_qtable(grid.n), Hyperparams(),
+                                masked_qtable(cache10), Hyperparams(),
                                 np.random.default_rng(seed))
             assert trace.epochs >= 1
 
-    def test_deterministic_for_fixed_seed(self, grid, cache10, reward_config):
+    def test_deterministic_for_fixed_seed(self, cache10, reward_config):
         def run():
             return run_episode(cache10, reward_config,
-                               new_qtable(grid.n), Hyperparams(),
+                               masked_qtable(cache10), Hyperparams(),
                                np.random.default_rng(42))
 
         assert run() == run()
+
+    def test_unmasked_table_rejected(self, cache_for, reward_config):
+        """A zero table lets the greedy pick tie on off-grid moves, which
+        fail with the state and action named, before anything is written
+        off the grid."""
+        cache = cache_for(2)
+        q = new_qtable(2).tolist()
+        with pytest.raises(ValueError, match=r"off-grid move at state \d, action \d"):
+            for ss in np.random.SeedSequence(0).spawn(20):
+                run_episode(cache, reward_config, q, Hyperparams(epsilon=0.0), _Draws(ss))
+        assert not np.array(q)[cache.next_state < 0].any()
+
+
+class TestFusedLoop:
+    @given(n=st.sampled_from([2, 3, 5, 10]), variant=st.sampled_from(["paper", "inverse_error"]),
+           epsilon=st.sampled_from([0.0, 0.25, 1.0]), gamma=st.sampled_from([0.0, 0.25, 1.0]),
+           alpha=st.sampled_from([0.25, 1.0]), episodes=st.integers(1, 20),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_train_matches_reference(self, cache_for, n, variant, epsilon, gamma,
+                                     alpha, episodes, seed):
+        """train's Q-table, traces and best state, bit for bit, against
+        the same run of the single-step functions on an unmasked table."""
+        cache = cache_for(n)
+        rc = RewardConfig(variant=variant)
+        hp = Hyperparams(alpha=alpha, gamma=gamma, epsilon=epsilon,
+                         episodes=episodes, seed=seed)
+        result = train(cache, rc, hp)
+        qtable, traces, best = train_reference(cache, rc, hp)
+        assert result.qtable.tobytes() == qtable.tobytes()
+        assert [(tr.total_reward.hex(), tr.epochs, tr.terminated_early)
+                for tr in result.traces] == \
+            [(tr.total_reward.hex(), tr.epochs, tr.terminated_early) for tr in traces]
+        assert result.best_state == best
+
+    @given(seed=st.integers(0, 2**32 - 1), epsilon=st.sampled_from([0.0, 0.25, 1.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_same_failure_as_reference(self, edge_cache, reward_config, seed, epsilon):
+        """Episodes that land on the state beyond the depth bracket raise
+        the same EnvironmentEvalError, with the same Q state behind.  A
+        greedy run may learn to avoid that state and never raise."""
+        hp = Hyperparams(epsilon=epsilon, seed=seed)
+        q_fused, q_ref = masked_qtable(edge_cache), new_qtable(2).tolist()
+        errors = []
+        for episode, q in ((run_episode, q_fused), (run_episode_reference, q_ref)):
+            try:
+                for ss in np.random.SeedSequence(seed).spawn(hp.episodes):
+                    episode(edge_cache, reward_config, q, hp, _Draws(ss))
+            except EnvironmentEvalError as exc:
+                errors.append(str(exc))
+            else:
+                errors.append(None)
+        assert errors[0] == errors[1]
+        if epsilon > 0:
+            assert "at state 2 " in errors[0]
+        q_fused = np.array(q_fused)
+        q_fused[edge_cache.next_state < 0] = 0.0
+        assert q_fused.tobytes() == np.array(q_ref).tobytes()
 
 
 class TestReplay:
@@ -339,9 +432,14 @@ class TestTrain:
 
     def test_only_visited_pairs_deviate_from_zero(self, cache10, reward_config,
                                                   monkeypatch):
-        updates = record_calls(monkeypatch, "q_update")
-        result = train(cache10, reward_config,
-                       Hyperparams(episodes=3, seed=2))
+        """The updates are recorded on the reference loop, which gives
+        the same result."""
+        hp = Hyperparams(episodes=3, seed=2)
+        updates = record_calls(monkeypatch, qlearn, "q_update")
+        qtable, traces, _ = train_reference(cache10, reward_config, hp)
+        result = train(cache10, reward_config, hp)
+        assert result.qtable.tobytes() == qtable.tobytes()
+        assert result.traces == traces
         visited = {(args[1], args[2]) for args, _ in updates}
         assert len(updates) == sum(tr.epochs for tr in result.traces)
         nonzero = {tuple(idx) for idx in np.argwhere(result.qtable != 0.0)}

@@ -208,6 +208,9 @@ class TestMeltPoolDepth:
                 melt_pool_depth(material, p, V_MID)
         with pytest.raises(ValueError):
             melt_pool_depth(material, 500.0, 0.0)
+        for v in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="speed must be finite"):
+                melt_pool_depth(material, 500.0, v)
 
     def test_deterministic(self, material):
         a = melt_pool_depth(material, 777.0, 500.0 * MMPM_TO_MPS)
