@@ -115,8 +115,8 @@ def cmd_sweep(args) -> int:
             "band": "across-replicate std", "base_config": cfg.snapshot})
         write_csv(vdir / "convergence.csv",
                   ["episode", "mean_total_reward", "std_total_reward"],
-                  ([e, repr(float(m)), repr(float(s))]
-                   for e, (m, s) in enumerate(zip(vr.curve.mean, vr.curve.std))))
+                  ([e, repr(m), repr(s)] for e, (m, s) in
+                   enumerate(zip(vr.curve.mean.tolist(), vr.curve.std.tolist()))))
         for rep, (run, verdict, seed) in enumerate(
                 zip(vr.runs, vr.verdicts, vr.seeds)):
             write_qtable_csv(vdir / f"run_{rep}_qtable.csv", run.qtable)

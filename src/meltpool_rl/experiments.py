@@ -54,11 +54,15 @@ class SweepSpec:
         typed = []
         for value in self.values or DEFAULT_SWEEP_VALUES[self.param]:
             if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or integral and not float(value).is_integer()):
+                    or integral and isinstance(value, float) and not value.is_integer()):
                 raise ValueError(f"sweep.values for {self.param} must be "
                                  f"{'integers' if integral else 'numbers'}, got {value!r}")
             # the value as the StateGrid or Hyperparams field it sets
-            field_value = int(value) if integral else float(value)
+            try:
+                field_value = int(value) if integral else float(value)
+            except OverflowError:
+                raise ValueError(f"sweep.values for {self.param} must be finite numbers, "
+                                 "got an integer too large for a float") from None
             try:
                 (StateGrid if self.param == "n" else Hyperparams)(
                     **{self.param: field_value})

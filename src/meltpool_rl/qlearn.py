@@ -16,10 +16,13 @@ with the max taken over the actions actually available at s' (edge states
 have fewer than 8).  run_episode is the training loop, one step inlined;
 select_action, environment.step and q_update are the same step as
 single-call functions that take an unmasked list or ndarray table.  All
-randomness flows through a seeded PCG64 stream, split one substream per
-episode, so runs are bit-reproducible.  train draws each episode's
-numbers with _Draws, which rebuilds in Python the values numpy's
-Generator makes from the same raw PCG64 words.
+randomness flows from the run's seed: episode e draws from the PCG64
+that numpy seeds from child e of SeedSequence(seed).spawn(episodes), so
+runs are bit-reproducible.  episode_states computes every child's PCG64
+state in one vectorised pass, and train reseeds one PCG64 with it before
+each episode.  train draws each episode's numbers with _Draws, which
+rebuilds in Python the values numpy's Generator makes from the same raw
+PCG64 words.
 """
 
 from __future__ import annotations
@@ -39,6 +42,10 @@ GENERATOR_NAME = "numpy.random.PCG64"
 #: float lists or an ndarray
 QTable = Union[list, np.ndarray]
 
+#: the most episodes one run may have: episode_states takes each spawn
+#: key 0..episodes-1 to be one uint32 word
+MAX_EPISODES = 2**32
+
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -56,8 +63,8 @@ class Hyperparams:
             raise ValueError("qlearn.gamma must be in [0, 1]")
         if not 0 <= self.epsilon <= 1:
             raise ValueError("qlearn.epsilon must be in [0, 1]")
-        if self.episodes < 1:
-            raise ValueError("qlearn.episodes must be >= 1")
+        if not 1 <= self.episodes <= MAX_EPISODES:
+            raise ValueError(f"qlearn.episodes must be in [1, 2**32], got {self.episodes}")
         if self.n_epochs < 1:
             raise ValueError("qlearn.n_epochs must be >= 1")
         if self.seed < 0:
@@ -91,19 +98,20 @@ class _Draws:
     """The draws select_action and run_episode ask of a Generator, made
     from the same PCG64 stream without the cost of numpy's scalar calls.
 
-    random() and integers(n) return the values
-    np.random.default_rng(seed_seq) returns, call for call, in any
-    interleaving: random() is a raw word's top 53 bits times 2**-53, and
-    integers(n), for 1 <= n <= 2**32, is numpy's 32-bit Lemire rejection
-    on 32-bit halves of the raw words, low half first, the high half kept
-    for the next call as PCG64's next_uint32 keeps it (random() leaves it
-    in place).  n == 1 draws nothing.  tests/test_qlearn.py pins this
-    against numpy's Generator."""
+    random() and integers(n) return the values np.random.Generator(bits)
+    returns, call for call, in any interleaving: random() is a raw word's
+    top 53 bits times 2**-53, and integers(n), for 1 <= n <= 2**32, is
+    numpy's 32-bit Lemire rejection on 32-bit halves of the raw words,
+    low half first, the high half kept for the next call as PCG64's
+    next_uint32 keeps it (random() leaves it in place).  n == 1 draws
+    nothing.  bits is a freshly seeded PCG64 that nothing else draws from
+    while this _Draws is in use.  tests/test_qlearn.py pins this against
+    numpy's Generator."""
 
     __slots__ = ("_bits", "_words", "_half")
 
-    def __init__(self, seed_seq: np.random.SeedSequence):
-        self._bits = np.random.PCG64(seed_seq)
+    def __init__(self, bits: np.random.PCG64):
+        self._bits = bits
         self._words: list[int] = []  # reversed, so pop() takes the next
         self._half = None  # the unused high half of the last word, if any
 
@@ -134,6 +142,90 @@ class _Draws:
             # numpy rejects low < (2**32 - n) % n, a threshold below n
             if low >= n or low >= (_2_32 - n) % n:
                 return m >> 32
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64
+# seeding (pcg64.h) constants
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+#: a SeedSequence's pool size, in uint32 words
+_POOL = 4
+
+
+def _hashmix(value, h: int, mult: int = _MULT_A):
+    """SeedSequence's hash of a uint32 word (a Python int or a uint64
+    array of them) under hash constant h: (hashed value, next h).  mult
+    is _MULT_A while mixing entropy and _MULT_B in generate_state."""
+    value = value ^ h
+    h = h * mult & _M32
+    value = value * h & _M32
+    return value ^ value >> 16, h
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a hashed word y into pool word x."""
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+def episode_states(seed: int, n: int) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) that np.random.PCG64(child) starts from,
+    for each child of np.random.SeedSequence(seed).spawn(n), in order.
+
+    A child's entropy is the seed's uint32 words, zero-padded to the
+    4-word pool, then its spawn key e.  Everything before the key is the
+    same for every child, so it is mixed once in Python ints; the key,
+    the last word mixed in, and generate_state(4, uint64) run on uint64
+    arrays of uint32 values over all n children at once.  PCG64 then
+    seeds from (initstate, initseq): inc = 2*initseq + 1, one LCG step
+    from state 0, add initstate, one more step.  n <= MAX_EPISODES, so
+    that each key is one word.  tests/test_qlearn.py pins this against
+    numpy's own SeedSequence and PCG64."""
+    if seed < 0 or not 1 <= n <= MAX_EPISODES:
+        raise ValueError(f"episode_states: need seed >= 0 and n in [1, 2**32], "
+                         f"got seed {seed}, n {n}")
+    entropy = []
+    while seed:
+        entropy.append(seed & _M32)
+        seed >>= 32
+    entropy += [0] * (_POOL - len(entropy))
+    h = _INIT_A
+    pool = []
+    for w in entropy[:_POOL]:
+        v, h = _hashmix(w, h)
+        pool.append(v)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                v, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], v)
+    for w in entropy[_POOL:]:
+        for dst in range(_POOL):
+            v, h = _hashmix(w, h)
+            pool[dst] = _mix(pool[dst], v)
+    keys = np.arange(n, dtype=np.uint64)
+    mixed = []
+    for dst in range(_POOL):
+        v, h = _hashmix(keys, h)
+        mixed.append(_mix(pool[dst], v))
+    # generate_state(4, uint64): 8 uint32 words, read in little-endian pairs
+    h = _INIT_B
+    halves = []
+    for k in range(2 * _POOL):
+        v, h = _hashmix(mixed[k % _POOL], h, _MULT_B)
+        halves.append(v)
+    words = [(halves[2 * k + 1] << 32 | halves[2 * k]).tolist() for k in range(_POOL)]
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*words):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        # the first step from state 0 gives inc
+        state = (inc + (s_hi << 64 | s_lo)) & _M128
+        states.append(((state * _PCG_MULT + inc) & _M128, inc))
+    return states
 
 
 def new_qtable(n: int) -> np.ndarray:
@@ -248,12 +340,18 @@ def best_state_of(q: np.ndarray, cache: DepthCache) -> int:
 def train(cache: DepthCache, rc: RewardConfig, hp: Hyperparams) -> RunResult:
     """Run hp.episodes episodes against one persistent Q-table.
 
-    Each episode draws from its own spawned substream of the seeded
-    PCG64 generator, so traces are reproducible episode by episode.
+    Episode e draws from the PCG64 numpy seeds from child e of
+    SeedSequence(hp.seed).spawn(hp.episodes), so traces are reproducible
+    episode by episode.  One PCG64 serves the whole run: before each
+    episode it is set to that child's state from episode_states.
     """
     q = masked_qtable(cache)
-    streams = np.random.SeedSequence(hp.seed).spawn(hp.episodes)
-    traces = [run_episode(cache, rc, q, hp, _Draws(ss)) for ss in streams]
+    bits = np.random.PCG64()
+    traces = []
+    for state, inc in episode_states(hp.seed, hp.episodes):
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        traces.append(run_episode(cache, rc, q, hp, _Draws(bits)))
     qtable = np.array(q)
     qtable[cache.next_state < 0] = 0.0
     best = best_state_of(qtable, cache)
@@ -263,7 +361,7 @@ def train(cache: DepthCache, rc: RewardConfig, hp: Hyperparams) -> RunResult:
 
 def write_qtable_csv(path, q: np.ndarray) -> None:
     write_csv(path, ["state_id"] + [f"a({di},{dj})" for di, dj in ACTIONS],
-              ([flat] + [repr(float(x)) for x in row] for flat, row in enumerate(q)))
+              ([flat, *map(repr, row)] for flat, row in enumerate(q.tolist())))
 
 
 def write_qtable_json(path, q: np.ndarray, config_snapshot: dict, seed: int) -> None:

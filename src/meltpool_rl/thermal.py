@@ -160,7 +160,9 @@ def _profile_basis(env: MaterialEnv, v: float, xs: np.ndarray, y: float,
 
     den = 4.0 * a * u * u
     xd = np.atleast_1d(xs)[:, None] - v * (t - u * u)[None, :]
-    g = 2.0 / (2.0 * a * u * u + sig2) * np.exp(-(xd * xd + y * y) / (den + 2.0 * sig2))
+    # at a huge speed xd*xd overflows to inf, and exp(-inf) = 0 is the limit
+    with np.errstate(over="ignore"):
+        g = 2.0 / (2.0 * a * u * u + sig2) * np.exp(-(xd * xd + y * y) / (den + 2.0 * sig2))
     return den, w, g
 
 

@@ -50,6 +50,13 @@ class TestDepth:
             EXIT_RUNTIME
         assert "converged=False" in capsys.readouterr().out
 
+    def test_huge_speed_melts_nothing_without_warnings(self, capsys):
+        """The kernel's offset squared overflows to inf at this speed;
+        exp(-inf) = 0 is its exact limit.  The test configuration turns a
+        RuntimeWarning from meltpool_rl into an error."""
+        assert main(["depth", "--power", "500", "--speed", "1e308"]) == EXIT_OK
+        assert "depth_mm=0.0000" in capsys.readouterr().out
+
     def test_zero_speed_fails_validation(self):
         assert main(["depth", "--power", "500", "--speed", "0"]) == \
             EXIT_VALIDATION
@@ -138,6 +145,25 @@ class TestNegativeSeeds:
         rc = main(["--config", str(cfg), *argv, "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert f"{key} must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestEpisodeBound:
+    """More than 2**32 episodes fails validation, naming the key, before
+    any output directory exists."""
+
+    @pytest.mark.parametrize("config, argv", [
+        (f"qlearn:\n  episodes: {'9' * 30}\n", ["train"]),
+        (f"sweep:\n  param: episodes\n  values: [10, {'9' * 30}]\n",
+         ["sweep", "--param", "episodes"]),
+    ])
+    def test_exits_before_output(self, tmp_path, capsys, config, argv):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfg), *argv, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "qlearn.episodes must be in [1, 2**32]" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -33,7 +33,8 @@ _ABOVE_ONE = st.floats(1.0, 10.0, exclude_min=True)
 SWEEP_IN_RANGE = {"n": st.integers(2, 40), "episodes": st.integers(1, 500),
                   "epsilon": st.floats(0.0, 1.0), "gamma": st.floats(0.0, 1.0),
                   "alpha": st.floats(0.0, 1.0, exclude_min=True)}
-SWEEP_OUT_OF_RANGE = {"n": st.integers(-5, 1), "episodes": st.integers(-5, 0),
+SWEEP_OUT_OF_RANGE = {"n": st.integers(-5, 1),
+                      "episodes": st.integers(-5, 0) | st.integers(2**32 + 1, 10**30),
                       "epsilon": _BELOW_ZERO | _ABOVE_ONE,
                       "gamma": _BELOW_ZERO | _ABOVE_ONE,
                       "alpha": st.floats(-10.0, 0.0) | _ABOVE_ONE}
@@ -197,6 +198,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"sweep\.base_seed must be >= 0, got -3"):
             load_config(write(tmp_path, "sweep:\n  param: epsilon\n  base_seed: -3\n"))
 
+    def test_episodes_above_2_32_are_named(self, tmp_path):
+        """A run has at most 2**32 episodes, one per one-word spawn key;
+        nothing here runs the bound itself."""
+        big = "9" * 30
+        with pytest.raises(ConfigError, match=r"^qlearn\.episodes must be in \[1, 2\*\*32\]"):
+            load_config(write(tmp_path, f"qlearn:\n  episodes: {big}\n"))
+        with pytest.raises(ConfigError, match=r"sweep\.values: .* qlearn\.episodes must be in"):
+            load_config(write(tmp_path, f"sweep:\n  param: episodes\n  values: [10, {big}]\n"))
+        with pytest.raises(ValueError, match=r"got 4294967297$"):
+            Hyperparams(episodes=2**32 + 1)
+        assert Hyperparams(episodes=2**32).episodes == 2**32
+
     @pytest.mark.parametrize("param, value", [
         ("n", 4.6), ("episodes", 10.5), ("n", "five"), ("episodes", True),
     ])
@@ -208,7 +221,8 @@ class TestValidation:
     @pytest.mark.parametrize("param, values", [
         ("epsilon", "0.5"), ("epsilon", "[1.5]"), ("alpha", "[abc]"),
         ("gamma", "{a: 1}"), ("n", "[1]"), ("episodes", "[0]"),
-        ("epsilon", "[0.5, 0.5]"), ("n", "[3, 3.0]"),
+        ("epsilon", "[0.5, 0.5]"), ("n", "[3, 3.0]"), ("episodes", f"[{2**32 + 1}]"),
+        ("episodes", f"[{'9' * 400}]"), ("alpha", f"[{'9' * 400}]"),
     ])
     def test_invalid_sweep_values_are_named(self, tmp_path, param, values):
         with pytest.raises(ConfigError, match=r"sweep\.values"):

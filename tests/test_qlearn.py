@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from meltpool_rl import environment, qlearn
@@ -21,6 +21,7 @@ from meltpool_rl.qlearn import (
     Hyperparams,
     _Draws,
     best_state_of,
+    episode_states,
     masked_qtable,
     new_qtable,
     q_update,
@@ -200,6 +201,11 @@ class TestSelectActionDraws:
 DRAW_BOUNDS = (1, 2, 8, 100, 2**31 + 1, 2**32)
 
 
+def seeded_draws(ss):
+    """A _Draws on the PCG64 numpy seeds from ss."""
+    return _Draws(np.random.PCG64(ss))
+
+
 class TestDraws:
     @given(seed=st.integers(0, 2**64 - 1),
            calls=st.lists(st.one_of(st.none(), st.sampled_from(DRAW_BOUNDS)),
@@ -211,7 +217,7 @@ class TestDraws:
         130 raw words, so each example crosses two 64-word refills."""
         assume(any(n != 1 for n in calls))
         ss = np.random.SeedSequence(seed)
-        draws, ref = _Draws(ss), np.random.default_rng(ss)
+        draws, ref = seeded_draws(ss), np.random.default_rng(ss)
         halves = 0  # at least this many 32-bit halves taken; random() takes two
         for n in itertools.cycle(calls):
             if halves >= 2 * 130:
@@ -229,7 +235,7 @@ class TestDraws:
     @pytest.mark.parametrize("n", [0, -1, 2**32 + 1])
     def test_bound_outside_range_rejected(self, n):
         with pytest.raises(ValueError, match="integers"):
-            _Draws(np.random.SeedSequence(0)).integers(n)
+            seeded_draws(np.random.SeedSequence(0)).integers(n)
 
     @given(seed=st.integers(0, 2**32 - 1), epsilon=st.sampled_from([0.0, 0.25, 1.0]),
            n_epochs=st.sampled_from([1, 5, 50]))
@@ -241,11 +247,34 @@ class TestDraws:
         hp = Hyperparams(epsilon=epsilon, n_epochs=n_epochs)
         q_draws, q_ref = masked_qtable(cache10), masked_qtable(cache10)
         for ss in np.random.SeedSequence(seed).spawn(4):
-            got = run_episode(cache10, reward_config, q_draws, hp, _Draws(ss))
+            got = run_episode(cache10, reward_config, q_draws, hp, seeded_draws(ss))
             want = run_episode(cache10, reward_config, q_ref, hp,
                                np.random.default_rng(ss))
             assert got == want
             assert q_draws == q_ref
+
+
+class TestEpisodeStates:
+    @given(seed=st.integers(0, 2**256), n=st.integers(1, 300))
+    @example(seed=0, n=300)
+    @example(seed=2**32 - 1, n=2)
+    @example(seed=2**32, n=7)
+    @example(seed=2**64 - 1, n=1)
+    @example(seed=2**64, n=100)
+    @example(seed=2**128 + 1, n=300)
+    @settings(max_examples=100, deadline=None)
+    def test_same_states_as_numpy(self, seed, n):
+        """Each child's PCG64 (state, inc) is the one numpy's own
+        SeedSequence.spawn and PCG64 give, for seeds of one to nine
+        uint32 words."""
+        want = [(bits["state"]["state"], bits["state"]["inc"]) for bits in
+                (np.random.PCG64(c).state for c in np.random.SeedSequence(seed).spawn(n))]
+        assert episode_states(seed, n) == want
+
+    @pytest.mark.parametrize("seed, n", [(-1, 1), (0, 0), (0, 2**32 + 1)])
+    def test_out_of_range_rejected(self, seed, n):
+        with pytest.raises(ValueError, match="episode_states"):
+            episode_states(seed, n)
 
 
 def run_episode_reference(cache, rc, q, hp, rng):
@@ -272,7 +301,7 @@ def train_reference(cache, rc, hp):
     """train built on run_episode_reference and a zero table: the
     Q-table, the traces and the best state."""
     q = new_qtable(cache.grid.n).tolist()
-    traces = [run_episode_reference(cache, rc, q, hp, _Draws(ss))
+    traces = [run_episode_reference(cache, rc, q, hp, seeded_draws(ss))
               for ss in np.random.SeedSequence(hp.seed).spawn(hp.episodes)]
     qtable = np.array(q)
     return qtable, traces, best_state_of(qtable, cache)
@@ -345,7 +374,7 @@ class TestRunEpisode:
         q = new_qtable(2).tolist()
         with pytest.raises(ValueError, match=r"off-grid move at state \d, action \d"):
             for ss in np.random.SeedSequence(0).spawn(20):
-                run_episode(cache, reward_config, q, Hyperparams(epsilon=0.0), _Draws(ss))
+                run_episode(cache, reward_config, q, Hyperparams(epsilon=0.0), seeded_draws(ss))
         assert not np.array(q)[cache.next_state < 0].any()
 
 
@@ -383,7 +412,7 @@ class TestFusedLoop:
         for episode, q in ((run_episode, q_fused), (run_episode_reference, q_ref)):
             try:
                 for ss in np.random.SeedSequence(seed).spawn(hp.episodes):
-                    episode(edge_cache, reward_config, q, hp, _Draws(ss))
+                    episode(edge_cache, reward_config, q, hp, seeded_draws(ss))
             except EnvironmentEvalError as exc:
                 errors.append(str(exc))
             else:
