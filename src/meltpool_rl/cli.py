@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import CONFIG_ENV_VAR, ConfigError, load_config
+from .config import CONFIG_ENV_VAR, load_config
 from .environment import DepthCache, write_depth_map_csv
 from .experiments import SWEEPABLE, run_sweep
 from .oracle import brute_force_rank, validate_run, write_pv_map_csv
@@ -41,11 +41,9 @@ def _open_output(path: str, cfg) -> Path:
 def cmd_depth(args) -> int:
     cfg = load_config(args.config)
     if not 0 <= args.power < math.inf:
-        print("error: --power must be finite and >= 0", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("--power must be finite and >= 0")
     if not 0 < args.speed < math.inf:
-        print("error: --speed must be finite and > 0", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("--speed must be finite and > 0")
     res = melt_pool_depth(cfg.material, args.power, args.speed * MMPM_TO_MPS)
     print(f"depth_mm={res.depth_mm:.4f} converged={res.converged} "
           f"t_used_s={res.t_used:.2f}")
@@ -98,9 +96,8 @@ def cmd_map(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if args.param not in SWEEPABLE:
-        print(f"error: unknown sweep parameter {args.param!r}; "
-              f"valid: {', '.join(SWEEPABLE)}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError(f"unknown sweep parameter {args.param!r}; "
+                         f"valid: {', '.join(SWEEPABLE)}")
     spec = cfg.sweep_for(args.param)
     results = run_sweep(spec, cfg.material, cfg.grid, cfg.reward, cfg.qlearn)
 
@@ -169,7 +166,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:

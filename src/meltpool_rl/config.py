@@ -104,7 +104,8 @@ def load_config(path: Optional[str] = None) -> RunConfig:
                 raw = yaml.safe_load(fh) or {}
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:
+            # PyYAML raises ValueError for an int literal over Python's digit limit
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be a mapping")

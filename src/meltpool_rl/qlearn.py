@@ -13,16 +13,18 @@ standard one-step temporal-difference target:
     Q(s,a) <- Q(s,a) + alpha * (r + gamma * max_a' Q(s',a') - Q(s,a))
 
 with the max taken over the actions actually available at s' (edge states
-have fewer than 8).  run_episode is the training loop, one step inlined;
-select_action, environment.step and q_update are the same step as
-single-call functions that take an unmasked list or ndarray table.  All
-randomness flows from the run's seed: episode e draws from the PCG64
-that numpy seeds from child e of SeedSequence(seed).spawn(episodes), so
-runs are bit-reproducible.  episode_states computes every child's PCG64
-state in one vectorised pass, and train reseeds one PCG64 with it before
-each episode.  train draws each episode's numbers with _Draws, which
-rebuilds in Python the values numpy's Generator makes from the same raw
-PCG64 words.
+have fewer than 8).  run_episode is the training loop, one step inlined,
+reading cache.scores once per episode; select_action, environment.step
+and q_update are the same step as single-call functions that take an
+unmasked list or ndarray table.  Training does not call them; they stay
+as the reference the tests pin the loop to bit for bit, and as names
+perfbench traces.  All randomness flows from the run's seed: episode e
+draws from the PCG64 that numpy seeds from child e of
+SeedSequence(seed).spawn(episodes), so runs are bit-reproducible.
+episode_states computes every child's PCG64 state in one vectorised
+pass, and train reseeds one PCG64 with it before each episode.  train
+draws each episode's numbers with _Draws, which rebuilds in Python the
+values numpy's Generator makes from the same raw PCG64 words.
 """
 
 from __future__ import annotations
@@ -281,7 +283,7 @@ def run_episode(cache: DepthCache, rc: RewardConfig, q: list,
     rng is a Generator or the _Draws train passes, which draws the same
     numbers.
     """
-    valid, moves, scores = cache.valid, cache._moves, cache.scores(rc)
+    valid, moves, scores = cache.valid, cache.moves, cache.scores(rc)
     alpha, gamma, epsilon = hp.alpha, hp.gamma, hp.epsilon
     keep = 1.0 - alpha
     random, integers = rng.random, rng.integers

@@ -181,10 +181,17 @@ def _profile_eval(env: MaterialEnv, den: np.ndarray, coef: np.ndarray,
 
 def _adaptive_basis(env: MaterialEnv, v: float, xs, y: float, t: float):
     """Panel-doubling composite Gauss-Legendre basis, converged at the
-    surface and at mid-depth (the z-dependent damping only smooths the
-    integrand further, so these two checkpoints bound the refinement).
-    The test is relative and the rise is linear in P, so it runs at unit
-    power and its panel count holds for every power."""
+    surface and at mid-depth (z = 0.5 mm).  The test is relative and the
+    rise is linear in P, so it runs at unit power and its panel count
+    holds for every power.
+
+    The two checkpoints do not bound the error at every depth.  Just
+    below the surface the damping exp(-z^2/4au^2) is a near-step at
+    u ~ z/sqrt(4a), inside the first panel, so the basis can stop short
+    there: at 800 W, 700 mm/min, t = 2 s and 1 sigma behind the laser it
+    stops at 32 panels, with relative errors against 4096 panels of
+    1.8e-4 at z = 0.005 mm, 3.6e-5 at 0.05 mm and 2e-10 at 0.5 mm.  A
+    third checkpoint would change panel counts, and with them depths."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
 
     def checkpoints(den, w, g):

@@ -43,7 +43,7 @@ class TestDepth:
     def test_negative_power_fails_validation(self, capsys):
         assert main(["depth", "--power", "-5", "--speed", "500"]) == \
             EXIT_VALIDATION
-        assert "--power" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --power must be finite and >= 0\n"
 
     def test_beyond_depth_bracket_is_a_runtime_failure(self, capsys):
         assert main(["depth", "--power", "5000", "--speed", "100"]) == \
@@ -57,9 +57,10 @@ class TestDepth:
         assert main(["depth", "--power", "500", "--speed", "1e308"]) == EXIT_OK
         assert "depth_mm=0.0000" in capsys.readouterr().out
 
-    def test_zero_speed_fails_validation(self):
+    def test_zero_speed_fails_validation(self, capsys):
         assert main(["depth", "--power", "500", "--speed", "0"]) == \
             EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: --speed must be finite and > 0\n"
 
     @pytest.mark.parametrize("flag, value", [("--speed", "inf"), ("--speed", "nan"),
                                              ("--power", "inf"), ("--power", "nan")])
@@ -167,6 +168,25 @@ class TestEpisodeBound:
         assert not out.exists()
 
 
+class TestGridBound:
+    """A grid.n above 2**16 fails validation, naming the key, before any
+    output directory exists; nothing here builds a grid that large."""
+
+    @pytest.mark.parametrize("config, argv", [
+        ("grid:\n  n: 65537\n", ["map"]),
+        (f"grid:\n  n: {'9' * 30}\n", ["train"]),
+        (f"sweep:\n  param: n\n  values: [5, {10**400}]\n", ["sweep", "--param", "n"]),
+    ])
+    def test_exits_before_output(self, tmp_path, capsys, config, argv):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfg), *argv, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "grid.n must be <= 2**16" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestOutputOnlyAfterResults:
     """A run that fails leaves no --out: on this 2x2 grid the
     (20000 W, 400 mm/min) state melts past the 5 mm depth bracket."""
@@ -199,7 +219,9 @@ class TestSweep:
         rc = main(["--config", small_config, "sweep", "--param", "beta",
                    "--out", str(tmp_path / "s")])
         assert rc == EXIT_VALIDATION
-        assert "beta" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: unknown sweep parameter 'beta'; "
+                                           "valid: n, epsilon, gamma, alpha, episodes\n")
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("values", ["0.5", "[1.5]", "[0.5, 0.5]"])
     def test_invalid_sweep_values_exit_before_output(self, tmp_path, capsys, values):

@@ -1,5 +1,7 @@
 """YAML configuration loading, defaults, and validation messages."""
 
+from pathlib import Path
+
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -8,9 +10,12 @@ from hypothesis import strategies as st
 from meltpool_rl.cli import EXIT_VALIDATION, main
 from meltpool_rl.config import CONFIG_ENV_VAR, ConfigError, load_config
 from meltpool_rl.environment import RewardConfig, StateGrid
-from meltpool_rl.experiments import SWEEPABLE
+from meltpool_rl.experiments import SWEEPABLE, SweepSpec
 from meltpool_rl.qlearn import Hyperparams
 from meltpool_rl.thermal import BEAM_TO_SIGMA, MaterialEnv
+
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "config.example.yaml"
 
 
 def write(tmp_path, text):
@@ -33,7 +38,7 @@ _ABOVE_ONE = st.floats(1.0, 10.0, exclude_min=True)
 SWEEP_IN_RANGE = {"n": st.integers(2, 40), "episodes": st.integers(1, 500),
                   "epsilon": st.floats(0.0, 1.0), "gamma": st.floats(0.0, 1.0),
                   "alpha": st.floats(0.0, 1.0, exclude_min=True)}
-SWEEP_OUT_OF_RANGE = {"n": st.integers(-5, 1),
+SWEEP_OUT_OF_RANGE = {"n": st.integers(-5, 1) | st.integers(2**16 + 1, 10**30),
                       "episodes": st.integers(-5, 0) | st.integers(2**32 + 1, 10**30),
                       "epsilon": _BELOW_ZERO | _ABOVE_ONE,
                       "gamma": _BELOW_ZERO | _ABOVE_ONE,
@@ -84,6 +89,16 @@ class TestDefaults:
         cfg = load_config(write(tmp_path, ""))
         assert cfg.snapshot == load_config().snapshot
 
+    def test_example_file_holds_the_defaults(self, monkeypatch):
+        """config.example.yaml's header says its values are the defaults."""
+        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+        example = load_config(str(EXAMPLE_CONFIG))
+        default = load_config(None)
+        for name in ("material", "grid", "reward", "qlearn"):
+            assert getattr(example, name) == getattr(default, name)
+            assert example.snapshot[name] == default.snapshot[name]
+        assert example.sweep_for("epsilon") == default.sweep_for("epsilon")
+
 
 class TestOverrides:
     def test_partial_sections_merge(self, tmp_path):
@@ -131,6 +146,23 @@ class TestValidation:
     def test_unparseable_yaml(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot parse"):
             load_config(write(tmp_path, "grid: [unclosed\n"))
+
+    def test_over_long_integer_literal_is_a_parse_error(self, tmp_path):
+        """PyYAML raises a bare ValueError for an integer literal over
+        Python's 4300-digit conversion limit; it names the file."""
+        path = write(tmp_path, f"grid:\n  n: {'9' * 5000}\n")
+        with pytest.raises(ConfigError, match="^cannot parse config") as info:
+            load_config(path)
+        assert path in str(info.value)
+
+    def test_grid_n_above_2_16_is_named(self, tmp_path):
+        for n in (2**16 + 1, "9" * 30):
+            with pytest.raises(ConfigError, match=r"^grid\.n must be <= 2\*\*16"):
+                load_config(write(tmp_path, f"grid:\n  n: {n}\n"))
+        with pytest.raises(ConfigError, match=r"sweep\.values: .* grid\.n must be <= 2\*\*16"):
+            load_config(write(tmp_path, f"sweep:\n  param: n\n  values: [5, {10**400}]\n"))
+        with pytest.raises(ValueError, match=r"grid\.n must be <= 2\*\*16"):
+            SweepSpec("n", values=[10**400])
 
     def test_unknown_key_is_named(self, tmp_path):
         with pytest.raises(ConfigError, match="grid.n_states"):

@@ -2,6 +2,7 @@
 
 import csv
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +47,13 @@ class TestStateGrid:
         with pytest.raises(ValueError, match=r"grid\.v_min_mmpm must be > 0, got 0\.0"):
             StateGrid(v_min=0.0)
         assert state_params(StateGrid(p_min=0.0), 0) == (0.0, 400.0)
+
+    def test_upper_bound_is_named(self):
+        """n^2 start states must fit the 2**32 range the start draw takes."""
+        assert StateGrid(n=2**16).n_states == 2**32
+        for n in (2**16 + 1, int("9" * 30), 10**400):
+            with pytest.raises(ValueError, match=r"^grid\.n must be <= 2\*\*16, got \d+$"):
+                StateGrid(n=n)
 
     def test_named_state_params(self, grid):
         p, v = state_params(grid, 75)
@@ -221,7 +229,8 @@ class TestNextState:
     @given(n=st.integers(2, 30))
     @settings(deadline=None)
     def test_matches_king_move_arithmetic(self, n):
-        """next_state[s, a] is (i+di)*n + (j+dj) on the grid, -1 off it."""
+        """next_state[s, a] is (i+di)*n + (j+dj) on the grid, -1 off it,
+        and the moves rows the training loop reads hold the same."""
         with pytest.MonkeyPatch.context() as mp:  # the tables, not the depths
             mp.setattr(DepthCache, "warm", lambda self: None)
             cache = DepthCache(MaterialEnv(), StateGrid(n=n))
@@ -231,7 +240,9 @@ class TestNextState:
                 inside = 0 <= i + di < n and 0 <= j + dj < n
                 want = (i + di) * n + (j + dj) if inside else -1
                 assert cache.next_state[s, a] == want
+            assert cache.moves[s] == cache.next_state[s].tolist()
             assert cache.valid[s] == valid_actions(cache.grid, s)
+        assert cache.next_state.dtype == np.intp
 
 
 class TestDepthMapCsv:

@@ -139,6 +139,20 @@ class TestTemperature:
             LaserQuery(p=100.0, v=V_MID, x=0.0, y=0.0, z=0.0, t=-1.0)
 
 
+class TestStationaryClosedForm:
+    @given(p=st.floats(100.0, 3000.0), t=st.floats(0.01, 10.0))
+    @settings(deadline=None)
+    def test_surface_centre_matches_closed_form(self, material, p, t):
+        """An outside reference: at v = 0 the surface point under the beam
+        centre has T - T0 = C*P * 2/(sigma*sqrt(2a)) * arctan(sqrt(2at)/sigma),
+        the time integral 2/(2a*u^2 + sigma^2) over u in [0, sqrt(t)]."""
+        a, sigma = material.diffusivity, material.sigma
+        want = (material.amplitude_per_watt * p * 2.0 / (sigma * math.sqrt(2.0 * a))
+                * math.atan(math.sqrt(2.0 * a * t) / sigma))
+        rise = temperature(material, LaserQuery(p, 0.0, 0.0, 0.0, 0.0, t)) - material.t0
+        assert rise == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 class TestQuadrature:
     def test_self_convergence_on_panel_doubling(self, material):
         """The converged rule changes by < 1e-5 relative when refined again."""
