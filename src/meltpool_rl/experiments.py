@@ -33,6 +33,17 @@ SWEEPABLE = tuple(DEFAULT_SWEEP_VALUES)
 _INTEGRAL = ("n", "episodes")
 
 
+def _shown(value) -> str:
+    """A rejected value as an error message names it: its repr, or its
+    size when that repr is long."""
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    if isinstance(value, int):
+        return f"an integer of {len(text.lstrip('-'))} digits"
+    return f"a {type(value).__name__} of {len(text)} characters"
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     param: str
@@ -49,14 +60,14 @@ class SweepSpec:
         if self.base_seed < 0:
             raise ValueError(f"sweep.base_seed must be >= 0, got {self.base_seed}")
         if not isinstance(self.values, (list, tuple)):
-            raise ValueError(f"sweep.values must be a list, got {self.values!r}")
+            raise ValueError(f"sweep.values must be a list, got {_shown(self.values)}")
         integral = self.param in _INTEGRAL
         typed = []
         for value in self.values or DEFAULT_SWEEP_VALUES[self.param]:
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or integral and isinstance(value, float) and not value.is_integer()):
                 raise ValueError(f"sweep.values for {self.param} must be "
-                                 f"{'integers' if integral else 'numbers'}, got {value!r}")
+                                 f"{'integers' if integral else 'numbers'}, got {_shown(value)}")
             # the value as the StateGrid or Hyperparams field it sets
             try:
                 field_value = int(value) if integral else float(value)
@@ -67,10 +78,12 @@ class SweepSpec:
                 (StateGrid if self.param == "n" else Hyperparams)(
                     **{self.param: field_value})
             except ValueError as exc:
-                raise ValueError(f"sweep.values: {value!r} is invalid: {exc}") from exc
+                # name the value once: drop the field's own ", got <value>"
+                reason = str(exc).removesuffix(f", got {field_value}")
+                raise ValueError(f"sweep.values: {_shown(value)} is invalid: {reason}") from exc
             if field_value in typed:
                 # each value names its own output directory
-                raise ValueError(f"sweep.values: {value!r} is listed twice")
+                raise ValueError(f"sweep.values: {_shown(value)} is listed twice")
             typed.append(field_value)
         object.__setattr__(self, "values", tuple(typed))
 

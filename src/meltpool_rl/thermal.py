@@ -55,6 +55,9 @@ _T_START = 2.0  # s
 _T_GROWTH = 1.5
 _MAX_EXTENSIONS = 4
 _DEPTH_TOL_MM = 1e-3
+#: half-width of the bisection's warm-start window around a guessed
+#: depth, m: 32 final bisection intervals of Z_MAX / 2**16
+_GUESS_HALF_WIDTH = 32 * Z_MAX / 2**16
 
 #: 12-point Gauss-Legendre rule on [-1, 1], applied on every panel
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -231,21 +234,50 @@ def temperature(env: MaterialEnv, q: LaserQuery) -> float:
     return val
 
 
+def _leaf(z: float) -> tuple[float, float]:
+    """The final bisection interval [lo, hi] that holds depth z, with
+    both ends as the bisection computes them."""
+    lo, hi = 0.0, Z_MAX
+    while hi - lo > _Z_TOL:
+        m = 0.5 * (lo + hi)
+        if z >= m:
+            lo = m
+        else:
+            hi = m
+    return lo, hi
+
+
 def _depth_at_time(env: MaterialEnv, p: float, v: float, t: float,
-                   bases: dict) -> tuple[float, bool]:
+                   bases: dict, guess: float | None = None) -> tuple[float, bool]:
     """Max over the scan line of the liquidus-isotherm root depth (m), and
     whether a root lies at the bracket edge Z_MAX (the pool is deeper
     than the bracket, so the depth is only a lower bound).
 
     The pool maximum trails the laser, so x spans [x_laser - 5*sigma,
     x_laser + 2*sigma]; its basis is kept in bases under t for the other
-    powers at speed v.  T is strictly decreasing in z at fixed (x, y, t),
-    which makes plain bisection valid.
+    powers at speed v.
 
-    One bisection serves the line: a point below the liquidus at a midpoint
-    where another is above ends shallower than the final midpoint, so it is
-    dropped; the rest follow that bisection exactly, so depth and edge flag
-    equal those of bisecting every melted point alone, bit for bit.
+    The bisection is a fixed tree: each midpoint's float value depends
+    only on its path from [0, Z_MAX].  Along one scan-line point the
+    float temperature never rises from one tree node to a deeper one:
+    the coefficients are positive; two nodes at least one leaf
+    (Z_MAX / 2**16) apart move each damping term not flushed to 0 by
+    leaf^2 / (4*a*t) relative or more (2e-11 for the default material at
+    t = 10.125 s), far above exp's rounding; and einsum's fixed summation
+    order is monotone in each term.  So if some point is at or
+    above the liquidus at a node, every shallower node is decided
+    "above", and if none is at a node, every deeper one is "below"; the
+    bisection path, and with it the result, depends only on which side
+    of the isotherm each node it visits lies.
+
+    A guess (m) warm-starts the bisection: the nodes 32 leaves either
+    side of it are probed first, and the 16-level descent then evaluates
+    only nodes strictly between the deepest known "above" node and the
+    shallowest known "below" node, on the points above at the former.
+    A guess changes how many nodes are evaluated, never the result; a
+    wrong one costs at most two extra evaluations.  Points below the
+    liquidus at an evaluated node are dropped, as they end shallower
+    than the final midpoint.
     """
     if t not in bases:
         x_laser = v * t
@@ -255,18 +287,36 @@ def _depth_at_time(env: MaterialEnv, p: float, v: float, t: float,
     den, w, g = bases[t]
     coef = env.amplitude_per_watt * p * w * g
 
-    melted = _profile_eval(env, den, coef, 0.0) >= env.t_liq
-    if not melted.any():
-        return 0.0, False
-    rows = coef[melted]
+    # deepest node known above (0: none yet) and its rows that are above,
+    # shallowest node known below (Z_MAX: none yet)
+    known_above, known_below, rows = 0.0, Z_MAX, coef
+    if guess is not None:
+        for probe in (_leaf(guess - _GUESS_HALF_WIDTH)[0],
+                      _leaf(guess + _GUESS_HALF_WIDTH)[1]):
+            if known_above < probe < known_below:
+                above = _profile_eval(env, den, rows, probe) >= env.t_liq
+                if above.any():
+                    known_above, rows = probe, rows[above]
+                else:
+                    known_below = probe
+    if known_above == 0.0:
+        melted = _profile_eval(env, den, rows, 0.0) >= env.t_liq
+        if not melted.any():
+            return 0.0, False
+        rows = rows[melted]
     lo, hi = 0.0, Z_MAX
     while hi - lo > _Z_TOL:
         m = 0.5 * (lo + hi)
-        above = _profile_eval(env, den, rows, m) >= env.t_liq
-        if above.any():
-            lo, rows = m, rows[above]
-        else:
+        if m <= known_above:
+            lo = m
+        elif m >= known_below:
             hi = m
+        else:
+            above = _profile_eval(env, den, rows, m) >= env.t_liq
+            if above.any():
+                lo, rows = m, rows[above]
+            else:
+                hi = m
     return 0.5 * (lo + hi), hi == Z_MAX
 
 
@@ -281,8 +331,20 @@ def melt_pool_depth(env: MaterialEnv, p: float, v: float) -> DepthResult:
     return _steady_depth(env, p, v, {})
 
 
+def _start_guess(p: float, prior: tuple) -> float | None:
+    """Guess at the t = 2 s depth of power p: the line through prior,
+    the (power, depth) pairs of the last two powers at this speed."""
+    if len(prior) < 2 or prior[0][0] == prior[1][0]:
+        return None
+    (p1, d1), (p2, d2) = prior
+    return d2 + (d2 - d1) * (float(p) - p2) / (p2 - p1)
+
+
 def _steady_depth(env: MaterialEnv, p: float, v: float, bases: dict) -> DepthResult:
-    """melt_pool_depth, sharing the scan-line bases of speed v."""
+    """melt_pool_depth, sharing the scan-line bases of speed v.  Under
+    "start" bases also keeps the t = 2 s depths of the last two powers at
+    v, which warm-start the next power's first bisection; each later
+    bisection starts from the same power's previous depth."""
     if not 0 <= p < math.inf:
         raise ValueError("power must be finite and >= 0")
     if not 0 < v < math.inf:
@@ -291,10 +353,12 @@ def _steady_depth(env: MaterialEnv, p: float, v: float, bases: dict) -> DepthRes
         return DepthResult(0.0, True, 0.0)
 
     t = _T_START
-    d_prev, at_edge = _depth_at_time(env, p, v, t, bases)
+    prior = bases.get("start", ())
+    d_prev, at_edge = _depth_at_time(env, p, v, t, bases, _start_guess(p, prior))
+    bases["start"] = (*prior[-1:], (float(p), d_prev))
     for _ in range(_MAX_EXTENSIONS):
         t_next = t * _T_GROWTH
-        d_next, at_edge = _depth_at_time(env, p, v, t_next, bases)
+        d_next, at_edge = _depth_at_time(env, p, v, t_next, bases, d_prev)
         if abs(d_next - d_prev) * MM_PER_M < _DEPTH_TOL_MM:
             return DepthResult(d_next * MM_PER_M, not at_edge, t_next, at_edge)
         t, d_prev = t_next, d_next
@@ -305,8 +369,10 @@ def batch_depths(env: MaterialEnv, queries) -> list[DepthResult]:
     """Element-wise melt_pool_depth over (p, v) pairs.
 
     Queries are visited speed by speed, so each speed's scan-line bases
-    are built once for all of its powers.  Results are identical to
-    individual calls; failures carry the offending query index.
+    are built once for all of its powers, and each power's first
+    bisection is warm-started from the powers before it.  Results are
+    identical to individual calls; failures carry the offending query
+    index.
     """
     queries = list(queries)
     by_speed: dict[float, list[int]] = {}

@@ -65,6 +65,21 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=r"sweep\.values"):
             SweepSpec(param, values=values)
 
+    @pytest.mark.parametrize("param, value, key", [
+        ("n", 10**400, "grid.n"), ("episodes", -(10**400), "qlearn.episodes"),
+    ])
+    def test_huge_value_named_once_and_briefly(self, param, value, key):
+        with pytest.raises(ValueError) as info:
+            SweepSpec(param, values=[value])
+        message = str(info.value)
+        assert "sweep.values" in message and key in message
+        assert "an integer of 401 digits" in message and "0000" not in message
+        assert len(message) < 200
+
+    def test_long_string_value_named_briefly(self):
+        with pytest.raises(ValueError, match=r"got a str of 1002 characters$"):
+            SweepSpec("alpha", values=["x" * 1000])
+
     def test_values_list_accepted(self):
         assert SweepSpec("alpha", values=[0.5, 1]).values == (0.5, 1)
 

@@ -1,11 +1,14 @@
 """Golden outputs: SHA-256 digests of the default 10x10 depth map, of a
-wide 12x12 depth map, of every file written by a seed-0 `train` and a
-default `map`, of the run files of a small replicated epsilon sweep, of a
-greedy training run on a 2x2 grid, and the seed-0 run's best state.  Any change to the thermal quadrature, the
-bisection, the learner or an output format that moves a single bit shows
-up here."""
+wide 12x12 depth map and the benchmark's two 20x20 map grids, of every
+file written by a seed-0 `train` and a default `map`, of the run files
+of a small replicated epsilon sweep, of a greedy training run on a 2x2
+grid, and the seed-0 run's best state.  Any change to the thermal
+quadrature, the bisection, the learner or an output format that moves a
+single bit shows up here."""
 
 import hashlib
+
+import pytest
 
 from meltpool_rl.cli import main
 from meltpool_rl.config import CONFIG_ENV_VAR, load_config
@@ -18,6 +21,16 @@ DEPTHS_SHA256 = "23ace9cf50196e2ed2ca68d83d1e8a5accad510753b60bd6adda7389c39cff1
 #: edge, 4 not steady and 12 that never melt
 WIDE_GRID = StateGrid(n=12, p_min=100.0, p_max=20000.0, v_min=100.0, v_max=1200.0)
 WIDE_DEPTHS_SHA256 = "abbe5d2e97989ee650f552f6b74747ec9412aa879d2e34b907b0d4a7854dd5b4"
+#: the 20x20 grids of perfbench's grid_map at seeds 0 and 1, whose own
+#: reference check allows 1e-3 mm; these digests allow no bit
+GRID_MAP_GRIDS = {
+    0: StateGrid(n=20, p_min=489.0, p_max=1155.7, v_min=360.1, v_max=896.7),
+    1: StateGrid(n=20, p_min=433.2, p_max=1161.2, v_min=338.1, v_max=836.7),
+}
+GRID_MAP_DEPTHS_SHA256 = {
+    0: "dad5d6454677e22e10635894c84be7ec45352411eba28cab49aac96338129c18",
+    1: "3f9a62d20fb5f4801e16989e06fca005d29ac0c63eea9a319c4953613a40d6ff",
+}
 QTABLE_SHA256 = "28185f7b9ad111caae8727eab0d56161827c7a36b26e51b2e8185008e373f56f"
 CONVERGENCE_SHA256 = "f37f62d0af87613e618210772baea341b04d688daac487b6a18b0879b2078d43"
 SNAPSHOT_SHA256 = "1606a55eaebed94d299b0dfa107d50902b3642ff6130a84fae32cf94ff52df9b"
@@ -71,12 +84,22 @@ def test_default_depth_map_digest(cache10):
     assert sha256(text.encode()) == DEPTHS_SHA256
 
 
-def test_wide_depth_map_digest(material):
+def batch_depths_digest(material, grid: StateGrid) -> str:
+    """SHA-256 of every state's batch_depths repr and edge flag."""
     queries = [(p, v * MMPM_TO_MPS) for p, v in
-               (state_params(WIDE_GRID, s) for s in range(WIDE_GRID.n_states))]
+               (state_params(grid, s) for s in range(grid.n_states))]
     text = "\n".join(f"{res!r} at_edge={res.at_edge}"
                      for res in batch_depths(material, queries))
-    assert sha256(text.encode()) == WIDE_DEPTHS_SHA256
+    return sha256(text.encode())
+
+
+def test_wide_depth_map_digest(material):
+    assert batch_depths_digest(material, WIDE_GRID) == WIDE_DEPTHS_SHA256
+
+
+@pytest.mark.parametrize("seed", sorted(GRID_MAP_GRIDS))
+def test_grid_map_depths_digest(material, seed):
+    assert batch_depths_digest(material, GRID_MAP_GRIDS[seed]) == GRID_MAP_DEPTHS_SHA256[seed]
 
 
 def run_and_digest(tmp_path, monkeypatch, argv) -> dict:

@@ -32,6 +32,18 @@ from meltpool_rl.thermal import (
 V_MID = 550.0 * MMPM_TO_MPS
 #: the simulated times melt_pool_depth visits: 2 s grown by x1.5 four times
 DEPTH_TIMES = (2.0, 3.0, 4.5, 6.75, 10.125)
+#: one final bisection interval, m
+LEAF = Z_MAX / 2**16
+#: a warm-start guess as a function of the true depth: none, 0, negative,
+#: above the bracket, the true depth +- 0-200 leaves (+-32 and +-33 put the
+#: true leaf's ends on the probes, which are 32 leaves either side of the
+#: guess), or any float
+GUESSES = (st.one_of(st.sampled_from([None, 0.0]),
+                     st.floats(max_value=0.0, exclude_max=True),
+                     st.floats(min_value=Z_MAX, exclude_min=True),
+                     st.floats()).map(lambda g: lambda depth: g)
+           | (st.integers(-200, 200) | st.sampled_from([-33, -32, 32, 33])).map(
+               lambda k: lambda depth: depth + k * LEAF))
 
 
 def basis_nodes(t, n_panels):
@@ -82,13 +94,15 @@ def depth_at_time_reference(env, p, v, t, bases):
             bool(np.any(melted & (hi == Z_MAX))))
 
 
-def assert_depths_bit_identical(env, p, v_mmpm, times=DEPTH_TIMES):
-    """_depth_at_time equals the reference bit for bit, edge flag included."""
+def assert_depths_bit_identical(env, p, v_mmpm, times=DEPTH_TIMES,
+                                guess=lambda depth: None):
+    """_depth_at_time, warm-started from guess(true depth), equals the
+    reference bit for bit, edge flag included."""
     v = v_mmpm * MMPM_TO_MPS
     bases: dict = {}
     for t in times:
-        depth, at_edge = _depth_at_time(env, p, v, t, bases)
         ref_depth, ref_edge = depth_at_time_reference(env, p, v, t, bases)
+        depth, at_edge = _depth_at_time(env, p, v, t, bases, guess(ref_depth))
         assert (depth.hex(), at_edge) == (ref_depth.hex(), ref_edge), (p, v_mmpm, t)
 
 
@@ -263,6 +277,14 @@ class TestDepthAtTime:
     def test_bit_identical_to_per_point_bisection(self, material, p, v_mmpm, t):
         assert_depths_bit_identical(material, p, v_mmpm, times=(t,))
 
+    @given(p=st.floats(0.0, 20000.0), v_mmpm=st.floats(100.0, 2000.0),
+           t=st.sampled_from(DEPTH_TIMES), guess=GUESSES)
+    @settings(max_examples=100, deadline=None)
+    def test_guess_changes_no_bit(self, material, p, v_mmpm, t, guess):
+        """A warm-start guess, right, wrong or absurd, changes only the
+        work done."""
+        assert_depths_bit_identical(material, p, v_mmpm, times=(t,), guess=guess)
+
     @pytest.mark.parametrize("p, v_mmpm", [
         (50.0, 550.0),      # never melts
         (5000.0, 100.0),    # isotherm at the bracket edge
@@ -276,17 +298,24 @@ class TestDepthAtTime:
 class TestBatchDepths:
     def test_matches_individual_calls(self, material):
         """Power-major order over two speeds, plus zero power, a power that
-        never melts and a point whose depth never becomes steady."""
+        never melts and a point whose depth never becomes steady.  Two
+        power ramps warm-start each t = 2 s bisection from the powers
+        before it: at 300 mm/min from a power that never melts, at
+        100 mm/min from a depth at the 5 mm bracket edge."""
         queries = [(p, v * MMPM_TO_MPS) for p in (600.0, 900.0)
                    for v in (500.0, 650.0)]
         queries += [(0.0, 500.0 * MMPM_TO_MPS), (50.0, 650.0 * MMPM_TO_MPS),
                     (919.0, 200.0 * MMPM_TO_MPS)]
+        queries += [(p, 300.0 * MMPM_TO_MPS) for p in (100.0, 400.0, 700.0, 1000.0)]
+        queries += [(p, 100.0 * MMPM_TO_MPS) for p in (3000.0, 5000.0, 1500.0)]
         batch = batch_depths(material, queries)
         singles = [melt_pool_depth(material, p, v) for p, v in queries]
-        assert batch == singles
+        assert batch == singles  # at_edge included
         assert batch[4] == DepthResult(0.0, True, 0.0)
         assert batch[5].depth_mm == 0.0
         assert not batch[6].converged
+        assert batch[7].depth_mm == 0.0 and all(res.depth_mm > 0 for res in batch[8:11])
+        assert batch[12].at_edge and not batch[13].at_edge
 
     def test_failure_names_query_index(self, material):
         with pytest.raises(RuntimeError, match="query 1"):
