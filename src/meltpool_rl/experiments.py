@@ -124,7 +124,8 @@ def run_sweep(spec: SweepSpec, material: MaterialEnv, grid: StateGrid,
     """R replicated runs per swept value, aggregated and oracle-checked.
 
     caches maps grid resolution -> warm DepthCache and may be shared
-    across sweeps to avoid re-evaluating the thermal model.
+    across sweeps to avoid re-evaluating the thermal model; a cache built
+    for another grid or material is a ValueError.
     """
     caches = caches if caches is not None else {}
     out = []
@@ -134,6 +135,10 @@ def run_sweep(spec: SweepSpec, material: MaterialEnv, grid: StateGrid,
         if g.n not in caches:
             caches[g.n] = DepthCache(material, g)
         cache = caches[g.n]
+        if cache.grid != g:
+            raise ValueError(f"caches[{g.n}] was built for {cache.grid}, not {g}")
+        if cache.env != material:
+            raise ValueError(f"caches[{g.n}] was built for {cache.env}, not {material}")
         report = brute_force_rank(cache, rc)
         runs, seeds, verdicts = [], [], []
         for rep in range(spec.replicates):

@@ -55,9 +55,9 @@ _T_START = 2.0  # s
 _T_GROWTH = 1.5
 _MAX_EXTENSIONS = 4
 _DEPTH_TOL_MM = 1e-3
-#: half-width of the bisection's warm-start window around a guessed
-#: depth, m: 32 final bisection intervals of Z_MAX / 2**16
-_GUESS_HALF_WIDTH = 32 * Z_MAX / 2**16
+#: final bisection intervals (leaves) in [0, Z_MAX]
+#: (halving Z_MAX until an interval is at most _Z_TOL takes 16 steps)
+_LEAVES = 2**16
 
 #: 12-point Gauss-Legendre rule on [-1, 1], applied on every panel
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -151,7 +151,14 @@ def _profile_basis(env: MaterialEnv, v: float, xs: np.ndarray, y: float,
         T(x_i, z) = T0 + sum_k c_ik * exp(-z^2 / den_k),
 
     so one basis serves every power and every trial depth, and xs may be
-    a whole scan-line batch."""
+    a whole scan-line batch.
+
+    g_ik = 2 / (2*a*u_k^2 + sigma^2)
+           * exp(-((x_i - v*(t - u_k^2))^2 + y^2) / (den_k + 2*sigma^2))
+    is built in one buffer, with the same bits as the one-expression form:
+    y^2 is added only when y != 0 (adding +0 to a square, itself >= +0,
+    changes nothing), and the square is divided by the negated
+    denominator rather than negated itself ((-q)/d == q/(-d) in IEEE)."""
     a = env.diffusivity
     sig2 = env.sigma ** 2
 
@@ -162,10 +169,16 @@ def _profile_basis(env: MaterialEnv, v: float, xs: np.ndarray, y: float,
     w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
 
     den = 4.0 * a * u * u
-    xd = np.atleast_1d(xs)[:, None] - v * (t - u * u)[None, :]
-    # at a huge speed xd*xd overflows to inf, and exp(-inf) = 0 is the limit
+    g = np.atleast_1d(xs)[:, None] - v * (t - u * u)[None, :]
+    # at a huge speed the exponent overflows to -inf, and exp(-inf) = 0 is
+    # the limit
     with np.errstate(over="ignore"):
-        g = 2.0 / (2.0 * a * u * u + sig2) * np.exp(-(xd * xd + y * y) / (den + 2.0 * sig2))
+        np.multiply(g, g, out=g)
+        if y != 0.0:
+            np.add(g, y * y, out=g)
+        np.divide(g, -(den + 2.0 * sig2), out=g)
+    np.exp(g, out=g)
+    np.multiply(g, 2.0 / (2.0 * a * u * u + sig2), out=g)
     return den, w, g
 
 
@@ -234,17 +247,20 @@ def temperature(env: MaterialEnv, q: LaserQuery) -> float:
     return val
 
 
-def _leaf(z: float) -> tuple[float, float]:
-    """The final bisection interval [lo, hi] that holds depth z, with
-    both ends as the bisection computes them."""
-    lo, hi = 0.0, Z_MAX
-    while hi - lo > _Z_TOL:
+def _node(i: int) -> float:
+    """Depth (m) of bisection tree node i, 0 <= i <= _LEAVES: the boundary
+    between leaves i - 1 and i, as the bisection computes it."""
+    lo, hi, lo_i, span = 0.0, Z_MAX, 0, _LEAVES
+    while i != lo_i:
+        if i == lo_i + span:
+            return hi
+        span //= 2
         m = 0.5 * (lo + hi)
-        if z >= m:
-            lo = m
+        if i >= lo_i + span:
+            lo, lo_i = m, lo_i + span
         else:
             hi = m
-    return lo, hi
+    return lo
 
 
 def _depth_at_time(env: MaterialEnv, p: float, v: float, t: float,
@@ -270,12 +286,15 @@ def _depth_at_time(env: MaterialEnv, p: float, v: float, t: float,
     bisection path, and with it the result, depends only on which side
     of the isotherm each node it visits lies.
 
-    A guess (m) warm-starts the bisection: the nodes 32 leaves either
-    side of it are probed first, and the 16-level descent then evaluates
-    only nodes strictly between the deepest known "above" node and the
-    shallowest known "below" node, on the points above at the former.
-    A guess changes how many nodes are evaluated, never the result; a
-    wrong one costs at most two extra evaluations.  Points below the
+    A guess (m) warm-starts the bisection by galloping from the leaf that
+    holds it: its shallow end is probed first, then its deep end; on a
+    miss the probes step 1, 3, 7, 15, ... leaves further out from the
+    missed end until the isotherm is bracketed (or the bracket's edge is
+    reached).  The 16-level descent then evaluates only nodes strictly
+    between the deepest known "above" node and the shallowest known
+    "below" node, on the points above at the former.  A guess changes
+    how many nodes are evaluated, never the result: a right one costs 2
+    evaluations, one k leaves off about 2*log2(k) + 2.  Points below the
     liquidus at an evaluated node are dropped, as they end shallower
     than the final midpoint.
     """
@@ -287,23 +306,40 @@ def _depth_at_time(env: MaterialEnv, p: float, v: float, t: float,
     den, w, g = bases[t]
     coef = env.amplitude_per_watt * p * w * g
 
-    # deepest node known above (0: none yet) and its rows that are above,
-    # shallowest node known below (Z_MAX: none yet)
-    known_above, known_below, rows = 0.0, Z_MAX, coef
-    if guess is not None:
-        for probe in (_leaf(guess - _GUESS_HALF_WIDTH)[0],
-                      _leaf(guess + _GUESS_HALF_WIDTH)[1]):
-            if known_above < probe < known_below:
-                above = _profile_eval(env, den, rows, probe) >= env.t_liq
-                if above.any():
-                    known_above, rows = probe, rows[above]
-                else:
-                    known_below = probe
-    if known_above == 0.0:
-        melted = _profile_eval(env, den, rows, 0.0) >= env.t_liq
+    # deepest node known above with its rows that are above there, and
+    # shallowest node known below (Z_MAX: none)
+    known_below = Z_MAX
+    if guess is None:
+        melted = _profile_eval(env, den, coef, 0.0) >= env.t_liq
         if not melted.any():
             return 0.0, False
-        rows = rows[melted]
+        known_above, rows = 0.0, coef[melted]
+    else:
+        j = min(int(min(guess, Z_MAX) / Z_MAX * _LEAVES), _LEAVES - 1) if guess > 0.0 else 0
+        z = _node(j)
+        above = _profile_eval(env, den, coef, z) >= env.t_liq
+        if above.any():
+            known_above, rows = z, coef[above]
+            step = 1  # deeper: nodes j + 1 (the leaf's deep end), j + 2, j + 4, ...
+            while j + step < _LEAVES:
+                z = _node(j + step)
+                above = _profile_eval(env, den, rows, z) >= env.t_liq
+                if not above.any():
+                    known_below = z
+                    break
+                known_above, rows = z, rows[above]
+                step *= 2
+        else:
+            known_below, step = z, 1  # shallower: nodes j - 1, j - 3, j - 7, ...
+            while True:
+                if known_below == 0.0:  # not even the surface melts
+                    return 0.0, False
+                z = _node(max(j - step, 0))
+                above = _profile_eval(env, den, coef, z) >= env.t_liq
+                if above.any():
+                    known_above, rows = z, coef[above]
+                    break
+                known_below, step = z, 2 * step + 1
     lo, hi = 0.0, Z_MAX
     while hi - lo > _Z_TOL:
         m = 0.5 * (lo + hi)
@@ -332,19 +368,30 @@ def melt_pool_depth(env: MaterialEnv, p: float, v: float) -> DepthResult:
 
 
 def _start_guess(p: float, prior: tuple) -> float | None:
-    """Guess at the t = 2 s depth of power p: the line through prior,
-    the (power, depth) pairs of the last two powers at this speed."""
-    if len(prior) < 2 or prior[0][0] == prior[1][0]:
+    """Guess at the t = 2 s depth of power p from prior, the (power,
+    depths) pairs of the last three powers at this speed: the quadratic
+    in Newton form through their t = 2 s depths, or the line through
+    the last two while fewer than three distinct powers exist."""
+    points = [(q, depths[0]) for q, depths in prior]
+    if len(points) < 2 or points[-2][0] == points[-1][0]:
         return None
-    (p1, d1), (p2, d2) = prior
-    return d2 + (d2 - d1) * (float(p) - p2) / (p2 - p1)
+    (p1, d1), (p2, d2) = points[-2:]
+    slope = (d2 - d1) / (p2 - p1)
+    guess = d2 + slope * (p - p2)
+    if len(points) == 3 and points[0][0] not in (p1, p2):
+        p0, d0 = points[0]
+        curve = (slope - (d1 - d0) / (p1 - p0)) / (p2 - p0)
+        guess += curve * (p - p2) * (p - p1)
+    return guess
 
 
 def _steady_depth(env: MaterialEnv, p: float, v: float, bases: dict) -> DepthResult:
     """melt_pool_depth, sharing the scan-line bases of speed v.  Under
-    "start" bases also keeps the t = 2 s depths of the last two powers at
-    v, which warm-start the next power's first bisection; each later
-    bisection starts from the same power's previous depth."""
+    "powers" bases also keeps the depths at 2, 3, 4.5, ... s of the last
+    three powers at v.  They warm-start each bisection of the next power:
+    at t = 2 s through _start_guess, and at each later time from this
+    power's previous depth plus the previous power's change in depth
+    between the same two times."""
     if not 0 <= p < math.inf:
         raise ValueError("power must be finite and >= 0")
     if not 0 < v < math.inf:
@@ -353,12 +400,16 @@ def _steady_depth(env: MaterialEnv, p: float, v: float, bases: dict) -> DepthRes
         return DepthResult(0.0, True, 0.0)
 
     t = _T_START
-    prior = bases.get("start", ())
-    d_prev, at_edge = _depth_at_time(env, p, v, t, bases, _start_guess(p, prior))
-    bases["start"] = (*prior[-1:], (float(p), d_prev))
-    for _ in range(_MAX_EXTENSIONS):
+    prior = bases.get("powers", ())
+    prev = prior[-1][1] if prior else ()
+    d_prev, at_edge = _depth_at_time(env, p, v, t, bases, _start_guess(float(p), prior))
+    depths = [d_prev]  # grows below, also as the next power's prev
+    bases["powers"] = (*prior[-2:], (float(p), depths))
+    for k in range(1, _MAX_EXTENSIONS + 1):
         t_next = t * _T_GROWTH
-        d_next, at_edge = _depth_at_time(env, p, v, t_next, bases, d_prev)
+        guess = d_prev + (prev[k] - prev[k - 1]) if len(prev) > k else d_prev
+        d_next, at_edge = _depth_at_time(env, p, v, t_next, bases, guess)
+        depths.append(d_next)
         if abs(d_next - d_prev) * MM_PER_M < _DEPTH_TOL_MM:
             return DepthResult(d_next * MM_PER_M, not at_edge, t_next, at_edge)
         t, d_prev = t_next, d_next

@@ -207,10 +207,11 @@ class TestDepthCache:
         assert [cache10.depth(s) for s in range(grid.n_states)] == before
 
     def test_cold_20x20_warm_up_profile_evaluations(self, material, monkeypatch):
-        """The isotherm bisections are warm-started from neighbouring
-        depths: a cold 20x20 warm-up evaluates the temperature profile
-        8,712 times, against 15,469 when every bisection starts from the
-        full bracket."""
+        """The isotherm bisections gallop from depths predicted from
+        neighbouring powers and times: a cold 20x20 warm-up evaluates the
+        temperature profile 4,587 times, against 8,712 with a fixed
+        +-32-leaf window around the plainer guesses and 15,469 when every
+        bisection starts from the full bracket."""
         calls = []
         profile_eval = thermal._profile_eval
 
@@ -221,7 +222,7 @@ class TestDepthCache:
         monkeypatch.setattr(thermal, "_profile_eval", counting)
         DepthCache(material, StateGrid(n=20, p_min=450.0, p_max=1150.0,
                                        v_min=330.0, v_max=860.0))
-        assert len(calls) <= 9000
+        assert len(calls) <= 5000
 
 
 class TestScores:

@@ -4,6 +4,7 @@ replicated runner."""
 import numpy as np
 import pytest
 
+from meltpool_rl.environment import DepthCache, StateGrid
 from meltpool_rl.experiments import (
     DEFAULT_SWEEP_VALUES,
     SweepSpec,
@@ -12,6 +13,7 @@ from meltpool_rl.experiments import (
     run_sweep,
 )
 from meltpool_rl.qlearn import EpisodeTrace, Hyperparams
+from meltpool_rl.thermal import MaterialEnv
 
 
 def traces(*totals, epochs=10):
@@ -166,6 +168,19 @@ class TestRunSweep:
                             Hyperparams(episodes=3),
                             caches={5: cache_for(5)})
         assert results[0].runs[0].qtable.shape == (25, 8)
+
+    @pytest.mark.parametrize("cache_env, cache_grid, named", [
+        (MaterialEnv(), StateGrid(n=2, p_min=600.0, p_max=900.0), "p_min=600.0"),
+        (MaterialEnv(absorptivity=0.35), StateGrid(n=2), "absorptivity=0.35"),
+    ])
+    def test_cache_for_another_grid_or_material_rejected(self, material, reward_config,
+                                                         cache_env, cache_grid, named):
+        """A cache is looked up by n alone, so one built for other bounds
+        or another material must not stand in for the sweep's own."""
+        spec = SweepSpec("episodes", values=(3,), replicates=1)
+        with pytest.raises(ValueError, match=f"caches\\[2\\] was built for .*{named}"):
+            run_sweep(spec, material, StateGrid(n=2), reward_config, Hyperparams(),
+                      caches={2: DepthCache(cache_env, cache_grid)})
 
     def test_midsize_episode_budget_can_hit_target(self, material, grid,
                                                    reward_config, cache10):

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from meltpool_rl import thermal
 from meltpool_rl.thermal import (
     MMPM_TO_MPS,
     Z_MAX,
@@ -19,12 +20,14 @@ from meltpool_rl.thermal import (
     melt_pool_depth,
     temperature,
     _GL_NODES,
+    _GL_WEIGHTS,
     _N_X_SAMPLES,
     _X_WINDOW_AHEAD,
     _X_WINDOW_BEHIND,
     _Z_TOL,
     _adaptive_basis,
     _depth_at_time,
+    _node,
     _profile_basis,
     _profile_eval,
 )
@@ -35,15 +38,20 @@ DEPTH_TIMES = (2.0, 3.0, 4.5, 6.75, 10.125)
 #: one final bisection interval, m
 LEAF = Z_MAX / 2**16
 #: a warm-start guess as a function of the true depth: none, 0, negative,
-#: above the bracket, the true depth +- 0-200 leaves (+-32 and +-33 put the
-#: true leaf's ends on the probes, which are 32 leaves either side of the
-#: guess), or any float
+#: above the bracket, any float, the true depth +- 0-200 leaves or +- 2**k
+#: leaves for k = 0-16 (misses at each of the gallop's step sizes, out to
+#: beyond the bracket), or exactly on a tree node at most 3 leaves from
+#: the true depth's leaf
 GUESSES = (st.one_of(st.sampled_from([None, 0.0]),
                      st.floats(max_value=0.0, exclude_max=True),
                      st.floats(min_value=Z_MAX, exclude_min=True),
                      st.floats()).map(lambda g: lambda depth: g)
-           | (st.integers(-200, 200) | st.sampled_from([-33, -32, 32, 33])).map(
-               lambda k: lambda depth: depth + k * LEAF))
+           | (st.integers(-200, 200)
+              | st.builds(lambda sign, k: sign * 2**k, st.sampled_from([-1, 1]),
+                          st.integers(0, 16))).map(
+               lambda k: lambda depth: depth + k * LEAF)
+           | st.integers(-3, 4).map(
+               lambda k: lambda depth: _node(min(max(int(depth / LEAF) + k, 0), 2**16))))
 
 
 def basis_nodes(t, n_panels):
@@ -53,6 +61,21 @@ def basis_nodes(t, n_panels):
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     return (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+
+
+def profile_basis_reference(env, v, xs, y, t, n_panels):
+    """_profile_basis before it built g in place: g in one expression."""
+    a = env.diffusivity
+    sig2 = env.sigma ** 2
+    edges = np.linspace(0.0, math.sqrt(t), n_panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    u = basis_nodes(t, n_panels)
+    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    den = 4.0 * a * u * u
+    xd = np.atleast_1d(xs)[:, None] - v * (t - u * u)[None, :]
+    with np.errstate(over="ignore"):
+        g = 2.0 / (2.0 * a * u * u + sig2) * np.exp(-(xd * xd + y * y) / (den + 2.0 * sig2))
+    return den, w, g
 
 
 def profile_eval_reference(env, u, coef, z_per_row):
@@ -246,6 +269,23 @@ class TestMeltPoolDepth:
         assert a == b
 
 
+class TestProfileBasis:
+    """The in-place basis against the one-expression form."""
+
+    @given(v_mmpm=st.floats(100.0, 2000.0) | st.sampled_from([1e157, 1e308]),
+           y=st.just(0.0) | st.floats(-2e-3, 2e-3),
+           t=st.sampled_from(DEPTH_TIMES), n_panels=st.integers(4, 64))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_one_expression(self, material, v_mmpm, y, t, n_panels):
+        """1e157 mm/min overflows only the quotient, 1e308 already the
+        square: both reach exp(-inf) = 0."""
+        v = v_mmpm * MMPM_TO_MPS
+        xs = scan_line(material, v, t)
+        new = _profile_basis(material, v, xs, y, t, n_panels)
+        old = profile_basis_reference(material, v, xs, y, t, n_panels)
+        assert [a.tobytes() for a in new] == [b.tobytes() for b in old]
+
+
 class TestProfileEval:
     """The scalar-depth evaluator against one depth per row."""
 
@@ -285,6 +325,28 @@ class TestDepthAtTime:
         work done."""
         assert_depths_bit_identical(material, p, v_mmpm, times=(t,), guess=guess)
 
+    @given(p=st.floats(200.0, 5000.0), v_mmpm=st.floats(100.0, 2000.0),
+           t=st.sampled_from(DEPTH_TIMES))
+    @settings(max_examples=30, deadline=None)
+    def test_exact_guess_costs_two_evaluations(self, material, p, v_mmpm, t):
+        """A guess in the result's own leaf probes its two ends, one above
+        and one below the isotherm, and the descent evaluates nothing."""
+        v = v_mmpm * MMPM_TO_MPS
+        bases: dict = {}
+        depth, at_edge = _depth_at_time(material, p, v, t, bases)
+        assume(depth > 0.0 and not at_edge)
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return _profile_eval(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(thermal, "_profile_eval", counting)
+            again = _depth_at_time(material, p, v, t, bases, depth)
+        assert again == (depth, False)
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("p, v_mmpm", [
         (50.0, 550.0),      # never melts
         (5000.0, 100.0),    # isotherm at the bracket edge
@@ -293,6 +355,52 @@ class TestDepthAtTime:
     ])
     def test_named_points_bit_identical(self, material, p, v_mmpm):
         assert_depths_bit_identical(material, p, v_mmpm)
+
+
+class TestScipyReference:
+    """An outside reference for the depth: scipy's QUADPACK integrates the
+    time integral in its original variable t', with the (t - t')^(-1/2)
+    singularity as an algebraic weight, and brentq finds each scan-line
+    point's liquidus root on it."""
+
+    @pytest.mark.parametrize("p, v_mmpm", [
+        (1000.0, 400.0), (500.0, 700.0), (888.9, 566.7), (750.0, 550.0), (1200.0, 300.0),
+    ])
+    def test_anchor_depth_within_resolution(self, material, p, v_mmpm):
+        """The model's depth lies within 5e-5 mm of the reference at the
+        model's own t_used (measured 2.4e-5 to 3.3e-5 mm: half a bisection
+        leaf is 3.8e-5 mm).  Only points at or above the liquidus 5e-5 mm
+        shallower than the model's depth can have a root within the bound
+        of it or deeper, so only they are solved; if there are none, the
+        reference is too shallow."""
+        quad = pytest.importorskip("scipy.integrate").quad
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        env, v = material, v_mmpm * MMPM_TO_MPS
+        a, sig2 = env.diffusivity, env.sigma ** 2
+        amplitude = env.amplitude_per_watt * p
+        res = melt_pool_depth(env, p, v)
+        t, depth, bound = res.t_used, res.depth_mm * 1e-3, 5e-8
+
+        def temperature_at(x, z):
+            def integrand(t_prime):
+                s = t - t_prime
+                if s <= 0.0:  # the damping exp(-z^2 / (4*a*s)) -> 0, as z > 0
+                    return 0.0
+                return (amplitude / (2.0 * a * s + sig2)
+                        * math.exp(-(x - v * t_prime) ** 2 / (4.0 * a * s + 2.0 * sig2)
+                                   - z * z / (4.0 * a * s)))
+            rise, _ = quad(integrand, 0.0, t, weight="alg", wvar=(0.0, -0.5),
+                           epsabs=0.0, epsrel=1e-12, limit=500)
+            return env.t0 + rise
+
+        assert res.converged
+        candidates = [x for x in scan_line(env, v, t)
+                      if temperature_at(x, depth - bound) >= env.t_liq]
+        assert candidates
+        ref = max(brentq(lambda z: temperature_at(x, z) - env.t_liq, depth - bound, Z_MAX,
+                         xtol=1e-13, rtol=1e-14)
+                  for x in candidates)
+        assert abs(depth - ref) <= bound
 
 
 class TestBatchDepths:
