@@ -10,7 +10,6 @@ from its spec alone and replicates stay independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -119,26 +118,16 @@ def aggregate_convergence(trace_sets: list[list[EpisodeTrace]]) -> ConvergenceCu
 
 
 def run_sweep(spec: SweepSpec, material: MaterialEnv, grid: StateGrid,
-              rc: RewardConfig, hp: Hyperparams,
-              caches: Optional[dict[int, DepthCache]] = None) -> list[ValueResult]:
+              rc: RewardConfig, hp: Hyperparams) -> list[ValueResult]:
     """R replicated runs per swept value, aggregated and oracle-checked.
-
-    caches maps grid resolution -> warm DepthCache and may be shared
-    across sweeps to avoid re-evaluating the thermal model; a cache built
-    for another grid or material is a ValueError.
-    """
-    caches = caches if caches is not None else {}
+    One DepthCache serves every value that keeps the grid."""
+    cache = None
     out = []
     for vi, value in enumerate(spec.values):
         g = replace(grid, n=value) if spec.param == "n" else grid
         hp_v = hp if spec.param == "n" else replace(hp, **{spec.param: value})
-        if g.n not in caches:
-            caches[g.n] = DepthCache(material, g)
-        cache = caches[g.n]
-        if cache.grid != g:
-            raise ValueError(f"caches[{g.n}] was built for {cache.grid}, not {g}")
-        if cache.env != material:
-            raise ValueError(f"caches[{g.n}] was built for {cache.env}, not {material}")
+        if cache is None or cache.grid != g:
+            cache = DepthCache(material, g)
         report = brute_force_rank(cache, rc)
         runs, seeds, verdicts = [], [], []
         for rep in range(spec.replicates):

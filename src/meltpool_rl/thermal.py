@@ -50,14 +50,30 @@ _N_X_SAMPLES = 64
 _QUAD_REL_TOL = 1e-6  # panel doubling stops at this relative change
 #: depth bracket of the liquidus root search, m
 Z_MAX = 5e-3
-_Z_TOL = 1e-7  # m (1e-4 mm)
 _T_START = 2.0  # s
 _T_GROWTH = 1.5
 _MAX_EXTENSIONS = 4
 _DEPTH_TOL_MM = 1e-3
-#: final bisection intervals (leaves) in [0, Z_MAX]
-#: (halving Z_MAX until an interval is at most _Z_TOL takes 16 steps)
+#: final bisection intervals (leaves) in [0, Z_MAX], each 7.6e-8 m wide
 _LEAVES = 2**16
+
+
+def _bisection_nodes() -> np.ndarray:
+    """Depth (m) of every bisection tree node i, 0 <= i <= _LEAVES: the
+    boundary between leaves i - 1 and i, as the bisection computes it,
+    0.5 * (left end + right end) level by level, in place."""
+    nodes = np.empty(_LEAVES + 1)
+    nodes[0], nodes[_LEAVES] = 0.0, Z_MAX
+    span = _LEAVES
+    while span > 1:
+        mid = nodes[span // 2::span]
+        np.add(nodes[:-1:span], nodes[span::span], out=mid)
+        mid *= 0.5
+        span //= 2
+    return nodes
+
+
+_NODES = _bisection_nodes()
 
 #: 12-point Gauss-Legendre rule on [-1, 1], applied on every panel
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -207,7 +223,12 @@ def _adaptive_basis(env: MaterialEnv, v: float, xs, y: float, t: float):
     there: at 800 W, 700 mm/min, t = 2 s and 1 sigma behind the laser it
     stops at 32 panels, with relative errors against 4096 panels of
     1.8e-4 at z = 0.005 mm, 3.6e-5 at 0.05 mm and 2e-10 at 0.5 mm.  A
-    third checkpoint would change panel counts, and with them depths."""
+    third checkpoint would change panel counts, and with them depths.
+
+    Doubling starts at 8 panels: 4 panels can agree with 8 by chance (at
+    v = 0 and t in about [4.9416, 4.9453] s to 9.6e-7 relative while
+    8 -> 16 still changes by 4.1e-5), so that first comparison is never
+    made."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
 
     def checkpoints(den, w, g):
@@ -215,7 +236,7 @@ def _adaptive_basis(env: MaterialEnv, v: float, xs, y: float, t: float):
         return np.array([_profile_eval(env, den, coef, z)
                          for z in (0.0, 0.5e-3)]) - env.t0
 
-    n_panels = 4
+    n_panels = 8
     basis = _profile_basis(env, v, xs, y, t, n_panels)
     prev = checkpoints(*basis)
     while True:
@@ -247,22 +268,6 @@ def temperature(env: MaterialEnv, q: LaserQuery) -> float:
     return val
 
 
-def _node(i: int) -> float:
-    """Depth (m) of bisection tree node i, 0 <= i <= _LEAVES: the boundary
-    between leaves i - 1 and i, as the bisection computes it."""
-    lo, hi, lo_i, span = 0.0, Z_MAX, 0, _LEAVES
-    while i != lo_i:
-        if i == lo_i + span:
-            return hi
-        span //= 2
-        m = 0.5 * (lo + hi)
-        if i >= lo_i + span:
-            lo, lo_i = m, lo_i + span
-        else:
-            hi = m
-    return lo
-
-
 def _depth_at_time(env: MaterialEnv, p: float, v: float, t: float,
                    bases: dict, guess: float | None = None) -> tuple[float, bool]:
     """Max over the scan line of the liquidus-isotherm root depth (m), and
@@ -273,8 +278,8 @@ def _depth_at_time(env: MaterialEnv, p: float, v: float, t: float,
     x_laser + 2*sigma]; its basis is kept in bases under t for the other
     powers at speed v.
 
-    The bisection is a fixed tree: each midpoint's float value depends
-    only on its path from [0, Z_MAX].  Along one scan-line point the
+    The bisection is a fixed tree, whose node depths _NODES holds, and
+    the search works on node indices alone.  Along one scan-line point the
     float temperature never rises from one tree node to a deeper one:
     the coefficients are positive; two nodes at least one leaf
     (Z_MAX / 2**16) apart move each damping term not flushed to 0 by
@@ -286,17 +291,19 @@ def _depth_at_time(env: MaterialEnv, p: float, v: float, t: float,
     bisection path, and with it the result, depends only on which side
     of the isotherm each node it visits lies.
 
-    A guess (m) warm-starts the bisection by galloping from the leaf that
-    holds it: its shallow end is probed first, then its deep end; on a
-    miss the probes step 1, 3, 7, 15, ... leaves further out from the
-    missed end until the isotherm is bracketed (or the bracket's edge is
-    reached).  The 16-level descent then evaluates only nodes strictly
-    between the deepest known "above" node and the shallowest known
-    "below" node, on the points above at the former.  A guess changes
-    how many nodes are evaluated, never the result: a right one costs 2
-    evaluations, one k leaves off about 2*log2(k) + 2.  Points below the
-    liquidus at an evaluated node are dropped, as they end shallower
-    than the final midpoint.
+    The search keeps lo, the deepest node known "above", with the points
+    above there, and hi, the shallowest node known "below" (_LEAVES:
+    none).  A guess (m) sets them by galloping from the leaf j that holds
+    it: node j is probed first, then j + 1, j + 2, j + 4, ... while they
+    are above, or j - 1, j - 3, j - 7, ... while they are below, until
+    the isotherm is bracketed (or the bracket's edge is reached).  Without
+    a guess only the surface is probed.  Until lo and hi are adjacent,
+    the node between them nearest the root is then probed: the one the
+    bisection itself visits next, as every node it visits before lies
+    outside (lo, hi).  A guess changes how many nodes are evaluated, never
+    the result: a right one costs 2 evaluations, one k leaves off about
+    2*log2(k) + 2.  Points below the liquidus at an evaluated node are
+    dropped, as they end shallower than the final midpoint.
     """
     if t not in bases:
         x_laser = v * t
@@ -306,54 +313,46 @@ def _depth_at_time(env: MaterialEnv, p: float, v: float, t: float,
     den, w, g = bases[t]
     coef = env.amplitude_per_watt * p * w * g
 
-    # deepest node known above with its rows that are above there, and
-    # shallowest node known below (Z_MAX: none)
-    known_below = Z_MAX
+    def above(rows, i):
+        return _profile_eval(env, den, rows, _NODES[i]) >= env.t_liq
+
+    lo, hi = 0, _LEAVES
     if guess is None:
-        melted = _profile_eval(env, den, coef, 0.0) >= env.t_liq
+        melted = above(coef, 0)
         if not melted.any():
             return 0.0, False
-        known_above, rows = 0.0, coef[melted]
+        rows = coef[melted]
     else:
         j = min(int(min(guess, Z_MAX) / Z_MAX * _LEAVES), _LEAVES - 1) if guess > 0.0 else 0
-        z = _node(j)
-        above = _profile_eval(env, den, coef, z) >= env.t_liq
-        if above.any():
-            known_above, rows = z, coef[above]
-            step = 1  # deeper: nodes j + 1 (the leaf's deep end), j + 2, j + 4, ...
+        melted = above(coef, j)
+        if melted.any():
+            lo, rows, step = j, coef[melted], 1
             while j + step < _LEAVES:
-                z = _node(j + step)
-                above = _profile_eval(env, den, rows, z) >= env.t_liq
-                if not above.any():
-                    known_below = z
+                melted = above(rows, j + step)
+                if not melted.any():
+                    hi = j + step
                     break
-                known_above, rows = z, rows[above]
-                step *= 2
+                lo, rows, step = j + step, rows[melted], 2 * step
         else:
-            known_below, step = z, 1  # shallower: nodes j - 1, j - 3, j - 7, ...
+            hi, step = j, 1
             while True:
-                if known_below == 0.0:  # not even the surface melts
+                if hi == 0:  # not even the surface melts
                     return 0.0, False
-                z = _node(max(j - step, 0))
-                above = _profile_eval(env, den, coef, z) >= env.t_liq
-                if above.any():
-                    known_above, rows = z, coef[above]
+                lo = max(j - step, 0)
+                melted = above(coef, lo)
+                if melted.any():
+                    rows = coef[melted]
                     break
-                known_below, step = z, 2 * step + 1
-    lo, hi = 0.0, Z_MAX
-    while hi - lo > _Z_TOL:
-        m = 0.5 * (lo + hi)
-        if m <= known_above:
-            lo = m
-        elif m >= known_below:
-            hi = m
+                hi, step = lo, 2 * step + 1
+    while hi - lo > 1:
+        k = (lo ^ (hi - 1)).bit_length() - 1
+        m = (hi - 1) >> k << k
+        melted = above(rows, m)
+        if melted.any():
+            lo, rows = m, rows[melted]
         else:
-            above = _profile_eval(env, den, rows, m) >= env.t_liq
-            if above.any():
-                lo, rows = m, rows[above]
-            else:
-                hi = m
-    return 0.5 * (lo + hi), hi == Z_MAX
+            hi = m
+    return float(0.5 * (_NODES[lo] + _NODES[hi])), hi == _LEAVES
 
 
 def melt_pool_depth(env: MaterialEnv, p: float, v: float) -> DepthResult:

@@ -58,7 +58,7 @@ def report(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def shared_caches(material, grid, cache_for):
-    """Warm caches keyed by resolution, shared with the sweeps."""
+    """Warm caches keyed by resolution."""
     return {n: cache_for(n) for n in (5, 10, 15, 20)}
 
 
@@ -146,11 +146,9 @@ def test_acceptance_4_q_update_arithmetic(grid):
                   f"identity)")
 
 
-def test_acceptance_5_exploration_degeneracy(material, grid, reward_config,
-                                             shared_caches):
+def test_acceptance_5_exploration_degeneracy(material, grid, reward_config):
     results = run_sweep(SweepSpec("epsilon", values=(0.25, 1.0)),
-                        material, grid, reward_config, Hyperparams(),
-                        caches=shared_caches)
+                        material, grid, reward_config, Hyperparams())
     by_eps = {vr.value: per_epoch_curve(vr.runs) for vr in results}
 
     slope1, p1 = one_sided_p(by_eps[1.0])
@@ -167,8 +165,7 @@ def test_acceptance_5_exploration_degeneracy(material, grid, reward_config,
            f"(must increase)")
 
 
-def test_acceptance_6_discretization_ordering(material, grid, reward_config,
-                                              shared_caches):
+def test_acceptance_6_discretization_ordering(material, grid, reward_config):
     """Expected to FAIL under the calibrated thermal model: the final
     reward level of each resolution is set by how close its nearest grid
     state happens to land to the exact target depth (the reward grows
@@ -179,7 +176,7 @@ def test_acceptance_6_discretization_ordering(material, grid, reward_config,
     claimed ordering; see the printed measurements.
     """
     results = run_sweep(SweepSpec("n"), material, grid, reward_config,
-                        Hyperparams(), caches=shared_caches)
+                        Hyperparams())
     final = {vr.value: float(vr.curve.mean[-1]) for vr in results}
     ok = min(final[15], final[20]) > max(final[5], final[10])
     detail = ", ".join(f"N={n}: {final[n]:.1f}" for n in (5, 10, 15, 20))

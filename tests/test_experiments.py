@@ -4,7 +4,7 @@ replicated runner."""
 import numpy as np
 import pytest
 
-from meltpool_rl.environment import DepthCache, StateGrid
+from meltpool_rl.environment import StateGrid
 from meltpool_rl.experiments import (
     DEFAULT_SWEEP_VALUES,
     SweepSpec,
@@ -13,7 +13,6 @@ from meltpool_rl.experiments import (
     run_sweep,
 )
 from meltpool_rl.qlearn import EpisodeTrace, Hyperparams
-from meltpool_rl.thermal import MaterialEnv
 
 
 def traces(*totals, epochs=10):
@@ -128,10 +127,9 @@ class TestAggregateConvergence:
 
 
 @pytest.fixture(scope="module")
-def small_sweep(material, grid, reward_config, cache10):
+def small_sweep(material, grid, reward_config):
     spec = SweepSpec("episodes", values=(5, 10), replicates=2)
-    return spec, run_sweep(spec, material, grid, reward_config,
-                           Hyperparams(), caches={10: cache10})
+    return spec, run_sweep(spec, material, grid, reward_config, Hyperparams())
 
 
 class TestRunSweep:
@@ -151,43 +149,26 @@ class TestRunSweep:
             assert all(v.rank >= 1 for v in vr.verdicts)
 
     def test_reproducible_from_spec(self, small_sweep, material, grid,
-                                    reward_config, cache10):
+                                    reward_config):
         spec, results = small_sweep
-        again = run_sweep(spec, material, grid, reward_config, Hyperparams(),
-                          caches={10: cache10})
+        again = run_sweep(spec, material, grid, reward_config, Hyperparams())
         for vr, vr2 in zip(results, again):
             assert vr.seeds == vr2.seeds
             assert np.array_equal(vr.curve.mean, vr2.curve.mean)
             for r, r2 in zip(vr.runs, vr2.runs):
                 assert np.array_equal(r.qtable, r2.qtable)
 
-    def test_n_sweep_resizes_grid(self, material, grid, reward_config,
-                                  cache_for):
+    def test_n_sweep_resizes_grid(self, material, grid, reward_config):
         spec = SweepSpec("n", values=(5,), replicates=1)
         results = run_sweep(spec, material, grid, reward_config,
-                            Hyperparams(episodes=3),
-                            caches={5: cache_for(5)})
+                            Hyperparams(episodes=3))
         assert results[0].runs[0].qtable.shape == (25, 8)
 
-    @pytest.mark.parametrize("cache_env, cache_grid, named", [
-        (MaterialEnv(), StateGrid(n=2, p_min=600.0, p_max=900.0), "p_min=600.0"),
-        (MaterialEnv(absorptivity=0.35), StateGrid(n=2), "absorptivity=0.35"),
-    ])
-    def test_cache_for_another_grid_or_material_rejected(self, material, reward_config,
-                                                         cache_env, cache_grid, named):
-        """A cache is looked up by n alone, so one built for other bounds
-        or another material must not stand in for the sweep's own."""
-        spec = SweepSpec("episodes", values=(3,), replicates=1)
-        with pytest.raises(ValueError, match=f"caches\\[2\\] was built for .*{named}"):
-            run_sweep(spec, material, StateGrid(n=2), reward_config, Hyperparams(),
-                      caches={2: DepthCache(cache_env, cache_grid)})
-
     def test_midsize_episode_budget_can_hit_target(self, material, grid,
-                                                   reward_config, cache10):
+                                                   reward_config):
         """Some replicate trained for 50 episodes lands within 0.05 mm of
         the 1 mm target."""
         spec = SweepSpec("episodes", values=(50,), replicates=5)
-        results = run_sweep(spec, material, grid, reward_config, Hyperparams(),
-                            caches={10: cache10})
+        results = run_sweep(spec, material, grid, reward_config, Hyperparams())
         gaps = [abs(r.best_depth - 1.0) for r in results[0].runs]
         assert min(gaps) <= 0.05

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from meltpool_rl import thermal
+from meltpool_rl.environment import state_params
 from meltpool_rl.thermal import (
+    MM_PER_M,
     MMPM_TO_MPS,
     Z_MAX,
     DepthResult,
@@ -21,13 +23,12 @@ from meltpool_rl.thermal import (
     temperature,
     _GL_NODES,
     _GL_WEIGHTS,
+    _NODES,
     _N_X_SAMPLES,
     _X_WINDOW_AHEAD,
     _X_WINDOW_BEHIND,
-    _Z_TOL,
     _adaptive_basis,
     _depth_at_time,
-    _node,
     _profile_basis,
     _profile_eval,
 )
@@ -37,6 +38,8 @@ V_MID = 550.0 * MMPM_TO_MPS
 DEPTH_TIMES = (2.0, 3.0, 4.5, 6.75, 10.125)
 #: one final bisection interval, m
 LEAF = Z_MAX / 2**16
+#: the float bisection's stopping width, m: 16 halvings of Z_MAX reach it
+Z_TOL = 1e-7
 #: a warm-start guess as a function of the true depth: none, 0, negative,
 #: above the bracket, any float, the true depth +- 0-200 leaves or +- 2**k
 #: leaves for k = 0-16 (misses at each of the gallop's step sizes, out to
@@ -51,7 +54,23 @@ GUESSES = (st.one_of(st.sampled_from([None, 0.0]),
                           st.integers(0, 16))).map(
                lambda k: lambda depth: depth + k * LEAF)
            | st.integers(-3, 4).map(
-               lambda k: lambda depth: _node(min(max(int(depth / LEAF) + k, 0), 2**16))))
+               lambda k: lambda depth: _NODES[min(max(int(depth / LEAF) + k, 0), 2**16)]))
+
+
+def node_reference(i):
+    """Depth (m) of bisection tree node i, 0 <= i <= 2**16, by walking
+    the float bisection from [0, Z_MAX] down to it."""
+    lo, hi, lo_i, span = 0.0, Z_MAX, 0, 2**16
+    while i != lo_i:
+        if i == lo_i + span:
+            return hi
+        span //= 2
+        m = 0.5 * (lo + hi)
+        if i >= lo_i + span:
+            lo, lo_i = m, lo_i + span
+        else:
+            hi = m
+    return lo
 
 
 def basis_nodes(t, n_panels):
@@ -108,7 +127,7 @@ def depth_at_time_reference(env, p, v, t, bases):
         return 0.0, False
     lo = np.zeros(_N_X_SAMPLES)
     hi = np.full(_N_X_SAMPLES, Z_MAX)
-    while float(np.max(hi - lo)) > _Z_TOL:
+    while float(np.max(hi - lo)) > Z_TOL:
         m = 0.5 * (lo + hi)
         above = profile_eval_reference(env, u, coef, m) >= env.t_liq
         lo = np.where(above, m, lo)
@@ -178,11 +197,15 @@ class TestTemperature:
 
 class TestStationaryClosedForm:
     @given(p=st.floats(100.0, 3000.0), t=st.floats(0.01, 10.0))
+    @example(p=1000.0, t=4.9453125)
     @settings(deadline=None)
     def test_surface_centre_matches_closed_form(self, material, p, t):
         """An outside reference: at v = 0 the surface point under the beam
         centre has T - T0 = C*P * 2/(sigma*sqrt(2a)) * arctan(sqrt(2at)/sigma),
-        the time integral 2/(2a*u^2 + sigma^2) over u in [0, sqrt(t)]."""
+        the time integral 2/(2a*u^2 + sigma^2) over u in [0, sqrt(t)].
+        At t = 4.9453125 s, 4 panels agree with 8 by chance: a basis that
+        accepted that agreement would stop at 8 panels, 4.2e-11 relative
+        off."""
         a, sigma = material.diffusivity, material.sigma
         want = (material.amplitude_per_watt * p * 2.0 / (sigma * math.sqrt(2.0 * a))
                 * math.atan(math.sqrt(2.0 * a * t) / sigma))
@@ -308,6 +331,16 @@ class TestProfileEval:
         assert [x.hex() for x in new.tolist()] == [x.hex() for x in old.tolist()]
 
 
+class TestBisectionNodes:
+    def test_table_is_the_float_bisection(self):
+        """Every node depth is the float bisection's own, byte for byte,
+        and the nodes rise strictly from 0 to Z_MAX."""
+        walked = np.array([node_reference(i) for i in range(2**16 + 1)])
+        assert _NODES.tobytes() == walked.tobytes()
+        assert (_NODES[0], _NODES[-1]) == (0.0, Z_MAX)
+        assert np.all(np.diff(_NODES) > 0.0)
+
+
 class TestDepthAtTime:
     """The pruned bisection against every point bisected on its own."""
 
@@ -401,6 +434,42 @@ class TestScipyReference:
                          xtol=1e-13, rtol=1e-14)
                   for x in candidates)
         assert abs(depth - ref) <= bound
+
+
+class TestFineReference:
+    """Every default-grid depth against a 1e-13 m bisection of the same
+    scan-line basis at the depth's t_used."""
+
+    @pytest.mark.parametrize("n", [5, 10, 15, 20])
+    def test_default_grid_depths_within_half_a_leaf(self, material, cache_for, n):
+        """The depth is the midpoint of the leaf that holds the deepest
+        root, so it lies within half a leaf of that root.  Only points at
+        or above the liquidus half a leaf shallower than the depth can
+        have a root there or deeper, so only they are bisected; if there
+        are none, the reference is too shallow."""
+        env, grid = material, cache_for(n).grid
+        half_leaf = Z_MAX / 2**17
+        bases: dict = {}
+        for s in range(grid.n_states):
+            res = cache_for(n).depth(s)
+            p, v_mmpm = state_params(grid, s)
+            v, t = v_mmpm * MMPM_TO_MPS, res.t_used
+            if (v, t) not in bases:
+                bases[v, t] = _adaptive_basis(env, v, scan_line(env, v, t), 0.0, t)
+            den, w, g = bases[v, t]
+            depth = res.depth_mm / MM_PER_M
+            coef = env.amplitude_per_watt * p * w * g
+            rows = coef[_profile_eval(env, den, coef, depth - half_leaf) >= env.t_liq]
+            assert len(rows), s
+            u = basis_nodes(t, len(den) // len(_GL_NODES))
+            lo = np.full(len(rows), depth - half_leaf)
+            hi = np.full(len(rows), Z_MAX)
+            while float(np.max(hi - lo)) > 1e-13:
+                m = 0.5 * (lo + hi)
+                above = profile_eval_reference(env, u, rows, m) >= env.t_liq
+                lo = np.where(above, m, lo)
+                hi = np.where(above, hi, m)
+            assert abs(depth - float(np.max(lo))) <= half_leaf, s
 
 
 class TestBatchDepths:
