@@ -74,6 +74,10 @@ def _bisection_nodes() -> np.ndarray:
 
 
 _NODES = _bisection_nodes()
+#: the first search round's nodes: every eighth of the tree and its last node
+_COARSE = np.append(np.arange(0, _LEAVES, _LEAVES // 8), _LEAVES - 1)
+#: the least positive float
+_TINY = math.ulp(0.0)
 
 #: 12-point Gauss-Legendre rule on [-1, 1], applied on every panel
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -228,26 +232,29 @@ def _adaptive_basis(env: MaterialEnv, v: float, xs, y: float, t: float):
     Doubling starts at 8 panels: 4 panels can agree with 8 by chance (at
     v = 0 and t in about [4.9416, 4.9453] s to 9.6e-7 relative while
     8 -> 16 still changes by 4.1e-5), so that first comparison is never
-    made."""
+    made.
+
+    Returns den, w, g and the unit-power coefficients
+    wg = amplitude_per_watt * w * g the checkpoints were computed on."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
 
     def checkpoints(den, w, g):
-        coef = env.amplitude_per_watt * w * g
-        return np.array([_profile_eval(env, den, coef, z)
-                         for z in (0.0, 0.5e-3)]) - env.t0
+        wg = env.amplitude_per_watt * w * g
+        return np.array([_profile_eval(env, den, wg, z)
+                         for z in (0.0, 0.5e-3)]) - env.t0, wg
 
     n_panels = 8
     basis = _profile_basis(env, v, xs, y, t, n_panels)
-    prev = checkpoints(*basis)
+    prev, _ = checkpoints(*basis)
     while True:
         n_panels *= 2
         basis = _profile_basis(env, v, xs, y, t, n_panels)
-        cur = checkpoints(*basis)
+        cur, wg = checkpoints(*basis)
         if not np.all(np.isfinite(cur)):
             raise QuadratureError("quadrature divergence")
         scale = max(float(np.max(np.abs(cur))), 1e-12)
         if float(np.max(np.abs(cur - prev))) <= _QUAD_REL_TOL * scale:
-            return basis
+            return (*basis, wg)
         if n_panels > 8192:
             raise QuadratureError("quadrature divergence")
         prev = cur
@@ -260,7 +267,7 @@ def temperature(env: MaterialEnv, q: LaserQuery) -> float:
     """
     if q.t == 0.0 or q.p == 0.0:
         return env.t0
-    den, w, g = _adaptive_basis(env, q.v, q.x, q.y, q.t)
+    den, w, g, _ = _adaptive_basis(env, q.v, q.x, q.y, q.t)
     coef = env.amplitude_per_watt * q.p * w * g
     val = float(_profile_eval(env, den, coef, q.z)[0])
     if not math.isfinite(val):
@@ -268,91 +275,185 @@ def temperature(env: MaterialEnv, q: LaserQuery) -> float:
     return val
 
 
-def _depth_at_time(env: MaterialEnv, p: float, v: float, t: float,
-                   bases: dict, guess: float | None = None) -> tuple[float, bool]:
-    """Max over the scan line of the liquidus-isotherm root depth (m), and
-    whether a root lies at the bracket edge Z_MAX (the pool is deeper
-    than the bracket, so the depth is only a lower bound).
+def _unit_rise(den: np.ndarray, wg: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Temperature rise per watt at every tree node in nodes (rows) and
+    scan-line point (columns): one exp over the nodes' damping rows, each
+    the same floats _profile_eval takes at that node, and one product
+    with the unit-power coefficients wg."""
+    z = _NODES[nodes]
+    return np.exp(-(z * z)[:, None] / den) @ wg.T
+
+
+def _band(env: MaterialEnv, n_terms: int, t: float, p: float) -> float:
+    """Half-width (K) of the band around the liquidus rise
+    D = t_liq - t0 outside which p * r, r a unit rise from _unit_rise
+    over n_terms = K quadrature terms at time t, decides a node's side
+    for power p as _profile_eval does.
+
+    Let R = A*p * sum_k w_k*g_k*d_k in exact arithmetic, over the floats
+    A = amplitude_per_watt, w, g and the damping row d, which both paths
+    take from the same exp of the same arguments.  _profile_eval rounds
+    each term four times (A*p, *w, *g, *d) and adds K non-negative terms;
+    _unit_rise rounds three times (A*w, *g, *d, the last perhaps fused)
+    and adds them in BLAS order.  Non-negative terms summed in any order
+    are within gamma_(K-1) of their sum (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, sec. 4.2; gamma_n = n*u / (1 - n*u),
+    u = 2**-53), so the exact rise s and p * r are both within
+    gamma = gamma_(K+3) of R, apart from underflow.  A rounded product
+    below 2**-1022 is off by up to 2**-1075 absolute, and later factors
+    grow that by at most F = max(1, 4*sqrt(t)/sigma^2) (t >= 2 s here,
+    w <= sqrt(t)/16, g <= 2/sigma^2, d <= 1) and, in p * r, by p, so
+    underflow adds at most a = (p + 1) * 2*K*F * 2**-1074 to |s - p*r|.
+
+    Above: if p*r >= D + band, then s >= p*r*(1 - 2*gamma) - a >= D, so
+    t0 + s >= t_liq, and rounding to the nearest float keeps that.
+    Below: if p*r < D - band, then s <= (p*r + a)*(1 + 2*gamma') with
+    gamma' = gamma / (1 - gamma), so s < D - u*t_liq, and a sum that far
+    under t_liq cannot round up to it.  Both hold when
+    band >= (2*gamma*D + u*t_liq + a) / (1 - 2*gamma), plus a few u*t_liq
+    for rounding D and the thresholds (D +- band) / p; as D < t_liq, the
+    band below covers that with room, and the underflow term twice.  The
+    thresholds' own underflow, when D / p is subnormal, is below
+    p * 2**-1075 < a.  A band that overflows to inf sends every node to
+    _profile_eval."""
+    spread = max(1.0, 4.0 * math.sqrt(t) / env.sigma / env.sigma)
+    return (4.0 * (n_terms + 8) * 2.0 ** -53 * env.t_liq
+            + (p + 1.0) * math.ldexp(4.0 * n_terms * spread, -1074))
+
+
+def _isotherm_depths(env: MaterialEnv, v: float, t: float, powers: list) -> list:
+    """Max over the scan line of the liquidus-isotherm root depth (m) at
+    time t of each power in powers (W, > 0) at speed v, and
+    whether it lies at the bracket edge Z_MAX (the pool is deeper than
+    the bracket, so the depth is only a lower bound).
 
     The pool maximum trails the laser, so x spans [x_laser - 5*sigma,
-    x_laser + 2*sigma]; its basis is kept in bases under t for the other
-    powers at speed v.
+    x_laser + 2*sigma]; one basis at (v, t) serves every power and is
+    dropped when the call returns.
 
-    The bisection is a fixed tree, whose node depths _NODES holds, and
-    the search works on node indices alone.  Along one scan-line point the
-    float temperature never rises from one tree node to a deeper one:
-    the coefficients are positive; two nodes at least one leaf
-    (Z_MAX / 2**16) apart move each damping term not flushed to 0 by
-    leaf^2 / (4*a*t) relative or more (2e-11 for the default material at
-    t = 10.125 s), far above exp's rounding; and einsum's fixed summation
-    order is monotone in each term.  So if some point is at or
-    above the liquidus at a node, every shallower node is decided
-    "above", and if none is at a node, every deeper one is "below"; the
-    bisection path, and with it the result, depends only on which side
-    of the isotherm each node it visits lies.
+    The bisection is a fixed tree, whose node depths _NODES holds.  Node
+    i is "above" for power p when some scan-line point is at or above the
+    liquidus there, as _profile_eval computes it on the coefficients
+    amplitude_per_watt * p * w * g.  Along one point the float temperature
+    never rises from one tree node to a deeper one: the coefficients are
+    positive; two nodes at least one leaf (Z_MAX / 2**16) apart move each
+    damping term not flushed to 0 by leaf^2 / (4*a*t) relative or more
+    (2e-11 for the default material at t = 10.125 s), far above exp's
+    rounding; and einsum's fixed summation order is monotone in each
+    term.  So a node above has only nodes above shallower than it, and
+    the bisection of [0, Z_MAX] ends in the leaf n whose shallow end is
+    the deepest node above: the result is that leaf's midpoint, at the
+    edge when n + 1 == 2**16, and 0 when node 0 is below.  It depends only
+    on which side of the isotherm each node lies, so any order of
+    deciding nodes gives the bisection's bits.
 
-    The search keeps lo, the deepest node known "above", with the points
-    above there, and hi, the shallowest node known "below" (_LEAVES:
-    none).  A guess (m) sets them by galloping from the leaf j that holds
-    it: node j is probed first, then j + 1, j + 2, j + 4, ... while they
-    are above, or j - 1, j - 3, j - 7, ... while they are below, until
-    the isotherm is bracketed (or the bracket's edge is reached).  Without
-    a guess only the surface is probed.  Until lo and hi are adjacent,
-    the node between them nearest the root is then probed: the one the
-    bisection itself visits next, as every node it visits before lies
-    outside (lo, hi).  A guess changes how many nodes are evaluated, never
-    the result: a right one costs 2 evaluations, one k leaves off about
-    2*log2(k) + 2.  Points below the liquidus at an evaluated node are
-    dropped, as they end shallower than the final midpoint.
-    """
-    if t not in bases:
-        x_laser = v * t
-        xs = np.linspace(x_laser - _X_WINDOW_BEHIND * env.sigma,
-                         x_laser + _X_WINDOW_AHEAD * env.sigma, _N_X_SAMPLES)
-        bases[t] = _adaptive_basis(env, v, xs, 0.0, t)
-    den, w, g = bases[t]
-    coef = env.amplitude_per_watt * p * w * g
+    The rise is linear in p, so one unit rise r per round (_unit_rise)
+    serves every power: a node is above for p when max r over the scan
+    line is >= (D + band) / p and below when it is < (D - band) / p, with
+    D = t_liq - t0 and band from _band, which proves both decisions equal
+    _profile_eval's.  Inside the band, _profile_eval decides the node on
+    the points that are not below.  Each power keeps lo, the deepest node
+    known above (-1: none), and hi, the shallowest known below (_LEAVES:
+    none), and decides only nodes between them.  Round 0 decides the
+    nodes _COARSE for every power.  Each later round probes, for every
+    power whose lo and hi are not adjacent, two adjacent nodes n, n + 1
+    inside (lo, hi) at a Newton step towards log(max r) = log(D / p),
+    through the power's freshest adjacent pair of probed nodes: after
+    round 0 its lo and hi, later its own two probes.  A step that leaves
+    (lo, hi), or a pair along which log(max r) does not fall (as where
+    max r underflowed to 0), bisects (lo, hi) instead."""
+    x_laser = v * t
+    xs = np.linspace(x_laser - _X_WINDOW_BEHIND * env.sigma,
+                     x_laser + _X_WINDOW_AHEAD * env.sigma, _N_X_SAMPLES)
+    den, w, g, wg = _adaptive_basis(env, v, xs, 0.0, t)
+    rise_liq = env.t_liq - env.t0
+    upper, lower = [], []
+    for p in powers:
+        band = _band(env, len(den), t, p)
+        # Python floats: a tiny power's threshold overflows to inf, not a warning
+        upper.append((rise_liq + band) / p)
+        lower.append((rise_liq - band) / p)
+    target = [math.log(rise_liq) - math.log(p) for p in powers]
+    lo, hi = [-1] * len(powers), [_LEAVES] * len(powers)
+    # power -> positions in nodes of the nodes it reads this round
+    reads = dict.fromkeys(range(len(powers)), range(len(_COARSE)))
+    nodes = _COARSE
+    while reads:
+        rise = _unit_rise(den, wg, nodes)
+        top = rise.max(axis=1)
+        # a maximum that underflowed to 0 takes the least float's log
+        log_top = np.log(np.maximum(top, _TINY)).tolist()
+        first = nodes is _COARSE
+        top, probed = top.tolist(), nodes.tolist()
+        next_reads, nodes = {}, []
+        for i, js in reads.items():
+            for j in js:
+                node = probed[j]
+                if not lo[i] < node < hi[i]:
+                    continue
+                if top[j] >= upper[i]:
+                    above = True
+                elif top[j] < lower[i]:
+                    above = False
+                else:  # inside the band: decided on the points not below
+                    coef = env.amplitude_per_watt * powers[i] * w * g[rise[j] >= lower[i]]
+                    above = bool((_profile_eval(env, den, coef, _NODES[node]) >= env.t_liq).any())
+                if above:
+                    lo[i] = node
+                else:
+                    hi[i] = node
+            if hi[i] - lo[i] > 1:
+                ja, jb = (probed.index(lo[i]), probed.index(hi[i])) if first else js
+                fall = log_top[ja] - log_top[jb]
+                n = (lo[i] + hi[i]) // 2
+                if fall > 0.0:
+                    step = probed[ja] + (probed[jb] - probed[ja]) * (
+                        (log_top[ja] - target[i]) / fall)
+                    if lo[i] < step < hi[i]:
+                        n = int(step)
+                n = max(min(n, hi[i] - 2), lo[i] + 1)
+                next_reads[i] = (len(nodes), len(nodes) + 1)
+                nodes += [n, n + 1]
+        reads, nodes = next_reads, np.array(nodes, dtype=int)
+    return [(float(0.5 * (_NODES[i] + _NODES[j])) if i >= 0 else 0.0, j == _LEAVES)
+            for i, j in zip(lo, hi)]
 
-    def above(rows, i):
-        return _profile_eval(env, den, rows, _NODES[i]) >= env.t_liq
 
-    lo, hi = 0, _LEAVES
-    if guess is None:
-        melted = above(coef, 0)
-        if not melted.any():
-            return 0.0, False
-        rows = coef[melted]
-    else:
-        j = min(int(min(guess, Z_MAX) / Z_MAX * _LEAVES), _LEAVES - 1) if guess > 0.0 else 0
-        melted = above(coef, j)
-        if melted.any():
-            lo, rows, step = j, coef[melted], 1
-            while j + step < _LEAVES:
-                melted = above(rows, j + step)
-                if not melted.any():
-                    hi = j + step
-                    break
-                lo, rows, step = j + step, rows[melted], 2 * step
-        else:
-            hi, step = j, 1
-            while True:
-                if hi == 0:  # not even the surface melts
-                    return 0.0, False
-                lo = max(j - step, 0)
-                melted = above(coef, lo)
-                if melted.any():
-                    rows = coef[melted]
-                    break
-                hi, step = lo, 2 * step + 1
-    while hi - lo > 1:
-        k = (lo ^ (hi - 1)).bit_length() - 1
-        m = (hi - 1) >> k << k
-        melted = above(rows, m)
-        if melted.any():
-            lo, rows = m, rows[melted]
-        else:
-            hi = m
-    return float(0.5 * (_NODES[lo] + _NODES[hi])), hi == _LEAVES
+def _check_query(p: float, v: float) -> None:
+    if not 0 <= p < math.inf:
+        raise ValueError("power must be finite and >= 0")
+    if not 0 < v < math.inf:
+        raise ValueError("speed must be finite and > 0")
+
+
+def _query_error(idx: int, p: float, v: float, exc: Exception) -> RuntimeError:
+    return RuntimeError(f"depth evaluation failed for query {idx} "
+                        f"(P={p} W, v={v} m/s): {exc}")
+
+
+def _steady_depths(env: MaterialEnv, v: float, powers: list) -> list[DepthResult]:
+    """melt_pool_depth of every power in powers at speed v.  Each distinct
+    positive power is searched once, and each simulated time solves all
+    powers not yet steady together on one scan-line basis."""
+    todo = sorted({float(p) for p in powers if p != 0.0})
+    done = {0.0: DepthResult(0.0, True, 0.0)}
+    prev: dict[float, float] = {}
+    t = _T_START
+    for k in range(_MAX_EXTENSIONS + 1):
+        unsettled = []
+        for p, (depth, at_edge) in zip(todo, _isotherm_depths(env, v, t, todo)):
+            if k and abs(depth - prev[p]) * MM_PER_M < _DEPTH_TOL_MM:
+                done[p] = DepthResult(depth * MM_PER_M, not at_edge, t, at_edge)
+            elif k == _MAX_EXTENSIONS:
+                done[p] = DepthResult(depth * MM_PER_M, False, t, at_edge)
+            else:
+                prev[p] = depth
+                unsettled.append(p)
+        if not unsettled:
+            break
+        todo = unsettled
+        t *= _T_GROWTH
+    return [done[float(p)] for p in powers]
 
 
 def melt_pool_depth(env: MaterialEnv, p: float, v: float) -> DepthResult:
@@ -361,81 +462,39 @@ def melt_pool_depth(env: MaterialEnv, p: float, v: float) -> DepthResult:
     Starts at t = 2 s and extends the simulated time by x1.5 (up to 4
     times) until two successive depths agree within 1e-3 mm.  Returns
     converged = False with the last depth if that never happens, or if
-    the isotherm reaches the 5 mm bracket edge.
+    the isotherm reaches the 5 mm bracket edge.  It is batch_depths'
+    search run on one power.
     """
-    return _steady_depth(env, p, v, {})
-
-
-def _start_guess(p: float, prior: tuple) -> float | None:
-    """Guess at the t = 2 s depth of power p from prior, the (power,
-    depths) pairs of the last three powers at this speed: the quadratic
-    in Newton form through their t = 2 s depths, or the line through
-    the last two while fewer than three distinct powers exist."""
-    points = [(q, depths[0]) for q, depths in prior]
-    if len(points) < 2 or points[-2][0] == points[-1][0]:
-        return None
-    (p1, d1), (p2, d2) = points[-2:]
-    slope = (d2 - d1) / (p2 - p1)
-    guess = d2 + slope * (p - p2)
-    if len(points) == 3 and points[0][0] not in (p1, p2):
-        p0, d0 = points[0]
-        curve = (slope - (d1 - d0) / (p1 - p0)) / (p2 - p0)
-        guess += curve * (p - p2) * (p - p1)
-    return guess
-
-
-def _steady_depth(env: MaterialEnv, p: float, v: float, bases: dict) -> DepthResult:
-    """melt_pool_depth, sharing the scan-line bases of speed v.  Under
-    "powers" bases also keeps the depths at 2, 3, 4.5, ... s of the last
-    three powers at v.  They warm-start each bisection of the next power:
-    at t = 2 s through _start_guess, and at each later time from this
-    power's previous depth plus the previous power's change in depth
-    between the same two times."""
-    if not 0 <= p < math.inf:
-        raise ValueError("power must be finite and >= 0")
-    if not 0 < v < math.inf:
-        raise ValueError("speed must be finite and > 0")
-    if p == 0.0:
-        return DepthResult(0.0, True, 0.0)
-
-    t = _T_START
-    prior = bases.get("powers", ())
-    prev = prior[-1][1] if prior else ()
-    d_prev, at_edge = _depth_at_time(env, p, v, t, bases, _start_guess(float(p), prior))
-    depths = [d_prev]  # grows below, also as the next power's prev
-    bases["powers"] = (*prior[-2:], (float(p), depths))
-    for k in range(1, _MAX_EXTENSIONS + 1):
-        t_next = t * _T_GROWTH
-        guess = d_prev + (prev[k] - prev[k - 1]) if len(prev) > k else d_prev
-        d_next, at_edge = _depth_at_time(env, p, v, t_next, bases, guess)
-        depths.append(d_next)
-        if abs(d_next - d_prev) * MM_PER_M < _DEPTH_TOL_MM:
-            return DepthResult(d_next * MM_PER_M, not at_edge, t_next, at_edge)
-        t, d_prev = t_next, d_next
-    return DepthResult(d_prev * MM_PER_M, False, t, at_edge)
+    _check_query(p, v)
+    return _steady_depths(env, v, [p])[0]
 
 
 def batch_depths(env: MaterialEnv, queries) -> list[DepthResult]:
     """Element-wise melt_pool_depth over (p, v) pairs.
 
-    Queries are visited speed by speed, so each speed's scan-line bases
-    are built once for all of its powers, and each power's first
-    bisection is warm-started from the powers before it.  Results are
-    identical to individual calls; failures carry the offending query
-    index.
+    Every query is validated first.  Then each speed's powers are solved
+    together: at each simulated time one scan-line basis and one matrix
+    product per search round serve every power still unsettled.  Results
+    are identical to individual calls; failures carry the offending query
+    index (for a failed basis, the speed's first query with P > 0).
     """
     queries = list(queries)
     by_speed: dict[float, list[int]] = {}
-    for idx, (_, v) in enumerate(queries):
+    for idx, (p, v) in enumerate(queries):
+        try:
+            _check_query(p, v)
+        except ValueError as exc:
+            raise _query_error(idx, p, v, exc) from exc
         by_speed.setdefault(v, []).append(idx)
     out: list[DepthResult] = [None] * len(queries)
     for v, idxs in by_speed.items():
-        bases: dict = {}
-        for idx in idxs:
-            p = queries[idx][0]
-            try:
-                out[idx] = _steady_depth(env, p, v, bases)
-            except Exception as exc:
-                raise RuntimeError(f"depth evaluation failed for query {idx} "
-                                   f"(P={p} W, v={v} m/s): {exc}") from exc
+        powers = [queries[idx][0] for idx in idxs]
+        try:
+            results = _steady_depths(env, v, powers)
+        except Exception as exc:
+            idx = next(idx for idx, p in zip(idxs, powers) if p != 0.0)
+            raise _query_error(idx, queries[idx][0], v, exc) from exc
+        for idx, res in zip(idxs, results):
+            out[idx] = res
     return out
+

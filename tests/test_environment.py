@@ -207,11 +207,12 @@ class TestDepthCache:
         assert [cache10.depth(s) for s in range(grid.n_states)] == before
 
     def test_cold_20x20_warm_up_profile_evaluations(self, material, monkeypatch):
-        """The isotherm bisections gallop from depths predicted from
-        neighbouring powers and times: a cold 20x20 warm-up evaluates the
-        temperature profile 4,493 times, against 8,618 with a fixed
-        +-32-leaf window around the plainer guesses and 15,375 when every
-        bisection starts from the full bracket."""
+        """Every isotherm node is decided from one scan-line product per
+        search round, so a cold 20x20 warm-up evaluates the temperature
+        profile only at the quadrature checkpoints, 2 per basis built:
+        296, against 4,493 when each power galloped from a predicted
+        depth and 15,375 when every bisection started from the full
+        bracket."""
         calls = []
         profile_eval = thermal._profile_eval
 
@@ -222,7 +223,28 @@ class TestDepthCache:
         monkeypatch.setattr(thermal, "_profile_eval", counting)
         DepthCache(material, StateGrid(n=20, p_min=450.0, p_max=1150.0,
                                        v_min=330.0, v_max=860.0))
-        assert len(calls) <= 4500
+        assert len(calls) <= 300
+
+    def test_cold_20x20_warm_up_rounds_and_fallbacks(self, material, monkeypatch):
+        """The same warm-up takes 187 search rounds over 4,755 nodes (a
+        Newton step with the wrong sign took thousands), and no node
+        falls inside the rounding band, so none is decided by a profile
+        evaluation outside the checkpoints."""
+        counts = dict.fromkeys(("rounds", "bases", "evals"), 0)
+
+        def counting(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(thermal, "_unit_rise", counting("rounds", thermal._unit_rise))
+        monkeypatch.setattr(thermal, "_profile_basis", counting("bases", thermal._profile_basis))
+        monkeypatch.setattr(thermal, "_profile_eval", counting("evals", thermal._profile_eval))
+        DepthCache(material, StateGrid(n=20, p_min=450.0, p_max=1150.0,
+                                       v_min=330.0, v_max=860.0))
+        assert counts["rounds"] <= 200
+        assert counts["evals"] - 2 * counts["bases"] == 0
 
 
 class TestScores:

@@ -28,33 +28,25 @@ from meltpool_rl.thermal import (
     _X_WINDOW_AHEAD,
     _X_WINDOW_BEHIND,
     _adaptive_basis,
-    _depth_at_time,
+    _band,
+    _isotherm_depths,
     _profile_basis,
     _profile_eval,
+    _unit_rise,
 )
 
 V_MID = 550.0 * MMPM_TO_MPS
 #: the simulated times melt_pool_depth visits: 2 s grown by x1.5 four times
 DEPTH_TIMES = (2.0, 3.0, 4.5, 6.75, 10.125)
-#: one final bisection interval, m
-LEAF = Z_MAX / 2**16
 #: the float bisection's stopping width, m: 16 halvings of Z_MAX reach it
 Z_TOL = 1e-7
-#: a warm-start guess as a function of the true depth: none, 0, negative,
-#: above the bracket, any float, the true depth +- 0-200 leaves or +- 2**k
-#: leaves for k = 0-16 (misses at each of the gallop's step sizes, out to
-#: beyond the bracket), or exactly on a tree node at most 3 leaves from
-#: the true depth's leaf
-GUESSES = (st.one_of(st.sampled_from([None, 0.0]),
-                     st.floats(max_value=0.0, exclude_max=True),
-                     st.floats(min_value=Z_MAX, exclude_min=True),
-                     st.floats()).map(lambda g: lambda depth: g)
-           | (st.integers(-200, 200)
-              | st.builds(lambda sign, k: sign * 2**k, st.sampled_from([-1, 1]),
-                          st.integers(0, 16))).map(
-               lambda k: lambda depth: depth + k * LEAF)
-           | st.integers(-3, 4).map(
-               lambda k: lambda depth: _NODES[min(max(int(depth / LEAF) + k, 0), 2**16)]))
+#: powers for the batched search: any, near 0, never melting, near the
+#: melting threshold at 500 mm/min, and deeper than the bracket at 100 mm/min
+POWERS = st.floats(1e-3, 20000.0) | st.sampled_from([5e-324, 1e-300, 50.0, 190.56,
+                                                     5000.0, 20000.0])
+#: unsorted batches of those powers, some of them repeated
+BATCHES = st.lists(POWERS, min_size=1, max_size=6).flatmap(
+    lambda ps: st.permutations(ps + ps[: len(ps) // 2]))
 
 
 def node_reference(i):
@@ -107,18 +99,19 @@ def profile_eval_reference(env, u, coef, z_per_row):
 
 
 def scan_line(env, v, t):
-    """The scan-line points _depth_at_time bisects at speed v and time t."""
+    """The scan-line points the isotherm search bisects at speed v and time t."""
     x_laser = v * t
     return np.linspace(x_laser - _X_WINDOW_BEHIND * env.sigma,
                        x_laser + _X_WINDOW_AHEAD * env.sigma, _N_X_SAMPLES)
 
 
 def depth_at_time_reference(env, p, v, t, bases):
-    """_depth_at_time before it pruned the scan line: every point is
-    bisected on its own, and the deepest melted midpoint is kept."""
+    """The isotherm depth by the plain float bisection: every scan-line
+    point is bisected on its own, and the deepest melted midpoint is
+    kept."""
     if t not in bases:
         bases[t] = _adaptive_basis(env, v, scan_line(env, v, t), 0.0, t)
-    den, w, g = bases[t]
+    den, w, g, _ = bases[t]
     u = basis_nodes(t, len(den) // len(_GL_NODES))
     coef = env.amplitude_per_watt * p * w * g
 
@@ -136,16 +129,16 @@ def depth_at_time_reference(env, p, v, t, bases):
             bool(np.any(melted & (hi == Z_MAX))))
 
 
-def assert_depths_bit_identical(env, p, v_mmpm, times=DEPTH_TIMES,
-                                guess=lambda depth: None):
-    """_depth_at_time, warm-started from guess(true depth), equals the
-    reference bit for bit, edge flag included."""
+def assert_depths_bit_identical(env, powers, v_mmpm, times=DEPTH_TIMES):
+    """The batched search over powers equals the reference power by power,
+    bit for bit, edge flag included."""
     v = v_mmpm * MMPM_TO_MPS
     bases: dict = {}
     for t in times:
-        ref_depth, ref_edge = depth_at_time_reference(env, p, v, t, bases)
-        depth, at_edge = _depth_at_time(env, p, v, t, bases, guess(ref_depth))
-        assert (depth.hex(), at_edge) == (ref_depth.hex(), ref_edge), (p, v_mmpm, t)
+        got = _isotherm_depths(env, v, t, powers)
+        for p, (depth, at_edge) in zip(powers, got, strict=True):
+            ref_depth, ref_edge = depth_at_time_reference(env, p, v, t, bases)
+            assert (depth.hex(), at_edge) == (ref_depth.hex(), ref_edge), (p, v_mmpm, t)
 
 
 class TestTemperature:
@@ -217,7 +210,7 @@ class TestQuadrature:
     def test_self_convergence_on_panel_doubling(self, material):
         """The converged rule changes by < 1e-5 relative when refined again."""
         xs = np.array([V_MID * 2.0 - 2e-4])
-        den, w, g = _adaptive_basis(material, V_MID, xs, 0.0, 2.0)
+        den, w, g, _ = _adaptive_basis(material, V_MID, xs, 0.0, 2.0)
         coef = material.amplitude_per_watt * 800.0 * w * g
         n_panels = (len(den) // 12) * 2
         den2, w2, g2 = _profile_basis(material, V_MID, xs, 0.0, 2.0, n_panels)
@@ -342,43 +335,74 @@ class TestBisectionNodes:
 
 
 class TestDepthAtTime:
-    """The pruned bisection against every point bisected on its own."""
+    """The batched isotherm search against every point bisected on its
+    own."""
 
-    @given(p=st.floats(0.0, 20000.0), v_mmpm=st.floats(100.0, 2000.0),
+    @given(p=st.floats(0.0, 20000.0, exclude_min=True), v_mmpm=st.floats(100.0, 2000.0),
            t=st.sampled_from(DEPTH_TIMES))
     @settings(max_examples=60, deadline=None)
     def test_bit_identical_to_per_point_bisection(self, material, p, v_mmpm, t):
-        assert_depths_bit_identical(material, p, v_mmpm, times=(t,))
+        assert_depths_bit_identical(material, [p], v_mmpm, times=(t,))
 
-    @given(p=st.floats(0.0, 20000.0), v_mmpm=st.floats(100.0, 2000.0),
-           t=st.sampled_from(DEPTH_TIMES), guess=GUESSES)
-    @settings(max_examples=100, deadline=None)
-    def test_guess_changes_no_bit(self, material, p, v_mmpm, t, guess):
-        """A warm-start guess, right, wrong or absurd, changes only the
-        work done."""
-        assert_depths_bit_identical(material, p, v_mmpm, times=(t,), guess=guess)
-
-    @given(p=st.floats(200.0, 5000.0), v_mmpm=st.floats(100.0, 2000.0),
+    @given(powers=BATCHES,
+           v_mmpm=st.floats(100.0, 2000.0) | st.sampled_from([100.0, 1e157, 1e308]),
            t=st.sampled_from(DEPTH_TIMES))
-    @settings(max_examples=30, deadline=None)
-    def test_exact_guess_costs_two_evaluations(self, material, p, v_mmpm, t):
-        """A guess in the result's own leaf probes its two ends, one above
-        and one below the isotherm, and the descent evaluates nothing."""
-        v = v_mmpm * MMPM_TO_MPS
-        bases: dict = {}
-        depth, at_edge = _depth_at_time(material, p, v, t, bases)
-        assume(depth > 0.0 and not at_edge)
+    @settings(max_examples=60, deadline=None)
+    def test_batches_match_per_point_bisection(self, material, powers, v_mmpm, t):
+        """Unsorted batches with repeated powers, powers near 0, powers
+        that never melt and powers whose pool is deeper than the bracket;
+        at 1e157 and 1e308 mm/min the kernel, and with it every scan-line
+        maximum, is 0."""
+        assert_depths_bit_identical(material, powers, v_mmpm, times=(t,))
+
+    def test_exact_decisions_give_the_same_bits(self, material, cache10, edge_cache,
+                                                monkeypatch):
+        """With an infinite band every node is decided by _profile_eval,
+        and every DepthResult, the edge state included, is unchanged."""
         calls = []
 
         def counting(*args):
             calls.append(None)
             return _profile_eval(*args)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(thermal, "_profile_eval", counting)
-            again = _depth_at_time(material, p, v, t, bases, depth)
-        assert again == (depth, False)
-        assert len(calls) == 2
+        monkeypatch.setattr(thermal, "_band", lambda *args: math.inf)
+        monkeypatch.setattr(thermal, "_profile_eval", counting)
+        for cache in (cache10, edge_cache):
+            states = range(cache.grid.n_states)
+            queries = [(p, v * MMPM_TO_MPS)
+                       for p, v in (state_params(cache.grid, s) for s in states)]
+            calls.clear()
+            got = batch_depths(material, queries)
+            assert [(r, r.at_edge) for r in got] == [(cache.depth(s), cache.depth(s).at_edge)
+                                                     for s in states]
+            assert len(calls) > 10 * len(states)
+
+    @given(v_mmpm=st.floats(100.0, 2000.0) | st.sampled_from([1e157]),
+           t=st.sampled_from(DEPTH_TIMES), n_panels=st.sampled_from([16, 32, 64, 128]),
+           nodes=st.lists(st.integers(0, 2**16 - 1), min_size=1, max_size=8),
+           ratio=st.floats(0.5, 2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_band_bounds_the_rounding(self, material, v_mmpm, t, n_panels, nodes, ratio):
+        """|s - p*r| <= band for every scan-line point, where s is the rise
+        _profile_eval adds to t0 and r the unit rise, with p set so that
+        p * max r is ratio * (t_liq - t0): the band holds where the
+        thresholds are compared.  At 1e157 mm/min every rise is 0.  The
+        bound rests on both paths taking the same damping floats, which
+        is checked too."""
+        env, v = material, v_mmpm * MMPM_TO_MPS
+        den, w, g = _profile_basis(env, v, scan_line(env, v, t), 0.0, t, n_panels)
+        wg = env.amplitude_per_watt * w * g
+        nodes = np.array(nodes)
+        z = _NODES[nodes]
+        damp = np.exp(-(z * z)[:, None] / den)
+        rise = _unit_rise(den, wg, nodes)
+        for zj, damp_j, r in zip(z, damp, rise):
+            assert damp_j.tobytes() == np.exp(-(zj * zj) / den).tobytes()
+            top = float(r.max())
+            p = ratio * (env.t_liq - env.t0) / top if top > 0.0 else 1.0
+            assume(p < math.inf)
+            exact = np.einsum("ik,k->i", env.amplitude_per_watt * p * w * g, damp_j)
+            assert np.all(np.abs(exact - p * r) <= _band(env, len(den), t, p))
 
     @pytest.mark.parametrize("p, v_mmpm", [
         (50.0, 550.0),      # never melts
@@ -387,7 +411,7 @@ class TestDepthAtTime:
         (919.0, 200.0),     # not steady after the last time extension
     ])
     def test_named_points_bit_identical(self, material, p, v_mmpm):
-        assert_depths_bit_identical(material, p, v_mmpm)
+        assert_depths_bit_identical(material, [p], v_mmpm)
 
 
 class TestScipyReference:
@@ -456,7 +480,7 @@ class TestFineReference:
             v, t = v_mmpm * MMPM_TO_MPS, res.t_used
             if (v, t) not in bases:
                 bases[v, t] = _adaptive_basis(env, v, scan_line(env, v, t), 0.0, t)
-            den, w, g = bases[v, t]
+            den, w, g, _ = bases[v, t]
             depth = res.depth_mm / MM_PER_M
             coef = env.amplitude_per_watt * p * w * g
             rows = coef[_profile_eval(env, den, coef, depth - half_leaf) >= env.t_liq]
@@ -497,6 +521,14 @@ class TestBatchDepths:
     def test_failure_names_query_index(self, material):
         with pytest.raises(RuntimeError, match="query 1"):
             batch_depths(material, [(600.0, 500.0 * MMPM_TO_MPS), (700.0, 0.0)])
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_bad_power_inside_a_speed_is_named(self, material, bad):
+        """One speed's powers are searched together, yet a bad power
+        among them is named by its own query index."""
+        v = 500.0 * MMPM_TO_MPS
+        with pytest.raises(RuntimeError, match=r"query 2 \(P=.* W.*power must be finite"):
+            batch_depths(material, [(600.0, v), (700.0, v), (bad, v), (800.0, v)])
 
 
 class TestMaterialEnv:
