@@ -4,7 +4,8 @@ and hyperparameter sweeps.
 Every output directory receives a config_snapshot.json with the fully
 resolved configuration (including any --seed override), so a run can be
 re-created from its outputs alone.  Exit codes: 0 success, 1 validation
-error, 2 runtime or convergence failure.
+error (argparse's usage errors included), 2 runtime or convergence
+failure.
 """
 
 from __future__ import annotations
@@ -129,8 +130,18 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with EXIT_VALIDATION,
+    as every other validation failure does; subparsers are built from
+    the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="meltpool-rl",
         description="Q-learning process-parameter search for L-DED "
                     "melt-pool depth on an analytical thermal model.")

@@ -136,4 +136,8 @@ def load_config(path: Optional[str] = None) -> RunConfig:
             cfg.sweep_for(swp["param"])
         except ValueError as exc:
             raise ConfigError(f"sweep: {exc}") from exc
+    elif swp["values"] is not None:
+        # values no sweep would read must not look used in the snapshot
+        raise ConfigError("sweep.values: set without sweep.param, "
+                          "so no sweep would use them")
     return cfg

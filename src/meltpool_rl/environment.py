@@ -31,7 +31,8 @@ REWARD_VARIANTS = ("paper", "inverse_error")
 
 
 class EnvironmentEvalError(RuntimeError):
-    """Raised when a transition cannot be scored (unconverged depth)."""
+    """Raised when a grid has a state without a usable depth (not steady,
+    or deeper than the depth bracket), so that state cannot be scored."""
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,10 @@ class DepthCache:
     and as the next_state array, each state's DepthResult from one
     batch_depths call in warm() (the constructor calls it; later calls
     are no-ops), and per RewardConfig each state's score, which
-    run_episode looks up once per episode and step once per call."""
+    run_episode looks up once per episode and step once per call.
+
+    Only a grid on which every state has a usable depth gets a cache:
+    warm() raises EnvironmentEvalError otherwise, so every score exists."""
 
     def __init__(self, env: MaterialEnv, grid: StateGrid):
         self.env = env
@@ -156,36 +160,35 @@ class DepthCache:
         if self._depths:
             return
         pv = [state_params(self.grid, s) for s in range(self.grid.n_states)]
-        self._depths = batch_depths(self.env, [(p, v * MMPM_TO_MPS) for p, v in pv])
+        depths = batch_depths(self.env, [(p, v * MMPM_TO_MPS) for p, v in pv])
+        unusable = [s for s, res in enumerate(depths) if not res.converged]
+        if unusable:
+            # the count, then the first state of each cause, bracket edge first
+            first: dict[bool, int] = {}
+            for s in unusable:
+                first.setdefault(depths[s].at_edge, s)
+            causes = "; ".join(
+                (f"melt pool deeper than the {Z_MAX * MM_PER_M:g} mm depth bracket"
+                 if at_edge else f"depth not steady by t={depths[s].t_used:g} s")
+                + f" at state {s} (P={pv[s][0]:.1f} W, v={pv[s][1]:.1f} mm/min)"
+                for at_edge, s in sorted(first.items(), reverse=True))
+            raise EnvironmentEvalError(f"{len(unusable)} of {self.grid.n_states} states "
+                                       f"have no usable depth: {causes}")
+        self._depths = depths
 
     def scores(self, rc: RewardConfig) -> list:
-        """Each state's (reward, terminal) under rc, or None where its
-        depth is unusable; built once per RewardConfig."""
+        """Each state's (reward, terminal) under rc, built once per
+        RewardConfig; warm() has checked that every depth is usable."""
         table = self._scores.get(rc)
         if table is None:
             table = self._scores[rc] = [
                 (reward(rc, res.depth_mm),
                  abs(res.depth_mm - rc.delta_opt) <= rc.tol_delta)
-                if res.converged else None
                 for res in self._depths]
         return table
 
     def __len__(self) -> int:
         return len(self._depths)
-
-
-def depth_failure(grid: StateGrid, s: int, res: DepthResult) -> str:
-    """Why state s has no usable depth, and its process parameters."""
-    p, v = state_params(grid, s)
-    cause = (f"melt pool deeper than the {Z_MAX * MM_PER_M:g} mm depth bracket"
-             if res.at_edge else f"depth not steady by t={res.t_used:g} s")
-    return f"{cause} at state {s} (P={p:.1f} W, v={v:.1f} mm/min)"
-
-
-def landing_error(cache: DepthCache, s: int) -> EnvironmentEvalError:
-    """The error for a move onto state s, whose depth is unusable."""
-    return EnvironmentEvalError("environment evaluation failed: "
-                                f"{depth_failure(cache.grid, s, cache.depth(s))}")
 
 
 class StepOutcome(NamedTuple):
@@ -197,20 +200,17 @@ class StepOutcome(NamedTuple):
 def step(cache: DepthCache, s: int, action: int, rc: RewardConfig) -> StepOutcome:
     """Apply an action, score the landing state, and flag termination.
 
-    The action must be valid for s (callers select from cache.valid[s]);
-    an unconverged depth at the landing state aborts the episode.
-    Training does not call it: qlearn.run_episode inlines this step and
-    reads cache.scores once per episode.  It stays as the single-step
-    reference the tests pin that loop to, and as a name perfbench traces.
+    The action must be valid for s (callers select from cache.valid[s]).
+    Every landing state has a score, since DepthCache rejects a grid with
+    an unusable depth when it is built.  Training does not call it:
+    qlearn.run_episode inlines this step and reads cache.scores once per
+    episode.  It stays as the single-step reference the tests pin that
+    loop to, and as a name perfbench traces.
     """
     if not 0 <= s < len(cache.valid) or action not in cache.valid[s]:
         raise ValueError(f"action {action} invalid in state {s}")
     nxt = cache.moves[s][action]
-    score = cache.scores(rc)[nxt]
-    if score is None:
-        raise landing_error(cache, nxt)
-    r, terminal = score
-    return StepOutcome(nxt, r, terminal)
+    return StepOutcome(nxt, *cache.scores(rc)[nxt])
 
 
 def write_depth_map_csv(path, cache: DepthCache) -> None:

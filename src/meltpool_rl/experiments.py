@@ -120,7 +120,8 @@ def aggregate_convergence(trace_sets: list[list[EpisodeTrace]]) -> ConvergenceCu
 def run_sweep(spec: SweepSpec, material: MaterialEnv, grid: StateGrid,
               rc: RewardConfig, hp: Hyperparams) -> list[ValueResult]:
     """R replicated runs per swept value, aggregated and oracle-checked.
-    One DepthCache serves every value that keeps the grid."""
+    One DepthCache and one oracle ranking serve every value that keeps
+    the grid."""
     cache = None
     out = []
     for vi, value in enumerate(spec.values):
@@ -128,7 +129,7 @@ def run_sweep(spec: SweepSpec, material: MaterialEnv, grid: StateGrid,
         hp_v = hp if spec.param == "n" else replace(hp, **{spec.param: value})
         if cache is None or cache.grid != g:
             cache = DepthCache(material, g)
-        report = brute_force_rank(cache, rc)
+            report = brute_force_rank(cache, rc)
         runs, seeds, verdicts = [], [], []
         for rep in range(spec.replicates):
             seed = replicate_seed(spec.base_seed, vi, rep)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .environment import DepthCache, RewardConfig, StateGrid, depth_failure, state_params
+from .environment import DepthCache, RewardConfig, StateGrid, state_params
 from .outputs import write_csv
 from .qlearn import RunResult
 
@@ -60,19 +60,9 @@ class Verdict:
 
 def brute_force_rank(cache: DepthCache, rc: RewardConfig) -> GridReport:
     """Exhaustive ranking by |depth - rc.delta_opt|, stable on flat id;
-    rows in flat-id order, in_band within rc.tol_r.  Any unusable state
-    fails the whole ranking with one error that counts them and names the
-    first state of each cause, the bracket edge first."""
+    rows in flat-id order, in_band within rc.tol_r.  Every state has a
+    usable depth: DepthCache rejects a grid where one has not."""
     grid = cache.grid
-    unusable = [s for s in range(grid.n_states) if not cache.depth(s).converged]
-    if unusable:
-        first: dict[bool, int] = {}
-        for s in unusable:
-            first.setdefault(cache.depth(s).at_edge, s)
-        causes = "; ".join(depth_failure(grid, s, cache.depth(s))
-                           for _, s in sorted(first.items(), reverse=True))
-        raise RuntimeError(f"oracle: {len(unusable)} of {grid.n_states} states "
-                           f"have no usable depth: {causes}")
     entries = []
     for s in range(grid.n_states):
         res = cache.depth(s)

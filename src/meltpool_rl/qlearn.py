@@ -35,7 +35,7 @@ from typing import Union
 
 import numpy as np
 
-from .environment import ACTIONS, N_ACTIONS, DepthCache, RewardConfig, landing_error, state_params
+from .environment import ACTIONS, N_ACTIONS, DepthCache, RewardConfig, state_params
 from .outputs import write_csv, write_json
 
 GENERATOR_NAME = "numpy.random.PCG64"
@@ -280,8 +280,9 @@ def run_episode(cache: DepthCache, rc: RewardConfig, q: list,
     greedy pick is max() over the row; a unique max takes no draw, as
     select_action's integers(1) takes none.  Termination is evaluated on
     the landing state, so even a lucky start takes at least one step.
-    rng is a Generator or the _Draws train passes, which draws the same
-    numbers.
+    Every landing state has a score: DepthCache is built only for a grid
+    on which every depth is usable.  rng is a Generator or the _Draws
+    train passes, which draws the same numbers.
     """
     valid, moves, scores = cache.valid, cache.moves, cache.scores(rc)
     alpha, gamma, epsilon = hp.alpha, hp.gamma, hp.epsilon
@@ -305,10 +306,7 @@ def run_episode(cache: DepthCache, rc: RewardConfig, q: list,
         if nxt < 0:
             raise ValueError(f"off-grid move at state {s}, action {a}: "
                              "the Q list must hold -inf there")
-        score = scores[nxt]
-        if score is None:
-            raise landing_error(cache, nxt)
-        r, terminal = score
+        r, terminal = scores[nxt]
         val = keep * row[a] + alpha * (r + gamma * max(q[nxt]))
         if not math.isfinite(val):
             raise ArithmeticError(f"non-finite Q-value at state {s}, action {a}")

@@ -138,6 +138,10 @@ class LaserQuery:
     t: float
 
     def __post_init__(self):
+        for name in ("p", "v", "x", "y", "z", "t"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"LaserQuery.{name} must be finite, "
+                                 f"got {getattr(self, name)!r}")
         if self.p < 0:
             raise ValueError("power must be >= 0")
         if self.v < 0:

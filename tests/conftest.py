@@ -12,6 +12,11 @@ import pytest
 from meltpool_rl.environment import DepthCache, RewardConfig, StateGrid
 from meltpool_rl.thermal import MaterialEnv
 
+#: 2x2 grid whose (20000 W, 400 mm/min) state, flat id 2, melts deeper
+#: than the 5 mm depth bracket; its other states are steady.  No
+#: DepthCache can be built for it.
+EDGE_GRID = StateGrid(n=2, p_min=1000.0, p_max=20000.0)
+
 
 @pytest.fixture(scope="session")
 def material():
@@ -44,10 +49,3 @@ def cache_for(material, grid):
 @pytest.fixture(scope="session")
 def cache10(cache_for):
     return cache_for(10)
-
-
-@pytest.fixture(scope="session")
-def edge_cache(material):
-    """2x2 grid whose (20000 W, 400 mm/min) state, flat id 2, melts
-    deeper than the 5 mm depth bracket; its other states are steady."""
-    return DepthCache(material, StateGrid(n=2, p_min=1000.0, p_max=20000.0))

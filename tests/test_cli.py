@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from meltpool_rl import cli
 from meltpool_rl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 
 SMALL = """\
@@ -19,6 +20,10 @@ qlearn:
   n_epochs: 10
   seed: 3
 """
+
+#: a 2x2 grid whose (20000 W, 400 mm/min) state melts past the 5 mm
+#: depth bracket
+EDGE = "grid: {n: 2, p_min_w: 1000.0, p_max_w: 20000.0}\n"
 
 
 @pytest.fixture()
@@ -188,17 +193,55 @@ class TestGridBound:
 
 
 class TestOutputOnlyAfterResults:
-    """A run that fails leaves no --out: on this 2x2 grid the
-    (20000 W, 400 mm/min) state melts past the 5 mm depth bracket."""
+    """A run that fails leaves no --out: on the EDGE grid one state melts
+    past the 5 mm depth bracket."""
 
     @pytest.mark.parametrize("argv", [["train"], ["map"], ["sweep", "--param", "epsilon"]])
     def test_runtime_failure_leaves_no_output(self, tmp_path, capsys, argv):
         cfg = tmp_path / "config.yaml"
-        cfg.write_text("grid: {n: 2, p_min_w: 1000.0, p_max_w: 20000.0}\n")
+        cfg.write_text(EDGE)
         out = tmp_path / "out"
         assert main(["--config", str(cfg), *argv, "--out", str(out)]) == EXIT_RUNTIME
         assert "5 mm depth bracket at state 2" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unusable_grid_is_never_trained_on(self, tmp_path, capsys, monkeypatch):
+        """The grid is refused when its depth cache is built, before
+        training starts."""
+        monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("train was called"))
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(EDGE)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "train", "--out", str(out)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith(
+            "error: 1 of 4 states have no usable depth: melt pool deeper than "
+            "the 5 mm depth bracket at state 2 (P=20000.0 W, v=400.0 mm/min)")
+        assert not out.exists()
+
+
+class TestUsageErrors:
+    """argparse's own usage errors are validation errors: exit 1, not
+    argparse's 2, which this CLI keeps for runtime failures."""
+
+    @pytest.mark.parametrize("argv", [
+        ["depth", "--power", "abc", "--speed", "500"],
+        ["train", "--seed", "x", "--out", "out"],
+        ["frobnicate"],
+        ["map"],
+        [],
+    ])
+    def test_exit_validation(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_VALIDATION
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
+    def test_help_exits_ok(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: meltpool-rl")
 
 
 class TestMap:

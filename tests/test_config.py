@@ -261,6 +261,13 @@ class TestValidation:
             load_config(write(tmp_path, f"sweep:\n  param: {param}\n"
                                         f"  values: {values}\n"))
 
+    @pytest.mark.parametrize("values", ["garbage", "[0.5]", "[]"])
+    def test_sweep_values_without_param_are_named(self, tmp_path, values):
+        """Values no sweep reads would be recorded in every snapshot as if
+        they were used."""
+        with pytest.raises(ConfigError, match=r"^sweep\.values: set without sweep\.param"):
+            load_config(write(tmp_path, f"sweep:\n  values: {values}\n"))
+
     def test_top_level_must_be_mapping(self, tmp_path):
         with pytest.raises(ConfigError, match="mapping"):
             load_config(write(tmp_path, "- a\n- b\n"))

@@ -23,6 +23,8 @@ from meltpool_rl.environment import (
 )
 from meltpool_rl.thermal import MMPM_TO_MPS, DepthResult, MaterialEnv, melt_pool_depth
 
+from conftest import EDGE_GRID
+
 
 class TestActions:
     def test_eight_unique_king_moves(self):
@@ -171,20 +173,22 @@ class TestStep:
                 wider = RewardConfig(tol_delta=0.6, tol_r=0.6)
                 assert step(cache10, s, k, wider).terminal
 
-    def test_unconverged_depth_aborts(self, cache10, reward_config, monkeypatch):
+    def test_unconverged_depth_aborts(self, cache10, monkeypatch):
+        """A grid with an unsteady state gets no cache, so no step ever
+        lands on that state: the failure comes when the cache is built."""
         depths = [cache10.depth(s) for s in range(100)]
         depths[33] = DepthResult(1.423988342285156, False, 10.125)  # 919 W, 200 mm/min
         monkeypatch.setattr(environment, "batch_depths", lambda env, queries: depths)
-        cache = DepthCache(cache10.env, cache10.grid)
         with pytest.raises(EnvironmentEvalError,
-                           match=r"depth not steady by t=10\.125 s at state 33 "):
-            step(cache, 44, 0, reward_config)
+                           match=r"^1 of 100 states have no usable depth: "
+                                 r"depth not steady by t=10\.125 s at state 33 "):
+            DepthCache(cache10.env, cache10.grid)
 
-    def test_depth_beyond_bracket_aborts(self, edge_cache, reward_config):
+    def test_depth_beyond_bracket_aborts(self, material):
         with pytest.raises(EnvironmentEvalError,
                            match=r"deeper than the 5 mm depth bracket at state 2 "
                                  r"\(P=20000\.0 W, v=400\.0 mm/min\)"):
-            step(edge_cache, 0, ACTIONS.index((1, 0)), reward_config)
+            DepthCache(material, EDGE_GRID)
 
 
 class TestDepthCache:
@@ -260,9 +264,6 @@ class TestScores:
         assert other is not table
         assert cache10.scores(RewardConfig()) is table
 
-    def test_unusable_depth_has_no_score(self, edge_cache, reward_config):
-        assert [score is None for score in edge_cache.scores(reward_config)] == \
-            [False, False, True, False]
 
 
 class TestNextState:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meltpool_rl.environment import DepthCache, RewardConfig, StateGrid
+from meltpool_rl.environment import (DepthCache, EnvironmentEvalError, RewardConfig,
+                                     StateGrid, state_params)
 from meltpool_rl.oracle import (
     Verdict,
     brute_force_rank,
@@ -15,6 +16,9 @@ from meltpool_rl.oracle import (
     write_pv_map_csv,
 )
 from meltpool_rl.qlearn import Hyperparams, train
+from meltpool_rl.thermal import MMPM_TO_MPS, batch_depths
+
+from conftest import EDGE_GRID
 
 
 @pytest.fixture(scope="module")
@@ -57,9 +61,11 @@ class TestBruteForceRank:
         b = brute_force_rank(cache10, reward_config)
         assert a.rows == b.rows
 
-    def test_depth_beyond_bracket_raises(self, edge_cache, reward_config):
-        with pytest.raises(RuntimeError, match="5 mm depth bracket at state 2"):
-            brute_force_rank(edge_cache, reward_config)
+    def test_depth_beyond_bracket_raises(self, material):
+        """The ranking needs every state's depth, so a grid with a state
+        past the bracket is refused before there is a cache to rank."""
+        with pytest.raises(EnvironmentEvalError, match="5 mm depth bracket at state 2"):
+            DepthCache(material, EDGE_GRID)
 
     @given(powers=st.lists(st.floats(100.0, 20000.0), min_size=2, max_size=2,
                            unique=True).map(sorted),
@@ -67,32 +73,33 @@ class TestBruteForceRank:
                            unique=True).map(sorted))
     @settings(max_examples=8, deadline=None)
     def test_edge_states_are_flagged(self, material, powers, speeds):
-        """A state at the 5 mm bracket edge is unconverged at 5 mm, and the
-        oracle counts the unusable states, names the first one, and names
-        the bracket cause exactly when some state is at the edge."""
-        cache = DepthCache(material, StateGrid(2, *powers, *speeds))
-        results = [cache.depth(s) for s in range(4)]
+        """A state at the 5 mm bracket edge is unconverged at 5 mm, and
+        building the grid's cache counts the unusable states, names the
+        first one, and names the bracket cause exactly when some state is
+        at the edge; a grid without one is cached and ranked."""
+        grid = StateGrid(2, *powers, *speeds)
+        results = batch_depths(material, [(p, v * MMPM_TO_MPS) for p, v in
+                                          (state_params(grid, s) for s in range(4))])
         for res in results:
             if res.at_edge:
                 assert not res.converged
                 assert res.depth_mm == pytest.approx(5.0, abs=1e-4)
         unusable = [s for s, res in enumerate(results) if not res.converged]
         if not unusable:
-            brute_force_rank(cache, RewardConfig())
+            brute_force_rank(DepthCache(material, grid), RewardConfig())
             return
-        with pytest.raises(RuntimeError, match=f"at state {unusable[0]} ") as exc:
-            brute_force_rank(cache, RewardConfig())
+        with pytest.raises(EnvironmentEvalError, match=f"at state {unusable[0]} ") as exc:
+            DepthCache(material, grid)
         assert f"{len(unusable)} of 4 states" in str(exc.value)
         assert ("5 mm depth bracket" in str(exc.value)) == any(r.at_edge for r in results)
 
     def test_every_cause_is_named_bracket_edge_first(self, material):
         """State 0 (919 W, 200 mm/min) is not steady and state 2 (20000 W,
         200 mm/min) is at the bracket edge; neither cause hides the other."""
-        cache = DepthCache(material, StateGrid(2, 919.0, 20000.0, 200.0, 700.0))
-        with pytest.raises(RuntimeError) as exc:
-            brute_force_rank(cache, RewardConfig())
+        with pytest.raises(EnvironmentEvalError) as exc:
+            DepthCache(material, StateGrid(2, 919.0, 20000.0, 200.0, 700.0))
         assert str(exc.value) == (
-            "oracle: 2 of 4 states have no usable depth: melt pool deeper than "
+            "2 of 4 states have no usable depth: melt pool deeper than "
             "the 5 mm depth bracket at state 2 (P=20000.0 W, v=200.0 mm/min); "
             "depth not steady by t=10.125 s at state 0 (P=919.0 W, v=200.0 mm/min)")
 

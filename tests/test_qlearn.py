@@ -13,8 +13,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from meltpool_rl import environment, qlearn
-from meltpool_rl.environment import (ACTIONS, N_ACTIONS, EnvironmentEvalError, RewardConfig,
-                                     state_params, valid_actions)
+from meltpool_rl.environment import (ACTIONS, N_ACTIONS, RewardConfig, state_params,
+                                     valid_actions)
 from meltpool_rl.qlearn import (
     GENERATOR_NAME,
     EpisodeTrace,
@@ -399,30 +399,6 @@ class TestFusedLoop:
                 for tr in result.traces] == \
             [(tr.total_reward.hex(), tr.epochs, tr.terminated_early) for tr in traces]
         assert result.best_state == best
-
-    @given(seed=st.integers(0, 2**32 - 1), epsilon=st.sampled_from([0.0, 0.25, 1.0]))
-    @settings(max_examples=30, deadline=None)
-    def test_same_failure_as_reference(self, edge_cache, reward_config, seed, epsilon):
-        """Episodes that land on the state beyond the depth bracket raise
-        the same EnvironmentEvalError, with the same Q state behind.  A
-        greedy run may learn to avoid that state and never raise."""
-        hp = Hyperparams(epsilon=epsilon, seed=seed)
-        q_fused, q_ref = masked_qtable(edge_cache), new_qtable(2).tolist()
-        errors = []
-        for episode, q in ((run_episode, q_fused), (run_episode_reference, q_ref)):
-            try:
-                for ss in np.random.SeedSequence(seed).spawn(hp.episodes):
-                    episode(edge_cache, reward_config, q, hp, seeded_draws(ss))
-            except EnvironmentEvalError as exc:
-                errors.append(str(exc))
-            else:
-                errors.append(None)
-        assert errors[0] == errors[1]
-        if epsilon > 0:
-            assert "at state 2 " in errors[0]
-        q_fused = np.array(q_fused)
-        q_fused[edge_cache.next_state < 0] = 0.0
-        assert q_fused.tobytes() == np.array(q_ref).tobytes()
 
 
 class TestReplay:

@@ -35,6 +35,8 @@ from meltpool_rl.thermal import (
     _unit_rise,
 )
 
+from conftest import EDGE_GRID
+
 V_MID = 550.0 * MMPM_TO_MPS
 #: the simulated times melt_pool_depth visits: 2 s grown by x1.5 four times
 DEPTH_TIMES = (2.0, 3.0, 4.5, 6.75, 10.125)
@@ -186,6 +188,15 @@ class TestTemperature:
             LaserQuery(p=100.0, v=V_MID, x=0.0, y=0.0, z=-1e-4, t=1.0)
         with pytest.raises(ValueError):
             LaserQuery(p=100.0, v=V_MID, x=0.0, y=0.0, z=0.0, t=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["p", "v", "x", "y", "z", "t"])
+    def test_non_finite_field_is_named(self, name, value):
+        """A NaN would end in a quadrature divergence, t = inf in overflow
+        warnings and v = inf in a silent T0; each is refused by name."""
+        fields = dict(p=800.0, v=V_MID, x=0.0, y=0.0, z=1e-4, t=2.0)
+        with pytest.raises(ValueError, match=rf"^LaserQuery\.{name} must be finite"):
+            LaserQuery(**{**fields, name: value})
 
 
 class TestStationaryClosedForm:
@@ -355,10 +366,18 @@ class TestDepthAtTime:
         maximum, is 0."""
         assert_depths_bit_identical(material, powers, v_mmpm, times=(t,))
 
-    def test_exact_decisions_give_the_same_bits(self, material, cache10, edge_cache,
-                                                monkeypatch):
+    def test_exact_decisions_give_the_same_bits(self, material, cache10, monkeypatch):
         """With an infinite band every node is decided by _profile_eval,
-        and every DepthResult, the edge state included, is unchanged."""
+        and every DepthResult, EDGE_GRID's edge state included, is the
+        same as with the normal band."""
+        def queries(grid):
+            return [(p, v * MMPM_TO_MPS)
+                    for p, v in (state_params(grid, s) for s in range(grid.n_states))]
+
+        edge_depths = batch_depths(material, queries(EDGE_GRID))
+        assert edge_depths[2].at_edge
+        runs = [(queries(cache10.grid), [cache10.depth(s) for s in range(100)]),
+                (queries(EDGE_GRID), edge_depths)]
         calls = []
 
         def counting(*args):
@@ -367,15 +386,11 @@ class TestDepthAtTime:
 
         monkeypatch.setattr(thermal, "_band", lambda *args: math.inf)
         monkeypatch.setattr(thermal, "_profile_eval", counting)
-        for cache in (cache10, edge_cache):
-            states = range(cache.grid.n_states)
-            queries = [(p, v * MMPM_TO_MPS)
-                       for p, v in (state_params(cache.grid, s) for s in states)]
+        for qs, want in runs:
             calls.clear()
-            got = batch_depths(material, queries)
-            assert [(r, r.at_edge) for r in got] == [(cache.depth(s), cache.depth(s).at_edge)
-                                                     for s in states]
-            assert len(calls) > 10 * len(states)
+            got = batch_depths(material, qs)
+            assert [(r, r.at_edge) for r in got] == [(r, r.at_edge) for r in want]
+            assert len(calls) > 10 * len(qs)
 
     @given(v_mmpm=st.floats(100.0, 2000.0) | st.sampled_from([1e157]),
            t=st.sampled_from(DEPTH_TIMES), n_panels=st.sampled_from([16, 32, 64, 128]),
