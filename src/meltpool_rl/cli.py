@@ -2,8 +2,9 @@
 and hyperparameter sweeps.
 
 Every output directory receives a config_snapshot.json with the fully
-resolved configuration (including any --seed override), so a run can be
-re-created from its outputs alone.  Exit codes: 0 success, 1 validation
+resolved configuration (including any --seed override, and for sweep the
+sweep that ran), so a run can be re-created from its outputs alone: the
+snapshot loads back as a config file.  Exit codes: 0 success, 1 validation
 error (argparse's usage errors included), 2 runtime or convergence
 failure.
 """
@@ -13,12 +14,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
-from .config import CONFIG_ENV_VAR, load_config
+from .config import CONFIG_ENV_VAR, SWEEPABLE, load_config
 from .environment import DepthCache, write_depth_map_csv
-from .experiments import SWEEPABLE, run_sweep
+from .experiments import run_sweep
 from .oracle import brute_force_rank, validate_run, write_pv_map_csv
 from .outputs import write_csv, write_json
 from .qlearn import (GENERATOR_NAME, train, write_convergence_csv,
@@ -96,10 +97,8 @@ def cmd_map(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    if args.param not in SWEEPABLE:
-        raise ValueError(f"unknown sweep parameter {args.param!r}; "
-                         f"valid: {', '.join(SWEEPABLE)}")
     spec = cfg.sweep_for(args.param)
+    cfg.snapshot["sweep"] = asdict(spec)
     results = run_sweep(spec, cfg.material, cfg.grid, cfg.reward, cfg.qlearn)
 
     out = _open_output(args.out, cfg)
@@ -165,8 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("sweep", help="replicated hyperparameter sweep")
-    p.add_argument("--param", required=True,
-                   help=f"parameter to sweep: {', '.join(SWEEPABLE)}")
+    p.add_argument("--param", required=True, choices=SWEEPABLE, help="parameter to sweep")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -3,24 +3,114 @@
 Every key has a default reproducing the standard SS316L setup (10x10 grid
 over 500-1000 W x 400-700 mm/min, 1 mm target depth, alpha = gamma =
 epsilon = 0.25, 100 episodes), so an empty or missing file is a valid
-configuration.  Validation failures name the offending key.
+configuration.  This module is the one boundary between YAML and typed
+settings: it builds each section's dataclass and the sweep's SweepSpec,
+with one number check for every key and sweep value.  Only null means
+"not set": a section left empty takes its defaults, while a section that
+is not a mapping, a top level that is not one, an empty sweep.values or
+a key given twice in one mapping is an error.  Validation failures name
+the offending key.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 from typing import Optional
 
 import yaml
 
 from .environment import RewardConfig, StateGrid
-from .experiments import SweepSpec
 from .qlearn import Hyperparams
 from .thermal import BEAM_TO_SIGMA, DEFAULT_BEAM_MM, MaterialEnv
 
 CONFIG_ENV_VAR = "MELTPOOL_RL_CONFIG"
+
+#: swept values used when a sweep spec does not list its own
+DEFAULT_SWEEP_VALUES: dict[str, tuple] = {
+    "n": (5, 10, 15, 20),
+    "epsilon": (0.25, 0.5, 0.75, 1.0),
+    "gamma": (0.25, 0.5, 0.75, 1.0),
+    "alpha": (0.25, 0.5, 0.75, 1.0),
+    "episodes": (10, 25, 50, 75, 100, 200),
+}
+
+SWEEPABLE = tuple(DEFAULT_SWEEP_VALUES)
+#: swept parameters that are integer fields
+_INTEGRAL = ("n", "episodes")
+
+
+class ConfigError(ValueError):
+    """Configuration file failed to parse or validate."""
+
+
+def _shown(value) -> str:
+    """A rejected value as an error message names it: its repr, or its
+    size when that repr is long."""
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    if isinstance(value, int):
+        return f"an integer of {len(text.lstrip('-'))} digits"
+    return f"a {type(value).__name__} of {len(text)} characters"
+
+
+def _number(value, cls, name: str):
+    """value as a finite cls (int or float); otherwise a ConfigError
+    naming the key and the value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name}: expected a number, got {_shown(value)}")
+    if cls is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name}: expected an integer, got {_shown(value)}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name}: expected a finite number, got {_shown(value)}")
+    try:
+        return cls(value)
+    except OverflowError:
+        raise ConfigError(f"{name}: expected a finite number, "
+                          "got an integer too large for a float") from None
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """One sweep: values None takes the parameter's standard list; the
+    values are stored as the StateGrid or Hyperparams field they set."""
+
+    param: str
+    values: Optional[tuple] = None
+    replicates: int = 10
+    base_seed: int = 0
+
+    def __post_init__(self):
+        if self.param not in SWEEPABLE:
+            raise ConfigError(f"sweep.param must be one of {SWEEPABLE}, "
+                              f"got {_shown(self.param)}")
+        if self.replicates < 1:
+            raise ConfigError("sweep.replicates must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError(f"sweep.base_seed must be >= 0, got {self.base_seed}")
+        values = DEFAULT_SWEEP_VALUES[self.param] if self.values is None else self.values
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ConfigError(f"sweep.values must be a non-empty list, got {_shown(values)}")
+        cls = int if self.param in _INTEGRAL else float
+        typed = []
+        for value in values:
+            field_value = _number(value, cls, f"sweep.values for {self.param}")
+            try:
+                (StateGrid if self.param == "n" else Hyperparams)(
+                    **{self.param: field_value})
+            except ValueError as exc:
+                # name the value once: drop the field's own ", got <value>"
+                reason = str(exc).removesuffix(f", got {field_value}")
+                raise ConfigError(f"sweep.values: {_shown(value)} is invalid: {reason}") from exc
+            if field_value in typed:
+                # each value names its own output directory
+                raise ConfigError(f"sweep.values: {_shown(value)} is listed twice")
+            typed.append(field_value)
+        object.__setattr__(self, "values", tuple(typed))
+
 
 #: per section, the dataclass it builds and its config key -> field map;
 #: every default is the field's default, so it is written once
@@ -45,8 +135,29 @@ _DEFAULTS["sweep"] = {"param": None, "values": None,
                       "replicates": SweepSpec.replicates, "base_seed": None}
 
 
-class ConfigError(ValueError):
-    """Configuration file failed to parse or validate."""
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, except that a key given twice in one mapping
+    is an error: PyYAML itself keeps the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        # a "<<" merge may repeat a key on purpose: only the mapping's own count
+        own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep=deep)  # rejects unhashable keys
+        seen = set()
+        for key_node in own:
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"key {_shown(key)} given twice", key_node.start_mark)
+            seen.add(key)
+        return mapping
+
+
+# JSON's floats with an exponent and no fraction, such as 1e-06 in every
+# config_snapshot.json, are strings to YAML 1.1: read them as floats
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float",
+                              re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+                              list("-+0123456789"))
 
 
 @dataclass
@@ -61,35 +172,20 @@ class RunConfig:
         """Sweep spec for a parameter, falling back to defaults when the
         config has no sweep section or names a different parameter."""
         s = self.snapshot["sweep"]
-        values = s["values"] if s["param"] == param and s["values"] is not None else ()
         base_seed = s["base_seed"] if s["base_seed"] is not None else self.qlearn.seed
-        return SweepSpec(param=param, values=values,
+        return SweepSpec(param=param, values=s["values"] if s["param"] == param else None,
                          replicates=s["replicates"], base_seed=base_seed)
 
 
 def _section(raw: dict, name: str, defaults: dict) -> dict:
-    sec = raw.get(name, {}) or {}
+    # a section left out, or given with nothing under it, takes its defaults
+    sec = {} if raw.get(name) is None else raw[name]
     if not isinstance(sec, dict):
-        raise ConfigError(f"{name}: expected a mapping")
+        raise ConfigError(f"{name}: expected a mapping, got {_shown(sec)}")
     unknown = set(sec) - set(defaults)
     if unknown:
         raise ConfigError(f"{name}.{sorted(unknown)[0]}: unknown key")
     return {**defaults, **sec}
-
-
-def _number(sec: dict, section: str, key: str, cls=float):
-    val = sec[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{section}.{key}: expected a number, got {val!r}")
-    if cls is int and isinstance(val, float) and not val.is_integer():
-        raise ConfigError(f"{section}.{key}: expected an integer, got {val!r}")
-    if isinstance(val, float) and not math.isfinite(val):
-        raise ConfigError(f"{section}.{key}: expected a finite number, got {val!r}")
-    try:
-        return cls(val)
-    except OverflowError:
-        raise ConfigError(f"{section}.{key}: expected a finite number, "
-                          "got an integer too large for a float") from None
 
 
 def load_config(path: Optional[str] = None) -> RunConfig:
@@ -97,25 +193,27 @@ def load_config(path: Optional[str] = None) -> RunConfig:
     variable MELTPOOL_RL_CONFIG, and if that is unset, pure defaults."""
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
-    raw: dict = {}
+    raw = None
     if path is not None:
         try:
             with open(path) as fh:
-                raw = yaml.safe_load(fh) or {}
+                raw = yaml.load(fh, Loader=_Loader)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except (yaml.YAMLError, ValueError) as exc:
             # PyYAML raises ValueError for an int literal over Python's digit limit
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: top level must be a mapping")
+    if raw is None:  # no file, or one that is empty or holds only comments
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: top level must be a mapping, got {_shown(raw)}")
 
     snapshot = {name: _section(raw, name, defaults) for name, defaults in _DEFAULTS.items()}
     built = {}
     for name, (cls, keys) in _SECTIONS.items():
         sec = snapshot[name]
         kwargs = {field: sec[key] if isinstance(getattr(cls, field), str)
-                  else _number(sec, name, key, type(getattr(cls, field)))
+                  else _number(sec[key], type(getattr(cls, field)), f"{name}.{key}")
                   for key, field in keys.items()}
         if cls is MaterialEnv:
             kwargs["sigma"] = BEAM_TO_SIGMA * kwargs["sigma"] * 1e-3
@@ -125,17 +223,14 @@ def load_config(path: Optional[str] = None) -> RunConfig:
             raise ConfigError(str(exc)) from exc
     # sweep_for reads these back from the snapshot, so store them checked
     swp = snapshot["sweep"]
-    swp["replicates"] = _number(swp, "sweep", "replicates", int)
+    swp["replicates"] = _number(swp["replicates"], int, "sweep.replicates")
     if swp["base_seed"] is not None:
-        swp["base_seed"] = _number(swp, "sweep", "base_seed", int)
+        swp["base_seed"] = _number(swp["base_seed"], int, "sweep.base_seed")
 
     cfg = RunConfig(built["material"], built["grid"], built["reward"],
                     built["qlearn"], snapshot)
     if swp["param"] is not None:
-        try:  # a bad sweep section fails here, not when a sweep starts
-            cfg.sweep_for(swp["param"])
-        except ValueError as exc:
-            raise ConfigError(f"sweep: {exc}") from exc
+        cfg.sweep_for(swp["param"])  # a bad sweep section fails here, not when a sweep starts
     elif swp["values"] is not None:
         # values no sweep would read must not look used in the snapshot
         raise ConfigError("sweep.values: set without sweep.param, "

@@ -6,11 +6,13 @@ the thermal warm-up cheap.
 
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
 from meltpool_rl import cli
 from meltpool_rl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from meltpool_rl.config import SweepSpec, load_config
 
 SMALL = """\
 grid:
@@ -24,6 +26,11 @@ qlearn:
 #: a 2x2 grid whose (20000 W, 400 mm/min) state melts past the 5 mm
 #: depth bracket
 EDGE = "grid: {n: 2, p_min_w: 1000.0, p_max_w: 20000.0}\n"
+
+#: a config whose sweep section names epsilon, for `sweep --param gamma`
+#: on a 3x3 grid
+GAMMA_SWEEP = ("grid: {n: 3}\nqlearn: {episodes: 2}\n"
+               "sweep: {param: epsilon, values: [0.5], replicates: 1}\n")
 
 
 @pytest.fixture()
@@ -99,6 +106,25 @@ class TestConfigHandling:
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "map", "--out", str(out)]) == EXIT_VALIDATION
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("text, command", [
+        *((f"grid: {value}\n", ["map"]) for value in ("0", "[]", "false", "''")),
+        *((f"{value}\n", ["map"]) for value in ("0", "[]", "false", "''")),
+        ("grid: {n: 5}\ngrid: {p_min_w: 600.0}\n", ["map"]),
+        ("? [1, 2]\n: x\n", ["map"]),
+        ("grid: {n: 3}\nqlearn: {episodes: 2}\n"
+         "sweep: {param: epsilon, values: [], replicates: 1}\n", ["sweep", "--param", "epsilon"]),
+    ])
+    def test_rejected_config_exits_before_output(self, tmp_path, capsys, text, command):
+        """A false value that is not null, a key given twice and a complex
+        key are validation errors, not defaults."""
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), *command, "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
 
@@ -259,11 +285,12 @@ class TestMap:
 
 class TestSweep:
     def test_unknown_parameter_rejected(self, tmp_path, small_config, capsys):
-        rc = main(["--config", small_config, "sweep", "--param", "beta",
-                   "--out", str(tmp_path / "s")])
-        assert rc == EXIT_VALIDATION
-        assert capsys.readouterr().err == ("error: unknown sweep parameter 'beta'; "
-                                           "valid: n, epsilon, gamma, alpha, episodes\n")
+        """argparse checks --param against SWEEPABLE: a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", small_config, "sweep", "--param", "beta",
+                  "--out", str(tmp_path / "s")])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "argument --param: invalid choice: 'beta'" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("values", ["0.5", "[1.5]", "[0.5, 0.5]"])
@@ -312,3 +339,42 @@ sweep:
                 assert len(list(csv.DictReader(fh))) == episodes
             assert (vdir / "run_0_qtable.csv").exists()
             assert (vdir / "run_1_convergence.csv").exists()
+
+
+@pytest.fixture()
+def gamma_sweep(tmp_path):
+    """Output directory of `sweep --param gamma` under GAMMA_SWEEP."""
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(GAMMA_SWEEP)
+    out = tmp_path / "sweep"
+    assert main(["--config", str(cfg), "sweep", "--param", "gamma",
+                 "--out", str(out)]) == EXIT_OK
+    return out
+
+
+class TestSnapshot:
+    """config_snapshot.json names what ran, and loaded back as a config
+    (JSON is YAML) it re-creates the run."""
+
+    def test_sweep_snapshot_names_the_sweep_that_ran(self, gamma_sweep):
+        snapshot = json.loads((gamma_sweep / "config_snapshot.json").read_text())
+        assert snapshot["sweep"] == {"param": "gamma", "values": [0.25, 0.5, 0.75, 1.0],
+                                     "replicates": 1, "base_seed": 0}
+        for value in (0.25, 0.5, 0.75, 1.0):
+            meta = json.loads((gamma_sweep / f"gamma_{value}" / "config.json").read_text())
+            assert meta["base_config"] == snapshot
+
+    def test_sweep_snapshot_reloads_to_the_sweep(self, gamma_sweep):
+        reloaded = load_config(str(gamma_sweep / "config_snapshot.json"))
+        assert reloaded.snapshot["sweep"]["param"] == "gamma"
+        assert reloaded.sweep_for("gamma") == SweepSpec("gamma", replicates=1, base_seed=0)
+
+    def test_train_snapshot_reloads_to_the_run(self, tmp_path, small_config):
+        out = tmp_path / "train"
+        assert main(["--config", small_config, "train", "--seed", "7",
+                     "--out", str(out)]) == EXIT_OK
+        reloaded = load_config(str(out / "config_snapshot.json"))
+        given = load_config(small_config)
+        assert reloaded.qlearn == replace(given.qlearn, seed=7)
+        assert (reloaded.material, reloaded.grid, reloaded.reward) == \
+            (given.material, given.grid, given.reward)

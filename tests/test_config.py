@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meltpool_rl.cli import EXIT_VALIDATION, main
-from meltpool_rl.config import CONFIG_ENV_VAR, ConfigError, load_config
+from meltpool_rl.config import CONFIG_ENV_VAR, SWEEPABLE, ConfigError, SweepSpec, load_config
 from meltpool_rl.environment import RewardConfig, StateGrid
-from meltpool_rl.experiments import SWEEPABLE, SweepSpec
 from meltpool_rl.qlearn import Hyperparams
 from meltpool_rl.thermal import BEAM_TO_SIGMA, MaterialEnv
 
@@ -121,6 +120,15 @@ class TestOverrides:
         other = tmp_path / "other.yaml"
         other.write_text("grid:\n  n: 5\n")
         assert load_config(str(other)).grid.n == 5
+
+    def test_exponent_floats_are_numbers(self, tmp_path):
+        """YAML 1.1 reads 1e-06 as a string, and JSON writes it so in every
+        config_snapshot.json (reward.denom_floor_mm's default)."""
+        cfg = load_config(write(tmp_path, "reward: {denom_floor_mm: 1e-06}\n"
+                                          "qlearn: {episodes: 1E+2}\ngrid: {p_max_w: 1.5e3}\n"))
+        assert cfg.reward.denom_floor == 1e-06
+        assert cfg.qlearn.episodes == 100
+        assert cfg.grid.p_max == 1500.0
 
     def test_sweep_section(self, tmp_path):
         cfg = load_config(write(
@@ -271,3 +279,57 @@ class TestValidation:
     def test_top_level_must_be_mapping(self, tmp_path):
         with pytest.raises(ConfigError, match="mapping"):
             load_config(write(tmp_path, "- a\n- b\n"))
+
+
+#: YAML values that are false in Python but are not null
+FALSY = ["0", "[]", "false", "''"]
+
+
+class TestOnlyNullIsUnset:
+    """A file, a section or sweep.values that is null (or left out)
+    takes its defaults; any other value, even a false one, is checked."""
+
+    @pytest.mark.parametrize("text", ["# only a comment\n", "grid:\n",
+                                      "sweep:\n  param: epsilon\n  values: null\n"])
+    def test_null_takes_the_defaults(self, tmp_path, monkeypatch, text):
+        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+        cfg = load_config(write(tmp_path, text))
+        assert (cfg.material, cfg.grid, cfg.reward, cfg.qlearn) == \
+            (MaterialEnv(), StateGrid(), RewardConfig(), Hyperparams())
+        assert cfg.sweep_for("epsilon") == SweepSpec("epsilon")
+
+    @pytest.mark.parametrize("value", FALSY)
+    def test_false_section_is_rejected(self, tmp_path, value):
+        with pytest.raises(ConfigError, match=r"^grid: expected a mapping, got "):
+            load_config(write(tmp_path, f"grid: {value}\n"))
+
+    @pytest.mark.parametrize("value", FALSY)
+    def test_false_top_level_is_rejected(self, tmp_path, value):
+        with pytest.raises(ConfigError, match=r"top level must be a mapping, got "):
+            load_config(write(tmp_path, f"{value}\n"))
+
+
+class TestKeyGivenTwice:
+    """PyYAML keeps the last of two equal keys; the config refuses them."""
+
+    @pytest.mark.parametrize("text, key, line", [
+        ("grid: {n: 5}\ngrid: {p_min_w: 600.0}\n", "grid", 2),
+        ("grid:\n  n: 5\n  p_min_w: 600.0\n  n: 6\n", "n", 4),
+        ("sweep: {param: epsilon, replicates: 2, param: gamma}\n", "param", 1),
+    ])
+    def test_is_a_parse_error_naming_key_and_line(self, tmp_path, text, key, line):
+        path = write(tmp_path, text)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        message = str(info.value)
+        assert message.startswith(f"cannot parse config {path}: key '{key}' given twice")
+        assert f"line {line}, column" in message
+
+    def test_merge_key_may_still_override(self, tmp_path):
+        """A key a "<<" merge brought in is not given twice."""
+        cfg = load_config(write(tmp_path, "grid: {<<: {n: 5, p_min_w: 600.0}, n: 6}\n"))
+        assert (cfg.grid.n, cfg.grid.p_min) == (6, 600.0)
+
+    def test_complex_key_stays_a_parse_error(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"(?s)^cannot parse config .*found unhashable key"):
+            load_config(write(tmp_path, "? [1, 2]\n: x\n"))

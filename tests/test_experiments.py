@@ -4,14 +4,9 @@ replicated runner."""
 import numpy as np
 import pytest
 
+from meltpool_rl.config import DEFAULT_SWEEP_VALUES, SweepSpec
 from meltpool_rl.environment import StateGrid
-from meltpool_rl.experiments import (
-    DEFAULT_SWEEP_VALUES,
-    SweepSpec,
-    aggregate_convergence,
-    replicate_seed,
-    run_sweep,
-)
+from meltpool_rl.experiments import aggregate_convergence, replicate_seed, run_sweep
 from meltpool_rl.qlearn import EpisodeTrace, Hyperparams
 
 
@@ -24,6 +19,14 @@ class TestSweepSpec:
         assert SweepSpec("n").values == (5, 10, 15, 20)
         assert SweepSpec("epsilon").values == (0.25, 0.5, 0.75, 1.0)
         assert SweepSpec("episodes").values == (10, 25, 50, 75, 100, 200)
+        for param, values in DEFAULT_SWEEP_VALUES.items():
+            assert SweepSpec(param, values=None).values == values
+
+    @pytest.mark.parametrize("values", [(), []])
+    def test_empty_values_rejected(self, values):
+        """Only None takes the standard list; an empty list is an error."""
+        with pytest.raises(ValueError, match=r"^sweep\.values must be a non-empty list"):
+            SweepSpec("epsilon", values=values)
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError, match="sweep.param"):
