@@ -1,6 +1,9 @@
 """Command-line entry point: depth evaluation, training, oracle mapping,
 and hyperparameter sweeps.
 
+main loads and checks the whole config file once, before any command
+runs, and passes it to the command as cfg; so a bad key anywhere in the
+file, the sweep section included, fails every command before it writes.
 Every output directory receives a config_snapshot.json with the fully
 resolved configuration (including any --seed override, and for sweep the
 sweep that ran), so a run can be re-created from its outputs alone: the
@@ -40,8 +43,7 @@ def _open_output(path: str, cfg) -> Path:
     return out
 
 
-def cmd_depth(args) -> int:
-    cfg = load_config(args.config)
+def cmd_depth(args, cfg) -> int:
     if not 0 <= args.power < math.inf:
         raise ValueError("--power must be finite and >= 0")
     if not 0 < args.speed < math.inf:
@@ -52,8 +54,7 @@ def cmd_depth(args) -> int:
     return EXIT_OK if res.converged else EXIT_RUNTIME
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config)
+def cmd_train(args, cfg) -> int:
     hp = cfg.qlearn if args.seed is None else replace(cfg.qlearn, seed=args.seed)
     cfg.snapshot["qlearn"]["seed"] = hp.seed
 
@@ -82,8 +83,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_map(args) -> int:
-    cfg = load_config(args.config)
+def cmd_map(args, cfg) -> int:
     cache = DepthCache(cfg.material, cfg.grid)
     report = brute_force_rank(cache, cfg.reward)
     out = _open_output(args.out, cfg)
@@ -95,8 +95,7 @@ def cmd_map(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
+def cmd_sweep(args, cfg) -> int:
     spec = cfg.sweep_for(args.param)
     cfg.snapshot["sweep"] = asdict(spec)
     results = run_sweep(spec, cfg.material, cfg.grid, cfg.reward, cfg.qlearn)
@@ -174,7 +173,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config))
     except ValueError as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

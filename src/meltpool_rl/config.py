@@ -5,11 +5,14 @@ over 500-1000 W x 400-700 mm/min, 1 mm target depth, alpha = gamma =
 epsilon = 0.25, 100 episodes), so an empty or missing file is a valid
 configuration.  This module is the one boundary between YAML and typed
 settings: it builds each section's dataclass and the sweep's SweepSpec,
-with one number check for every key and sweep value.  Only null means
-"not set": a section left empty takes its defaults, while a section that
-is not a mapping, a top level that is not one, an empty sweep.values or
-a key given twice in one mapping is an error.  Validation failures name
-the offending key.
+with one number check for every key and sweep value.  The whole file is
+checked at load, whichever command reads it: one section check serves
+the top level and every section, so an unknown key is an error at any
+level, and the sweep section goes through SweepSpec even when no sweep
+runs.  Only null means "not set": a section left empty takes its
+defaults, while a section that is not a mapping, a top level that is not
+one, an empty sweep.values or a key given twice in one mapping is an
+error.  Validation failures name the offending key.
 """
 
 from __future__ import annotations
@@ -75,8 +78,10 @@ def _number(value, cls, name: str):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: values None takes the parameter's standard list; the
-    values are stored as the StateGrid or Hyperparams field they set."""
+    """One sweep: values None takes the parameter's standard list.  It
+    checks every field itself, so it alone checks the sweep section; the
+    values are stored as the StateGrid or Hyperparams field they set, and
+    replicates and base_seed as ints."""
 
     param: str
     values: Optional[tuple] = None
@@ -87,10 +92,11 @@ class SweepSpec:
         if self.param not in SWEEPABLE:
             raise ConfigError(f"sweep.param must be one of {SWEEPABLE}, "
                               f"got {_shown(self.param)}")
-        if self.replicates < 1:
-            raise ConfigError("sweep.replicates must be >= 1")
-        if self.base_seed < 0:
-            raise ConfigError(f"sweep.base_seed must be >= 0, got {self.base_seed}")
+        for name, least in (("replicates", 1), ("base_seed", 0)):
+            number = _number(getattr(self, name), int, f"sweep.{name}")
+            if number < least:
+                raise ConfigError(f"sweep.{name} must be >= {least}, got {number}")
+            object.__setattr__(self, name, number)
         values = DEFAULT_SWEEP_VALUES[self.param] if self.values is None else self.values
         if not isinstance(values, (list, tuple)) or not values:
             raise ConfigError(f"sweep.values must be a non-empty list, got {_shown(values)}")
@@ -169,22 +175,28 @@ class RunConfig:
     snapshot: dict
 
     def sweep_for(self, param: str) -> SweepSpec:
-        """Sweep spec for a parameter, falling back to defaults when the
-        config has no sweep section or names a different parameter."""
+        """Sweep spec for a parameter, checked in full: the config's
+        values only if its sweep.param is this parameter (else the
+        standard list), and base_seed qlearn.seed when left out."""
         s = self.snapshot["sweep"]
         base_seed = s["base_seed"] if s["base_seed"] is not None else self.qlearn.seed
         return SweepSpec(param=param, values=s["values"] if s["param"] == param else None,
                          replicates=s["replicates"], base_seed=base_seed)
 
 
-def _section(raw: dict, name: str, defaults: dict) -> dict:
-    # a section left out, or given with nothing under it, takes its defaults
-    sec = {} if raw.get(name) is None else raw[name]
+def _section(sec, name: str, defaults: dict) -> dict:
+    """sec merged over defaults, whose keys are the only ones it may hold;
+    name is the section's key, or "" for the file's top level.  None (a
+    section left out or with nothing under it, or an empty file) takes
+    the defaults."""
+    sec = {} if sec is None else sec
     if not isinstance(sec, dict):
-        raise ConfigError(f"{name}: expected a mapping, got {_shown(sec)}")
-    unknown = set(sec) - set(defaults)
+        raise ConfigError(f"{name}: expected a mapping, got {_shown(sec)}" if name
+                          else f"top level must be a mapping, got {_shown(sec)}")
+    # keys of mixed types (1 and "foo") only sort as strings
+    unknown = sorted(str(key) for key in sec.keys() - defaults.keys())
     if unknown:
-        raise ConfigError(f"{name}.{sorted(unknown)[0]}: unknown key")
+        raise ConfigError(f"{name}{'.' if name else ''}{unknown[0]}: unknown key")
     return {**defaults, **sec}
 
 
@@ -203,12 +215,9 @@ def load_config(path: Optional[str] = None) -> RunConfig:
         except (yaml.YAMLError, ValueError) as exc:
             # PyYAML raises ValueError for an int literal over Python's digit limit
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    if raw is None:  # no file, or one that is empty or holds only comments
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a mapping, got {_shown(raw)}")
+    raw = _section(raw, "", dict.fromkeys(_DEFAULTS))
 
-    snapshot = {name: _section(raw, name, defaults) for name, defaults in _DEFAULTS.items()}
+    snapshot = {name: _section(raw[name], name, defaults) for name, defaults in _DEFAULTS.items()}
     built = {}
     for name, (cls, keys) in _SECTIONS.items():
         sec = snapshot[name]
@@ -221,18 +230,15 @@ def load_config(path: Optional[str] = None) -> RunConfig:
             built[name] = cls(**kwargs)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    # sweep_for reads these back from the snapshot, so store them checked
-    swp = snapshot["sweep"]
-    swp["replicates"] = _number(swp["replicates"], int, "sweep.replicates")
-    if swp["base_seed"] is not None:
-        swp["base_seed"] = _number(swp["base_seed"], int, "sweep.base_seed")
 
     cfg = RunConfig(built["material"], built["grid"], built["reward"],
                     built["qlearn"], snapshot)
-    if swp["param"] is not None:
-        cfg.sweep_for(swp["param"])  # a bad sweep section fails here, not when a sweep starts
-    elif swp["values"] is not None:
+    param = snapshot["sweep"]["param"]
+    if param is None and snapshot["sweep"]["values"] is not None:
         # values no sweep would read must not look used in the snapshot
         raise ConfigError("sweep.values: set without sweep.param, "
                           "so no sweep would use them")
+    # every command checks the sweep section, so a bad one fails here
+    # whether or not a sweep runs
+    cfg.sweep_for(SWEEPABLE[0] if param is None else param)
     return cfg

@@ -169,6 +169,8 @@ class TestNegativeSeeds:
         ("", ["train", "--seed", "-5"], "qlearn.seed"),
         ("sweep:\n  base_seed: -3\n", ["sweep", "--param", "epsilon"],
          "sweep.base_seed"),
+        ("sweep:\n  base_seed: -3\n", ["train"], "sweep.base_seed"),
+        ("sweep:\n  base_seed: -3\n", ["map"], "sweep.base_seed"),
     ])
     def test_exits_before_output(self, tmp_path, capsys, config, argv, key):
         cfg = tmp_path / "config.yaml"
@@ -177,6 +179,28 @@ class TestNegativeSeeds:
         rc = main(["--config", str(cfg), *argv, "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert f"{key} must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestWholeFileChecked:
+    """Every command checks the whole file at load, sections it does not
+    read included, and fails naming the key before any output directory
+    exists."""
+
+    @pytest.mark.parametrize("config, argv, message", [
+        ("gird: {n: 5}\n", ["map"], "gird: unknown key"),
+        ("gird: {n: 5}\n", ["train"], "gird: unknown key"),
+        ("sweep: {replicates: 0}\n", ["map"], "sweep.replicates must be >= 1"),
+        ("sweep: {replicates: 0}\n", ["train"], "sweep.replicates must be >= 1"),
+        ("grid: {1: 2, foo: 3}\n", ["map"], "grid.1: unknown key"),
+    ])
+    def test_exits_before_output(self, tmp_path, capsys, config, argv, message):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfg), *argv, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
 

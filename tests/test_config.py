@@ -176,6 +176,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="grid.n_states"):
             load_config(write(tmp_path, "grid:\n  n_states: 100\n"))
 
+    @pytest.mark.parametrize("text, key", [
+        ("gird: {n: 5}\n", "gird"), ("1: 2\n", "1"),
+        ("grid: {1: 2, foo: 3}\n", r"grid\.1"),
+    ])
+    def test_unknown_key_at_any_level_is_named(self, tmp_path, text, key):
+        """A misspelt section is an error, not a file of defaults; keys of
+        mixed types, which do not sort together, are named as strings."""
+        with pytest.raises(ConfigError, match=rf"^{key}: unknown key$"):
+            load_config(write(tmp_path, text))
+
     def test_wrong_type_is_path_qualified(self, tmp_path):
         with pytest.raises(ConfigError, match="qlearn.alpha"):
             load_config(write(tmp_path, "qlearn:\n  alpha: fast\n"))
@@ -237,6 +247,18 @@ class TestValidation:
             load_config(write(tmp_path, "qlearn:\n  seed: -1\n"))
         with pytest.raises(ConfigError, match=r"sweep\.base_seed must be >= 0, got -3"):
             load_config(write(tmp_path, "sweep:\n  param: epsilon\n  base_seed: -3\n"))
+
+    @pytest.mark.parametrize("entry, message", [
+        ("replicates: 0", r"sweep\.replicates must be >= 1, got 0"),
+        ("replicates: x", r"sweep\.replicates: expected a number, got 'x'"),
+        ("base_seed: -3", r"sweep\.base_seed must be >= 0, got -3"),
+        ("base_seed: 1.5", r"sweep\.base_seed: expected an integer, got 1\.5"),
+    ])
+    def test_sweep_section_without_param_is_checked(self, tmp_path, entry, message):
+        """Every command records the sweep section in its snapshot, so it
+        is checked at load even when no sweep would read it."""
+        with pytest.raises(ConfigError, match=rf"^{message}$"):
+            load_config(write(tmp_path, f"sweep: {{{entry}}}\n"))
 
     def test_episodes_above_2_32_are_named(self, tmp_path):
         """A run has at most 2**32 episodes, one per one-word spawn key;

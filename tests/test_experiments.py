@@ -95,6 +95,14 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=r"sweep\.base_seed must be >= 0, got -3"):
             SweepSpec("n", base_seed=-3)
 
+    def test_counts_checked_and_stored_as_ints(self):
+        with pytest.raises(ValueError, match=r"^sweep\.replicates: expected a number"):
+            SweepSpec("n", replicates="x")
+        with pytest.raises(ValueError, match=r"^sweep\.base_seed: expected an integer"):
+            SweepSpec("n", base_seed=1.5)
+        spec = SweepSpec("n", replicates=3.0, base_seed=2.0)
+        assert [repr(spec.replicates), repr(spec.base_seed)] == ["3", "2"]
+
 
 class TestReplicateSeed:
     def test_deterministic(self):
