@@ -46,9 +46,10 @@ def _open_output(path: str, cfg) -> Path:
 def cmd_depth(args, cfg) -> int:
     if not 0 <= args.power < math.inf:
         raise ValueError("--power must be finite and >= 0")
-    if not 0 < args.speed < math.inf:
+    speed = args.speed * MMPM_TO_MPS  # checked in m/s, as the model takes it
+    if not 0 < speed < math.inf:
         raise ValueError("--speed must be finite and > 0")
-    res = melt_pool_depth(cfg.material, args.power, args.speed * MMPM_TO_MPS)
+    res = melt_pool_depth(cfg.material, args.power, speed)
     print(f"depth_mm={res.depth_mm:.4f} converged={res.converged} "
           f"t_used_s={res.t_used:.2f}")
     return EXIT_OK if res.converged else EXIT_RUNTIME

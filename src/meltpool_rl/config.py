@@ -5,7 +5,10 @@ over 500-1000 W x 400-700 mm/min, 1 mm target depth, alpha = gamma =
 epsilon = 0.25, 100 episodes), so an empty or missing file is a valid
 configuration.  This module is the one boundary between YAML and typed
 settings: it builds each section's dataclass and the sweep's SweepSpec,
-with one number check for every key and sweep value.  The whole file is
+with one number check for every key and sweep value.  A section's keys
+are its dataclass's field names and their defaults the fields' defaults,
+so each setting has one name, the one the file, the snapshot and every
+error message use.  The whole file is
 checked at load, whichever command reads it: one section check serves
 the top level and every section, so an unknown key is an error at any
 level, and the sweep section goes through SweepSpec even when no sweep
@@ -20,14 +23,14 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import yaml
 
 from .environment import RewardConfig, StateGrid
 from .qlearn import Hyperparams
-from .thermal import BEAM_TO_SIGMA, DEFAULT_BEAM_MM, MaterialEnv
+from .thermal import MaterialEnv
 
 CONFIG_ENV_VAR = "MELTPOOL_RL_CONFIG"
 
@@ -118,25 +121,11 @@ class SweepSpec:
         object.__setattr__(self, "values", tuple(typed))
 
 
-#: per section, the dataclass it builds and its config key -> field map;
-#: every default is the field's default, so it is written once
-_SECTIONS = {
-    "material": (MaterialEnv, {
-        "t0_k": "t0", "t_liq_k": "t_liq", "cp": "cp", "rho": "rho",
-        "diffusivity": "diffusivity", "sigma_l_mm": "sigma",
-        "absorptivity": "absorptivity", "source_gain": "source_gain"}),
-    "grid": (StateGrid, {"n": "n", "p_min_w": "p_min", "p_max_w": "p_max",
-                         "v_min_mmpm": "v_min", "v_max_mmpm": "v_max"}),
-    "reward": (RewardConfig, {
-        "delta_opt_mm": "delta_opt", "tol_r_mm": "tol_r", "tol_delta_mm": "tol_delta",
-        "denom_floor_mm": "denom_floor", "variant": "variant"}),
-    "qlearn": (Hyperparams, {k: k for k in ("alpha", "gamma", "epsilon", "episodes",
-                                            "n_epochs", "seed")}),
-}
-_DEFAULTS = {name: {key: getattr(cls, field) for key, field in keys.items()}
-             for name, (cls, keys) in _SECTIONS.items()}
-# the file gives the beam parameter in mm; MaterialEnv holds sigma in m
-_DEFAULTS["material"]["sigma_l_mm"] = DEFAULT_BEAM_MM
+#: per section, the dataclass it builds: its fields are the section's keys
+#: and their defaults, so each key is named and each default written once
+_SECTIONS = {"material": MaterialEnv, "grid": StateGrid, "reward": RewardConfig,
+             "qlearn": Hyperparams}
+_DEFAULTS = {name: {f.name: f.default for f in fields(cls)} for name, cls in _SECTIONS.items()}
 _DEFAULTS["sweep"] = {"param": None, "values": None,
                       "replicates": SweepSpec.replicates, "base_seed": None}
 
@@ -219,13 +208,11 @@ def load_config(path: Optional[str] = None) -> RunConfig:
 
     snapshot = {name: _section(raw[name], name, defaults) for name, defaults in _DEFAULTS.items()}
     built = {}
-    for name, (cls, keys) in _SECTIONS.items():
+    for name, cls in _SECTIONS.items():
         sec = snapshot[name]
-        kwargs = {field: sec[key] if isinstance(getattr(cls, field), str)
-                  else _number(sec[key], type(getattr(cls, field)), f"{name}.{key}")
-                  for key, field in keys.items()}
-        if cls is MaterialEnv:
-            kwargs["sigma"] = BEAM_TO_SIGMA * kwargs["sigma"] * 1e-3
+        kwargs = {key: sec[key] if isinstance(default, str)
+                  else _number(sec[key], type(default), f"{name}.{key}")
+                  for key, default in _DEFAULTS[name].items()}
         try:
             built[name] = cls(**kwargs)
         except ValueError as exc:

@@ -37,13 +37,16 @@ class EnvironmentEvalError(RuntimeError):
 
 @dataclass(frozen=True)
 class StateGrid:
-    """Endpoint-inclusive linspace grid over power (W) x speed (mm/min)."""
+    """Endpoint-inclusive linspace grid over power (W) x speed (mm/min);
+    each field is named as its key in the config file's grid section.
+    The lowest speed must stay above 0 once converted to m/s, as the
+    thermal model takes it."""
 
     n: int = 10
-    p_min: float = 500.0
-    p_max: float = 1000.0
-    v_min: float = 400.0
-    v_max: float = 700.0
+    p_min_w: float = 500.0
+    p_max_w: float = 1000.0
+    v_min_mmpm: float = 400.0
+    v_max_mmpm: float = 700.0
 
     def __post_init__(self):
         if self.n < 2:
@@ -51,13 +54,15 @@ class StateGrid:
         # n^2 start states must fit the 2**32 range of _Draws.integers
         if self.n > 2**16:
             raise ValueError(f"grid.n must be <= 2**16, got {self.n}")
-        if self.p_min < 0:
-            raise ValueError(f"grid.p_min_w must be >= 0, got {self.p_min}")
-        if self.v_min <= 0:
-            raise ValueError(f"grid.v_min_mmpm must be > 0, got {self.v_min}")
-        if not self.p_min < self.p_max:
+        if self.p_min_w < 0:
+            raise ValueError(f"grid.p_min_w must be >= 0, got {self.p_min_w}")
+        v_min_mps = self.v_min_mmpm * MMPM_TO_MPS
+        if not v_min_mps > 0:
+            raise ValueError(f"grid.v_min_mmpm must be > 0, got {self.v_min_mmpm} "
+                             f"(= {v_min_mps} m/s)")
+        if not self.p_min_w < self.p_max_w:
             raise ValueError("grid.p_min_w must be < grid.p_max_w")
-        if not self.v_min < self.v_max:
+        if not self.v_min_mmpm < self.v_max_mmpm:
             raise ValueError("grid.v_min_mmpm must be < grid.v_max_mmpm")
 
     @property
@@ -71,8 +76,8 @@ def state_params(grid: StateGrid, s: int) -> tuple[float, float]:
     if not 0 <= s < grid.n_states:
         raise ValueError(f"state {s} out of range for n={grid.n}")
     i, j = divmod(s, grid.n)
-    p = grid.p_min + i * (grid.p_max - grid.p_min) / (grid.n - 1)
-    v = grid.v_min + j * (grid.v_max - grid.v_min) / (grid.n - 1)
+    p = grid.p_min_w + i * (grid.p_max_w - grid.p_min_w) / (grid.n - 1)
+    v = grid.v_min_mmpm + j * (grid.v_max_mmpm - grid.v_min_mmpm) / (grid.n - 1)
     return p, v
 
 
@@ -87,23 +92,25 @@ def valid_actions(grid: StateGrid, s: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class RewardConfig:
-    """Target depth and the tolerances of the reward / termination rules.
+    """Target depth and the tolerances of the reward / termination rules;
+    each field is named as its key in the config file's reward section.
 
-    tol_r separates the reward branch from the penalty branch; tol_delta
-    ends an episode; denom_floor guards the reward denominator.  All mm.
+    A depth strictly within tol_r_mm of delta_opt_mm takes the reward
+    branch, any other the penalty branch; tol_delta_mm ends an episode;
+    denom_floor_mm guards the reward denominator.
     """
 
-    delta_opt: float = 1.0
-    tol_r: float = 0.1
-    tol_delta: float = 0.005
-    denom_floor: float = 1e-6
+    delta_opt_mm: float = 1.0
+    tol_r_mm: float = 0.1
+    tol_delta_mm: float = 0.005
+    denom_floor_mm: float = 1e-6
     variant: str = "inverse_error"
 
     def __post_init__(self):
-        for name in ("delta_opt", "tol_r", "tol_delta", "denom_floor"):
+        for name in ("delta_opt_mm", "tol_r_mm", "tol_delta_mm", "denom_floor_mm"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"reward.{name} must be positive")
-        if self.tol_delta > self.tol_r:
+        if self.tol_delta_mm > self.tol_r_mm:
             raise ValueError("reward.tol_delta_mm must be <= reward.tol_r_mm")
         if self.variant not in REWARD_VARIANTS:
             raise ValueError(f"reward.variant must be one of {REWARD_VARIANTS}")
@@ -112,20 +119,20 @@ class RewardConfig:
 def reward(rc: RewardConfig, depth_mm: float) -> float:
     """Reward for landing on a state with the given depth.
 
-    With dd = |depth - delta_opt|: below tol_r the "inverse_error"
-    variant (default) pays 1 / dd and penalizes -dd otherwise.  The
-    "paper" variant applies the printed two-branch formula literally,
-    with dd substituted a second time into both branches:
-    1 / |delta_opt - dd| and -|delta_opt - dd|.
+    With dd = |depth - delta_opt_mm|: strictly below tol_r_mm (the
+    oracle's in_band) the "inverse_error" variant (default) pays 1 / dd
+    and penalizes -dd otherwise.  The "paper" variant applies the printed
+    two-branch formula literally, with dd substituted a second time into
+    both branches: 1 / |delta_opt_mm - dd| and -|delta_opt_mm - dd|.
     """
-    dd = abs(depth_mm - rc.delta_opt)
+    dd = abs(depth_mm - rc.delta_opt_mm)
     if rc.variant == "inverse_error":
-        if dd < rc.tol_r:
-            return 1.0 / max(dd, rc.denom_floor)
+        if dd < rc.tol_r_mm:
+            return 1.0 / max(dd, rc.denom_floor_mm)
         return -dd
-    if dd < rc.tol_r:
-        return 1.0 / max(abs(rc.delta_opt - dd), rc.denom_floor)
-    return -abs(rc.delta_opt - dd)
+    if dd < rc.tol_r_mm:
+        return 1.0 / max(abs(rc.delta_opt_mm - dd), rc.denom_floor_mm)
+    return -abs(rc.delta_opt_mm - dd)
 
 
 class DepthCache:
@@ -183,7 +190,7 @@ class DepthCache:
         if table is None:
             table = self._scores[rc] = [
                 (reward(rc, res.depth_mm),
-                 abs(res.depth_mm - rc.delta_opt) <= rc.tol_delta)
+                 abs(res.depth_mm - rc.delta_opt_mm) <= rc.tol_delta_mm)
                 for res in self._depths]
         return table
 

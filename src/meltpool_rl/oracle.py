@@ -59,20 +59,21 @@ class Verdict:
 
 
 def brute_force_rank(cache: DepthCache, rc: RewardConfig) -> GridReport:
-    """Exhaustive ranking by |depth - rc.delta_opt|, stable on flat id;
-    rows in flat-id order, in_band within rc.tol_r.  Every state has a
-    usable depth: DepthCache rejects a grid where one has not."""
+    """Exhaustive ranking by |depth - rc.delta_opt_mm|, stable on flat
+    id; rows in flat-id order, in_band strictly within rc.tol_r_mm, as
+    reward's positive branch is.  Every state has a usable depth:
+    DepthCache rejects a grid where one has not."""
     grid = cache.grid
     entries = []
     for s in range(grid.n_states):
         res = cache.depth(s)
         p, v = state_params(grid, s)
-        entries.append((abs(res.depth_mm - rc.delta_opt), s, p, v, res.depth_mm))
+        entries.append((abs(res.depth_mm - rc.delta_opt_mm), s, p, v, res.depth_mm))
     entries.sort(key=lambda e: (e[0], e[1]))
-    rows = [StateReport(s, *divmod(s, grid.n), p, v, depth, err, rank + 1, err <= rc.tol_r)
+    rows = [StateReport(s, *divmod(s, grid.n), p, v, depth, err, rank + 1, err < rc.tol_r_mm)
             for rank, (err, s, p, v, depth) in enumerate(entries)]
     rows.sort(key=lambda r: r.state_id)
-    return GridReport(grid, rc.delta_opt, rows)
+    return GridReport(grid, rc.delta_opt_mm, rows)
 
 
 def validate_run(report: GridReport, result: RunResult) -> Verdict:

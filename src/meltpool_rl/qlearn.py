@@ -272,7 +272,7 @@ def masked_qtable(cache: DepthCache) -> list:
 def run_episode(cache: DepthCache, rc: RewardConfig, q: list,
                 hp: Hyperparams, rng: Union[np.random.Generator, _Draws]) -> EpisodeTrace:
     """One episode on a masked_qtable list: random start, then
-    select/step/update until the landing state is within tol_delta of
+    select/step/update until the landing state is within tol_delta_mm of
     the target or the epoch cap.
 
     Each step draws, moves and updates as select_action, step and

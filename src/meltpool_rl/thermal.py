@@ -29,7 +29,7 @@ the interface, matching how process parameters are quoted for L-DED.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -90,32 +90,41 @@ class QuadratureError(ArithmeticError):
 
 @dataclass(frozen=True)
 class MaterialEnv:
-    """Physical constants of the thermal model (SI units).
+    """Physical constants of the thermal model, each field named as its
+    key in the config file's material section; SI units, except the beam
+    parameter sigma_l_mm, which is in mm as the file gives it.
 
     Defaults are the SS316L values used throughout: ambient 300 K,
     liquidus 1700 K, cp 680 J/(kg K), rho 7400 kg/m^3, diffusivity
-    7.1542e-6 m^2/s, distribution parameter 0.459 mm (half the 0.918 mm
-    beam parameter), absorptivity 0.3.
+    7.1542e-6 m^2/s, the machine's 0.918 mm beam parameter (an e^-2
+    radius) and absorptivity 0.3.  The thermal code reads the Gaussian
+    distribution parameter, half the beam parameter in m, from sigma.
     """
 
-    t0: float = 300.0
-    t_liq: float = 1700.0
+    t0_k: float = 300.0
+    t_liq_k: float = 1700.0
     cp: float = 680.0
     rho: float = 7400.0
     diffusivity: float = 7.1542e-6
-    sigma: float = BEAM_TO_SIGMA * DEFAULT_BEAM_MM * 1e-3
+    sigma_l_mm: float = DEFAULT_BEAM_MM
     absorptivity: float = 0.3
     source_gain: float = DEFAULT_SOURCE_GAIN
 
     def __post_init__(self):
-        for name in ("t0", "t_liq", "cp", "rho", "diffusivity", "sigma",
-                     "absorptivity", "source_gain"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"material.{name} must be strictly positive")
-        if not self.t_liq > self.t0:
-            raise ValueError("material.t_liq must exceed material.t0")
+        for f in fields(self):
+            # a beam parameter whose sigma underflows to 0 is no beam
+            value = self.sigma if f.name == "sigma_l_mm" else getattr(self, f.name)
+            if not value > 0:
+                raise ValueError(f"material.{f.name} must be strictly positive")
+        if not self.t_liq_k > self.t0_k:
+            raise ValueError("material.t_liq_k must exceed material.t0_k")
         if self.absorptivity > 1:
             raise ValueError("material.absorptivity must be in (0, 1]")
+
+    @property
+    def sigma(self) -> float:
+        """Gaussian distribution parameter (m), half the beam parameter."""
+        return BEAM_TO_SIGMA * self.sigma_l_mm * 1e-3
 
     @property
     def amplitude_per_watt(self) -> float:
@@ -216,7 +225,7 @@ def _profile_eval(env: MaterialEnv, den: np.ndarray, coef: np.ndarray,
     changes, to 0.  tests/test_thermal.py pins this bit for bit.  Deep z
     underflows damping terms to 0, which numpy ignores by default."""
     damp = np.exp(-(z * z) / den)
-    return env.t0 + np.einsum("ik,k->i", coef, damp)
+    return env.t0_k + np.einsum("ik,k->i", coef, damp)
 
 
 def _adaptive_basis(env: MaterialEnv, v: float, xs, y: float, t: float):
@@ -245,7 +254,7 @@ def _adaptive_basis(env: MaterialEnv, v: float, xs, y: float, t: float):
     def checkpoints(den, w, g):
         wg = env.amplitude_per_watt * w * g
         return np.array([_profile_eval(env, den, wg, z)
-                         for z in (0.0, 0.5e-3)]) - env.t0, wg
+                         for z in (0.0, 0.5e-3)]) - env.t0_k, wg
 
     n_panels = 8
     basis = _profile_basis(env, v, xs, y, t, n_panels)
@@ -270,7 +279,7 @@ def temperature(env: MaterialEnv, q: LaserQuery) -> float:
     Exact T0 for t = 0 (empty interval) or P = 0 (integrand scales with P).
     """
     if q.t == 0.0 or q.p == 0.0:
-        return env.t0
+        return env.t0_k
     den, w, g, _ = _adaptive_basis(env, q.v, q.x, q.y, q.t)
     coef = env.amplitude_per_watt * q.p * w * g
     val = float(_profile_eval(env, den, coef, q.z)[0])
@@ -321,7 +330,7 @@ def _band(env: MaterialEnv, n_terms: int, t: float, p: float) -> float:
     p * 2**-1075 < a.  A band that overflows to inf sends every node to
     _profile_eval."""
     spread = max(1.0, 4.0 * math.sqrt(t) / env.sigma / env.sigma)
-    return (4.0 * (n_terms + 8) * 2.0 ** -53 * env.t_liq
+    return (4.0 * (n_terms + 8) * 2.0 ** -53 * env.t_liq_k
             + (p + 1.0) * math.ldexp(4.0 * n_terms * spread, -1074))
 
 
@@ -370,7 +379,7 @@ def _isotherm_depths(env: MaterialEnv, v: float, t: float, powers: list) -> list
     xs = np.linspace(x_laser - _X_WINDOW_BEHIND * env.sigma,
                      x_laser + _X_WINDOW_AHEAD * env.sigma, _N_X_SAMPLES)
     den, w, g, wg = _adaptive_basis(env, v, xs, 0.0, t)
-    rise_liq = env.t_liq - env.t0
+    rise_liq = env.t_liq_k - env.t0_k
     upper, lower = [], []
     for p in powers:
         band = _band(env, len(den), t, p)
@@ -401,7 +410,8 @@ def _isotherm_depths(env: MaterialEnv, v: float, t: float, powers: list) -> list
                     above = False
                 else:  # inside the band: decided on the points not below
                     coef = env.amplitude_per_watt * powers[i] * w * g[rise[j] >= lower[i]]
-                    above = bool((_profile_eval(env, den, coef, _NODES[node]) >= env.t_liq).any())
+                    above = bool((_profile_eval(env, den, coef, _NODES[node])
+                                  >= env.t_liq_k).any())
                 if above:
                     lo[i] = node
                 else:

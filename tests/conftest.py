@@ -15,7 +15,7 @@ from meltpool_rl.thermal import MaterialEnv
 #: 2x2 grid whose (20000 W, 400 mm/min) state, flat id 2, melts deeper
 #: than the 5 mm depth bracket; its other states are steady.  No
 #: DepthCache can be built for it.
-EDGE_GRID = StateGrid(n=2, p_min=1000.0, p_max=20000.0)
+EDGE_GRID = StateGrid(n=2, p_min_w=1000.0, p_max_w=20000.0)
 
 
 @pytest.fixture(scope="session")

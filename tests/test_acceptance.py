@@ -201,13 +201,13 @@ def test_acceptance_7_property_suite(material, reward_config, shared_caches):
     # temperature rise linear in P; ambient at t=0 and P=0
     v = 550.0 * MMPM_TO_MPS
     probe = dict(v=v, x=v * 2.0, y=0.0, z=2e-4, t=2.0)
-    r1 = temperature(material, LaserQuery(p=300.0, **probe)) - material.t0
-    r2 = temperature(material, LaserQuery(p=600.0, **probe)) - material.t0
+    r1 = temperature(material, LaserQuery(p=300.0, **probe)) - material.t0_k
+    r2 = temperature(material, LaserQuery(p=600.0, **probe)) - material.t0_k
     checks.append(("rise linear in P", abs(r2 - 2.0 * r1) < 1e-9 * r2))
     checks.append(("T=T0 at t=0", temperature(
-        material, LaserQuery(800.0, v, 0.0, 0.0, 0.0, 0.0)) == material.t0))
+        material, LaserQuery(800.0, v, 0.0, 0.0, 0.0, 0.0)) == material.t0_k))
     checks.append(("T=T0 at P=0", temperature(
-        material, LaserQuery(0.0, v, 1e-3, 0.0, 0.0, 2.0)) == material.t0))
+        material, LaserQuery(0.0, v, 1e-3, 0.0, 0.0, 2.0)) == material.t0_k))
 
     # quadrature self-convergence < 1e-5 relative on refinement
     xs = np.array([v * 2.0 - 2e-4])
@@ -215,8 +215,8 @@ def test_acceptance_7_property_suite(material, reward_config, shared_caches):
     coef = material.amplitude_per_watt * 800.0 * w * g
     den2, w2, g2 = _profile_basis(material, v, xs, 0.0, 2.0, (len(den) // 12) * 2)
     coef2 = material.amplitude_per_watt * 800.0 * w2 * g2
-    a = float(_profile_eval(material, den, coef, 2e-4)[0]) - material.t0
-    b = float(_profile_eval(material, den2, coef2, 2e-4)[0]) - material.t0
+    a = float(_profile_eval(material, den, coef, 2e-4)[0]) - material.t0_k
+    b = float(_profile_eval(material, den2, coef2, 2e-4)[0]) - material.t0_k
     checks.append(("quadrature self-convergence", abs(a - b) <= 1e-5 * abs(b)))
 
     # Q-table shape for every swept resolution

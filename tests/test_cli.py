@@ -99,7 +99,8 @@ class TestConfigHandling:
         assert "alpha" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid, key", [("p_min_w: -1.0", "grid.p_min_w"),
-                                           ("v_min_mmpm: 0.0", "grid.v_min_mmpm")])
+                                           ("v_min_mmpm: 0.0", "grid.v_min_mmpm"),
+                                           ("v_min_mmpm: 1.0e-320", "grid.v_min_mmpm")])
     def test_grid_lower_bounds_exit_before_output(self, tmp_path, capsys, grid, key):
         cfg = tmp_path / "config.yaml"
         cfg.write_text(f"grid: {{{grid}}}\n")
@@ -202,6 +203,28 @@ class TestWholeFileChecked:
         assert rc == EXIT_VALIDATION
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestUnderflowToZero:
+    """A beam parameter or speed that is positive as written but 0 once
+    converted to the thermal model's units fails validation under its own
+    name, before any output directory exists (grid.v_min_mmpm: see
+    TestConfigHandling)."""
+
+    @pytest.mark.parametrize("argv", [["map"], ["train"]])
+    def test_beam_parameter_exits_before_output(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text("material: {sigma_l_mm: 5.0e-324}\n")
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfg), *argv, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            "error: material.sigma_l_mm must be strictly positive\n"
+        assert not out.exists()
+
+    def test_depth_speed_is_named_by_its_flag(self, capsys):
+        assert main(["depth", "--power", "500", "--speed", "1e-320"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: --speed must be finite and > 0\n"
 
 
 class TestEpisodeBound:

@@ -1,5 +1,6 @@
 """YAML configuration loading, defaults, and validation messages."""
 
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,22 @@ FLOAT_KEYS = [("material", k) for k in ("t0_k", "t_liq_k", "cp", "rho", "diffusi
     [("grid", k) for k in ("p_min_w", "p_max_w", "v_min_mmpm", "v_max_mmpm")] + \
     [("reward", k) for k in ("delta_opt_mm", "tol_r_mm", "tol_delta_mm", "denom_floor_mm")] + \
     [("qlearn", k) for k in ("alpha", "gamma", "epsilon")]
+
+#: each section's dataclass: its fields are the section's keys
+SECTIONS = {"material": MaterialEnv, "grid": StateGrid, "reward": RewardConfig,
+            "qlearn": Hyperparams}
+#: per section key, one value as the file writes it that its dataclass rejects
+REJECTED = [("material", "t0_k", "0"), ("material", "t_liq_k", "0"),
+            ("material", "cp", "0"), ("material", "rho", "0"),
+            ("material", "diffusivity", "0"), ("material", "sigma_l_mm", "0"),
+            ("material", "absorptivity", "1.5"), ("material", "source_gain", "0"),
+            ("grid", "n", "1"), ("grid", "p_min_w", "-1"), ("grid", "p_max_w", "100"),
+            ("grid", "v_min_mmpm", "0"), ("grid", "v_max_mmpm", "100"),
+            ("reward", "delta_opt_mm", "0"), ("reward", "tol_r_mm", "0"),
+            ("reward", "tol_delta_mm", "0"), ("reward", "denom_floor_mm", "0"),
+            ("reward", "variant", "bogus"),
+            ("qlearn", "alpha", "0"), ("qlearn", "gamma", "2"), ("qlearn", "epsilon", "2"),
+            ("qlearn", "episodes", "0"), ("qlearn", "n_epochs", "0"), ("qlearn", "seed", "-1")]
 
 #: per sweepable parameter, values its field accepts and values it rejects
 _BELOW_ZERO = st.floats(-10.0, 0.0, exclude_max=True)
@@ -72,7 +89,7 @@ class TestDefaults:
         assert cfg.grid.n == 10
         assert cfg.qlearn.alpha == 0.25
         assert cfg.reward.variant == "inverse_error"
-        assert cfg.material.t_liq == 1700.0
+        assert cfg.material.t_liq_k == 1700.0
         assert cfg.snapshot["sweep"]["param"] is None
 
     def test_defaults_are_the_dataclass_defaults(self, monkeypatch):
@@ -98,12 +115,21 @@ class TestDefaults:
             assert example.snapshot[name] == default.snapshot[name]
         assert example.sweep_for("epsilon") == default.sweep_for("epsilon")
 
+    def test_example_file_lists_every_key(self):
+        """config.example.yaml documents every setting: each section holds
+        exactly its dataclass's fields, in field order, and sweep the
+        fields of SweepSpec."""
+        example = yaml.safe_load(EXAMPLE_CONFIG.read_text())
+        want = {name: [f.name for f in fields(cls)]
+                for name, cls in {**SECTIONS, "sweep": SweepSpec}.items()}
+        assert {name: list(sec) for name, sec in example.items()} == want
+
 
 class TestOverrides:
     def test_partial_sections_merge(self, tmp_path):
         cfg = load_config(write(tmp_path, "grid:\n  n: 5\nqlearn:\n  seed: 7\n"))
         assert cfg.grid.n == 5
-        assert cfg.grid.p_min == 500.0
+        assert cfg.grid.p_min_w == 500.0
         assert cfg.qlearn.seed == 7
 
     def test_beam_parameter_converted_to_sigma_meters(self, tmp_path):
@@ -126,9 +152,9 @@ class TestOverrides:
         config_snapshot.json (reward.denom_floor_mm's default)."""
         cfg = load_config(write(tmp_path, "reward: {denom_floor_mm: 1e-06}\n"
                                           "qlearn: {episodes: 1E+2}\ngrid: {p_max_w: 1.5e3}\n"))
-        assert cfg.reward.denom_floor == 1e-06
+        assert cfg.reward.denom_floor_mm == 1e-06
         assert cfg.qlearn.episodes == 100
-        assert cfg.grid.p_max == 1500.0
+        assert cfg.grid.p_max_w == 1500.0
 
     def test_sweep_section(self, tmp_path):
         cfg = load_config(write(
@@ -185,6 +211,17 @@ class TestValidation:
         mixed types, which do not sort together, are named as strings."""
         with pytest.raises(ConfigError, match=rf"^{key}: unknown key$"):
             load_config(write(tmp_path, text))
+
+    def test_rejected_rows_cover_every_section_key(self):
+        assert [(section, key) for section, key, _ in REJECTED] == \
+            [(name, f.name) for name, cls in SECTIONS.items() for f in fields(cls)]
+
+    @pytest.mark.parametrize("section, key, value", REJECTED)
+    def test_rejected_value_names_its_key(self, tmp_path, section, key, value):
+        """A value out of its dataclass's range is named by the key the
+        file holds it under."""
+        with pytest.raises(ConfigError, match=rf"\b{section}\.{key}\b"):
+            load_config(write(tmp_path, f"{section}: {{{key}: {value}}}\n"))
 
     def test_wrong_type_is_path_qualified(self, tmp_path):
         with pytest.raises(ConfigError, match="qlearn.alpha"):
@@ -350,7 +387,7 @@ class TestKeyGivenTwice:
     def test_merge_key_may_still_override(self, tmp_path):
         """A key a "<<" merge brought in is not given twice."""
         cfg = load_config(write(tmp_path, "grid: {<<: {n: 5, p_min_w: 600.0}, n: 6}\n"))
-        assert (cfg.grid.n, cfg.grid.p_min) == (6, 600.0)
+        assert (cfg.grid.n, cfg.grid.p_min_w) == (6, 600.0)
 
     def test_complex_key_stays_a_parse_error(self, tmp_path):
         with pytest.raises(ConfigError, match=r"(?s)^cannot parse config .*found unhashable key"):

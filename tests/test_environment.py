@@ -39,16 +39,19 @@ class TestStateGrid:
         with pytest.raises(ValueError):
             StateGrid(n=1)
         with pytest.raises(ValueError):
-            StateGrid(p_min=1000.0, p_max=500.0)
+            StateGrid(p_min_w=1000.0, p_max_w=500.0)
         with pytest.raises(ValueError):
-            StateGrid(v_min=700.0, v_max=700.0)
+            StateGrid(v_min_mmpm=700.0, v_max_mmpm=700.0)
 
     def test_lower_bounds_are_named(self):
         with pytest.raises(ValueError, match=r"grid\.p_min_w must be >= 0, got -1\.0"):
-            StateGrid(p_min=-1.0)
+            StateGrid(p_min_w=-1.0)
         with pytest.raises(ValueError, match=r"grid\.v_min_mmpm must be > 0, got 0\.0"):
-            StateGrid(v_min=0.0)
-        assert state_params(StateGrid(p_min=0.0), 0) == (0.0, 400.0)
+            StateGrid(v_min_mmpm=0.0)
+        # positive in mm/min, but 0 in the m/s the thermal model takes
+        with pytest.raises(ValueError, match=r"grid\.v_min_mmpm must be > 0, got 1e-320 "):
+            StateGrid(v_min_mmpm=1e-320)
+        assert state_params(StateGrid(p_min_w=0.0), 0) == (0.0, 400.0)
 
     def test_upper_bound_is_named(self):
         """n^2 start states must fit the 2**32 range the start draw takes."""
@@ -73,8 +76,8 @@ class TestStateGrid:
     @given(s=st.integers(0, 99))
     def test_endpoint_inclusive_bounds(self, grid, s):
         p, v = state_params(grid, s)
-        assert grid.p_min <= p <= grid.p_max
-        assert grid.v_min <= v <= grid.v_max
+        assert grid.p_min_w <= p <= grid.p_max_w
+        assert grid.v_min_mmpm <= v <= grid.v_max_mmpm
 
 
 class TestValidActions:
@@ -99,9 +102,9 @@ class TestValidActions:
 class TestReward:
     def test_validation(self):
         with pytest.raises(ValueError):
-            RewardConfig(tol_r=-0.1)
+            RewardConfig(tol_r_mm=-0.1)
         with pytest.raises(ValueError):
-            RewardConfig(tol_delta=0.2, tol_r=0.1)
+            RewardConfig(tol_delta_mm=0.2, tol_r_mm=0.1)
         with pytest.raises(ValueError):
             RewardConfig(variant="bogus")
 
@@ -140,8 +143,8 @@ class TestReward:
     @settings(max_examples=50)
     def test_sign_tracks_band_membership(self, reward_config, depth):
         rc = reward_config
-        dd = abs(depth - rc.delta_opt)
-        if dd < rc.tol_r:
+        dd = abs(depth - rc.delta_opt_mm)
+        if dd < rc.tol_r_mm:
             assert reward(rc, depth) > 0
         else:
             assert reward(rc, depth) <= 0
@@ -160,17 +163,17 @@ class TestStep:
         assert out.reward == reward(reward_config, cache10.depth(75).depth_mm)
 
     def test_terminal_at_target_depth(self, cache10, reward_config):
-        # (7,5) is within tol_delta of the 1 mm target on the default grid
+        # (7,5) is within tol_delta_mm of the 1 mm target on the default grid
         out = step(cache10, 65, ACTIONS.index((1, 0)), reward_config)
         assert out.terminal
 
     def test_terminal_monotone_in_tolerance(self, cache10, reward_config):
         s, k = 44, ACTIONS.index((1, 1))
         for depth_tol in (1e-6, 1e-3, 0.05, 0.5):
-            rc = RewardConfig(tol_delta=depth_tol, tol_r=max(0.1, depth_tol))
+            rc = RewardConfig(tol_delta_mm=depth_tol, tol_r_mm=max(0.1, depth_tol))
             out = step(cache10, s, k, rc)
             if out.terminal:
-                wider = RewardConfig(tol_delta=0.6, tol_r=0.6)
+                wider = RewardConfig(tol_delta_mm=0.6, tol_r_mm=0.6)
                 assert step(cache10, s, k, wider).terminal
 
     def test_unconverged_depth_aborts(self, cache10, monkeypatch):
@@ -225,8 +228,8 @@ class TestDepthCache:
             return profile_eval(*args)
 
         monkeypatch.setattr(thermal, "_profile_eval", counting)
-        DepthCache(material, StateGrid(n=20, p_min=450.0, p_max=1150.0,
-                                       v_min=330.0, v_max=860.0))
+        DepthCache(material, StateGrid(n=20, p_min_w=450.0, p_max_w=1150.0,
+                                       v_min_mmpm=330.0, v_max_mmpm=860.0))
         assert len(calls) <= 300
 
     def test_cold_20x20_warm_up_rounds_and_fallbacks(self, material, monkeypatch):
@@ -245,8 +248,8 @@ class TestDepthCache:
         monkeypatch.setattr(thermal, "_unit_rise", counting("rounds", thermal._unit_rise))
         monkeypatch.setattr(thermal, "_profile_basis", counting("bases", thermal._profile_basis))
         monkeypatch.setattr(thermal, "_profile_eval", counting("evals", thermal._profile_eval))
-        DepthCache(material, StateGrid(n=20, p_min=450.0, p_max=1150.0,
-                                       v_min=330.0, v_max=860.0))
+        DepthCache(material, StateGrid(n=20, p_min_w=450.0, p_max_w=1150.0,
+                                       v_min_mmpm=330.0, v_max_mmpm=860.0))
         assert counts["rounds"] <= 200
         assert counts["evals"] - 2 * counts["bases"] == 0
 
@@ -256,7 +259,7 @@ class TestScores:
         rc = reward_config
         for s, score in enumerate(cache10.scores(rc)):
             d = cache10.depth(s).depth_mm
-            assert score == (reward(rc, d), abs(d - rc.delta_opt) <= rc.tol_delta)
+            assert score == (reward(rc, d), abs(d - rc.delta_opt_mm) <= rc.tol_delta_mm)
 
     def test_built_once_per_reward_config(self, cache10):
         table = cache10.scores(RewardConfig())

@@ -19,13 +19,13 @@ from meltpool_rl.thermal import MMPM_TO_MPS, batch_depths
 DEPTHS_SHA256 = "23ace9cf50196e2ed2ca68d83d1e8a5accad510753b60bd6adda7389c39cff14"
 #: 12x12 over 100-20000 W x 100-1200 mm/min: 34 states at the 5 mm bracket
 #: edge, 4 not steady and 12 that never melt
-WIDE_GRID = StateGrid(n=12, p_min=100.0, p_max=20000.0, v_min=100.0, v_max=1200.0)
+WIDE_GRID = StateGrid(n=12, p_min_w=100.0, p_max_w=20000.0, v_min_mmpm=100.0, v_max_mmpm=1200.0)
 WIDE_DEPTHS_SHA256 = "abbe5d2e97989ee650f552f6b74747ec9412aa879d2e34b907b0d4a7854dd5b4"
 #: the 20x20 grids of perfbench's grid_map at seeds 0 and 1, whose own
 #: reference check allows 1e-3 mm; these digests allow no bit
 GRID_MAP_GRIDS = {
-    0: StateGrid(n=20, p_min=489.0, p_max=1155.7, v_min=360.1, v_max=896.7),
-    1: StateGrid(n=20, p_min=433.2, p_max=1161.2, v_min=338.1, v_max=836.7),
+    0: StateGrid(n=20, p_min_w=489.0, p_max_w=1155.7, v_min_mmpm=360.1, v_max_mmpm=896.7),
+    1: StateGrid(n=20, p_min_w=433.2, p_max_w=1161.2, v_min_mmpm=338.1, v_max_mmpm=836.7),
 }
 GRID_MAP_DEPTHS_SHA256 = {
     0: "dad5d6454677e22e10635894c84be7ec45352411eba28cab49aac96338129c18",

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meltpool_rl.environment import (DepthCache, EnvironmentEvalError, RewardConfig,
-                                     StateGrid, state_params)
+                                     StateGrid, reward, state_params)
 from meltpool_rl.oracle import (
     Verdict,
     brute_force_rank,
@@ -44,8 +44,17 @@ class TestBruteForceRank:
 
     def test_band_membership(self, report10, reward_config):
         for r in report10.rows:
-            assert r.in_band == (r.abs_err <= reward_config.tol_r)
+            assert r.in_band == (r.abs_err < reward_config.tol_r_mm)
         assert 0 < sum(r.in_band for r in report10.rows) < len(report10.rows)
+
+    def test_band_is_where_reward_pays(self, cache10):
+        """in_band is reward's positive branch: state 75 lies exactly
+        tol_r_mm from the target, so it is out of the band and penalized."""
+        rc = RewardConfig(tol_r_mm=0.00231170654296875, tol_delta_mm=0.001)
+        report = brute_force_rank(cache10, rc)
+        assert report.rows[75].abs_err == rc.tol_r_mm
+        for r in report.rows:
+            assert r.in_band == (reward(rc, r.depth) > 0)
 
     @pytest.mark.parametrize("s", [-1, 100])
     def test_rank_of_out_of_range_state_rejected(self, report10, s):

@@ -97,7 +97,7 @@ def profile_eval_reference(env, u, coef, z_per_row):
     z = np.asarray(z_per_row, dtype=float)
     with np.errstate(under="ignore"):
         damp = np.exp(-(z[:, None] ** 2) / (4.0 * env.diffusivity * u * u)[None, :])
-    return env.t0 + np.einsum("ik,ik->i", coef, damp)
+    return env.t0_k + np.einsum("ik,ik->i", coef, damp)
 
 
 def scan_line(env, v, t):
@@ -117,14 +117,14 @@ def depth_at_time_reference(env, p, v, t, bases):
     u = basis_nodes(t, len(den) // len(_GL_NODES))
     coef = env.amplitude_per_watt * p * w * g
 
-    melted = profile_eval_reference(env, u, coef, np.zeros(_N_X_SAMPLES)) >= env.t_liq
+    melted = profile_eval_reference(env, u, coef, np.zeros(_N_X_SAMPLES)) >= env.t_liq_k
     if not melted.any():
         return 0.0, False
     lo = np.zeros(_N_X_SAMPLES)
     hi = np.full(_N_X_SAMPLES, Z_MAX)
     while float(np.max(hi - lo)) > Z_TOL:
         m = 0.5 * (lo + hi)
-        above = profile_eval_reference(env, u, coef, m) >= env.t_liq
+        above = profile_eval_reference(env, u, coef, m) >= env.t_liq_k
         lo = np.where(above, m, lo)
         hi = np.where(above, hi, m)
     return (float(np.max(np.where(melted, 0.5 * (lo + hi), 0.0))),
@@ -146,16 +146,16 @@ def assert_depths_bit_identical(env, powers, v_mmpm, times=DEPTH_TIMES):
 class TestTemperature:
     def test_ambient_at_time_zero(self, material):
         q = LaserQuery(p=800.0, v=V_MID, x=0.0, y=0.0, z=0.0, t=0.0)
-        assert temperature(material, q) == material.t0
+        assert temperature(material, q) == material.t0_k
 
     def test_ambient_at_zero_power(self, material):
         q = LaserQuery(p=0.0, v=V_MID, x=1e-3, y=0.0, z=1e-4, t=2.0)
-        assert temperature(material, q) == material.t0
+        assert temperature(material, q) == material.t0_k
 
     def test_rise_is_linear_in_power(self, material):
         def rise(p):
             q = LaserQuery(p=p, v=V_MID, x=V_MID * 2.0, y=0.0, z=2e-4, t=2.0)
-            return temperature(material, q) - material.t0
+            return temperature(material, q) - material.t0_k
 
         r1, r2, r3 = rise(400.0), rise(800.0), rise(1200.0)
         assert r2 == pytest.approx(2.0 * r1, rel=1e-9)
@@ -165,7 +165,7 @@ class TestTemperature:
         x = V_MID * 2.0
         temps = [temperature(material, LaserQuery(800.0, V_MID, x, 0.0, z, 2.0))
                  for z in (0.0, 2e-4, 5e-4, 1e-3, 3e-3)]
-        assert all(t > material.t0 for t in temps[:-1])
+        assert all(t > material.t0_k for t in temps[:-1])
         assert temps == sorted(temps, reverse=True)
 
     def test_decays_off_axis(self, material):
@@ -179,7 +179,7 @@ class TestTemperature:
     @settings(max_examples=25, deadline=None)
     def test_never_below_ambient(self, material, p, z, y):
         q = LaserQuery(p=p, v=V_MID, x=V_MID * 2.0, y=y, z=z, t=2.0)
-        assert temperature(material, q) >= material.t0
+        assert temperature(material, q) >= material.t0_k
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
@@ -213,7 +213,7 @@ class TestStationaryClosedForm:
         a, sigma = material.diffusivity, material.sigma
         want = (material.amplitude_per_watt * p * 2.0 / (sigma * math.sqrt(2.0 * a))
                 * math.atan(math.sqrt(2.0 * a * t) / sigma))
-        rise = temperature(material, LaserQuery(p, 0.0, 0.0, 0.0, 0.0, t)) - material.t0
+        rise = temperature(material, LaserQuery(p, 0.0, 0.0, 0.0, 0.0, t)) - material.t0_k
         assert rise == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -227,8 +227,8 @@ class TestQuadrature:
         den2, w2, g2 = _profile_basis(material, V_MID, xs, 0.0, 2.0, n_panels)
         coef2 = material.amplitude_per_watt * 800.0 * w2 * g2
         for z in (0.0, 2e-4, 1e-3):
-            a = float(_profile_eval(material, den, coef, z)[0]) - material.t0
-            b = float(_profile_eval(material, den2, coef2, z)[0]) - material.t0
+            a = float(_profile_eval(material, den, coef, z)[0]) - material.t0_k
+            b = float(_profile_eval(material, den2, coef2, z)[0]) - material.t0_k
             assert abs(a - b) <= 1e-5 * abs(b)
 
     def test_coefficients_scale_with_power(self, material):
@@ -414,7 +414,7 @@ class TestDepthAtTime:
         for zj, damp_j, r in zip(z, damp, rise):
             assert damp_j.tobytes() == np.exp(-(zj * zj) / den).tobytes()
             top = float(r.max())
-            p = ratio * (env.t_liq - env.t0) / top if top > 0.0 else 1.0
+            p = ratio * (env.t_liq_k - env.t0_k) / top if top > 0.0 else 1.0
             assume(p < math.inf)
             exact = np.einsum("ik,k->i", env.amplitude_per_watt * p * w * g, damp_j)
             assert np.all(np.abs(exact - p * r) <= _band(env, len(den), t, p))
@@ -463,13 +463,13 @@ class TestScipyReference:
                                    - z * z / (4.0 * a * s)))
             rise, _ = quad(integrand, 0.0, t, weight="alg", wvar=(0.0, -0.5),
                            epsabs=0.0, epsrel=1e-12, limit=500)
-            return env.t0 + rise
+            return env.t0_k + rise
 
         assert res.converged
         candidates = [x for x in scan_line(env, v, t)
-                      if temperature_at(x, depth - bound) >= env.t_liq]
+                      if temperature_at(x, depth - bound) >= env.t_liq_k]
         assert candidates
-        ref = max(brentq(lambda z: temperature_at(x, z) - env.t_liq, depth - bound, Z_MAX,
+        ref = max(brentq(lambda z: temperature_at(x, z) - env.t_liq_k, depth - bound, Z_MAX,
                          xtol=1e-13, rtol=1e-14)
                   for x in candidates)
         assert abs(depth - ref) <= bound
@@ -498,14 +498,14 @@ class TestFineReference:
             den, w, g, _ = bases[v, t]
             depth = res.depth_mm / MM_PER_M
             coef = env.amplitude_per_watt * p * w * g
-            rows = coef[_profile_eval(env, den, coef, depth - half_leaf) >= env.t_liq]
+            rows = coef[_profile_eval(env, den, coef, depth - half_leaf) >= env.t_liq_k]
             assert len(rows), s
             u = basis_nodes(t, len(den) // len(_GL_NODES))
             lo = np.full(len(rows), depth - half_leaf)
             hi = np.full(len(rows), Z_MAX)
             while float(np.max(hi - lo)) > 1e-13:
                 m = 0.5 * (lo + hi)
-                above = profile_eval_reference(env, u, rows, m) >= env.t_liq
+                above = profile_eval_reference(env, u, rows, m) >= env.t_liq_k
                 lo = np.where(above, m, lo)
                 hi = np.where(above, hi, m)
             assert abs(depth - float(np.max(lo))) <= half_leaf, s
@@ -551,7 +551,7 @@ class TestMaterialEnv:
         with pytest.raises(ValueError, match="cp"):
             MaterialEnv(cp=0.0)
         with pytest.raises(ValueError, match="t_liq"):
-            MaterialEnv(t0=2000.0, t_liq=1700.0)
+            MaterialEnv(t0_k=2000.0, t_liq_k=1700.0)
         with pytest.raises(ValueError, match="absorptivity"):
             MaterialEnv(absorptivity=1.5)
 
