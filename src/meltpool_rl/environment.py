@@ -10,6 +10,7 @@ steady-state melt-pool depth at the landing state against the target.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,7 +41,8 @@ class StateGrid:
     """Endpoint-inclusive linspace grid over power (W) x speed (mm/min);
     each field is named as its key in the config file's grid section.
     The lowest speed must stay above 0 once converted to m/s, as the
-    thermal model takes it."""
+    thermal model takes it, and (n - 1) times each span must be finite,
+    so that state_params gives every state a finite power and speed."""
 
     n: int = 10
     p_min_w: float = 500.0
@@ -64,6 +66,10 @@ class StateGrid:
             raise ValueError("grid.p_min_w must be < grid.p_max_w")
         if not self.v_min_mmpm < self.v_max_mmpm:
             raise ValueError("grid.v_min_mmpm must be < grid.v_max_mmpm")
+        for lo, hi in (("p_min_w", "p_max_w"), ("v_min_mmpm", "v_max_mmpm")):
+            if not math.isfinite((self.n - 1) * (getattr(self, hi) - getattr(self, lo))):
+                raise ValueError(f"grid.{hi} must keep (n - 1) * (grid.{hi} - grid.{lo}) "
+                                 f"finite, got {getattr(self, hi)}")
 
     @property
     def n_states(self) -> int:
@@ -126,19 +132,15 @@ def reward(rc: RewardConfig, depth_mm: float) -> float:
     both branches: 1 / |delta_opt_mm - dd| and -|delta_opt_mm - dd|.
     """
     dd = abs(depth_mm - rc.delta_opt_mm)
-    if rc.variant == "inverse_error":
-        if dd < rc.tol_r_mm:
-            return 1.0 / max(dd, rc.denom_floor_mm)
-        return -dd
-    if dd < rc.tol_r_mm:
-        return 1.0 / max(abs(rc.delta_opt_mm - dd), rc.denom_floor_mm)
-    return -abs(rc.delta_opt_mm - dd)
+    x = dd if rc.variant == "inverse_error" else abs(rc.delta_opt_mm - dd)
+    return 1.0 / max(x, rc.denom_floor_mm) if dd < rc.tol_r_mm else -x
 
 
 class DepthCache:
     """The per-grid tables, built once: each state's valid actions, the
     move table moves[s][a] (landing state, -1 off the grid) as list rows
-    and as the next_state array, each state's DepthResult from one
+    and as the next_state array, params[s], each state's (power W, speed
+    mm/min) from state_params, each state's DepthResult from one
     batch_depths call in warm() (the constructor calls it; later calls
     are no-ops), and per RewardConfig each state's score, which
     run_episode looks up once per episode and step once per call.
@@ -154,6 +156,7 @@ class DepthCache:
         self.moves = [[s + offsets[a] if a in acts else -1 for a in range(N_ACTIONS)]
                       for s, acts in enumerate(self.valid)]
         self.next_state = np.array(self.moves, dtype=np.intp)
+        self.params = [state_params(grid, s) for s in range(grid.n_states)]
         self._depths: list[DepthResult] = []
         self._scores: dict[RewardConfig, list] = {}
         self.warm()
@@ -166,7 +169,7 @@ class DepthCache:
     def warm(self) -> None:
         if self._depths:
             return
-        pv = [state_params(self.grid, s) for s in range(self.grid.n_states)]
+        pv = self.params
         depths = batch_depths(self.env, [(p, v * MMPM_TO_MPS) for p, v in pv])
         unusable = [s for s, res in enumerate(depths) if not res.converged]
         if unusable:
@@ -224,5 +227,5 @@ def write_depth_map_csv(path, cache: DepthCache) -> None:
     """Grid depth map: state_id, i, j, power_w, speed_mmpm, depth_mm."""
     grid = cache.grid
     write_csv(path, ["state_id", "i", "j", "power_w", "speed_mmpm", "depth_mm"],
-              ([s, *divmod(s, grid.n), *(f"{x:.4f}" for x in state_params(grid, s)),
+              ([s, *divmod(s, grid.n), *(f"{x:.4f}" for x in cache.params[s]),
                 f"{cache.depth(s).depth_mm:.4f}"] for s in range(grid.n_states)))

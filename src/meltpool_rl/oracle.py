@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .environment import DepthCache, RewardConfig, StateGrid, state_params
+from .environment import DepthCache, RewardConfig, StateGrid
 from .outputs import write_csv
 from .qlearn import RunResult
 
@@ -59,20 +59,20 @@ class Verdict:
 
 
 def brute_force_rank(cache: DepthCache, rc: RewardConfig) -> GridReport:
-    """Exhaustive ranking by |depth - rc.delta_opt_mm|, stable on flat
-    id; rows in flat-id order, in_band strictly within rc.tol_r_mm, as
-    reward's positive branch is.  Every state has a usable depth:
-    DepthCache rejects a grid where one has not."""
+    """Exhaustive ranking by |depth - rc.delta_opt_mm|: one stable sort
+    of the flat ids by error, so an exact tie goes to the lower flat id.
+    Rows in flat-id order, with (P, v) from cache.params and in_band
+    strictly within rc.tol_r_mm, as reward's positive branch is.  Every
+    state has a usable depth: DepthCache rejects a grid where one has
+    not."""
     grid = cache.grid
-    entries = []
-    for s in range(grid.n_states):
-        res = cache.depth(s)
-        p, v = state_params(grid, s)
-        entries.append((abs(res.depth_mm - rc.delta_opt_mm), s, p, v, res.depth_mm))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    rows = [StateReport(s, *divmod(s, grid.n), p, v, depth, err, rank + 1, err < rc.tol_r_mm)
-            for rank, (err, s, p, v, depth) in enumerate(entries)]
-    rows.sort(key=lambda r: r.state_id)
+    depths = [cache.depth(s).depth_mm for s in range(grid.n_states)]
+    errs = [abs(d - rc.delta_opt_mm) for d in depths]
+    ranks = [0] * grid.n_states
+    for rank, s in enumerate(sorted(range(grid.n_states), key=errs.__getitem__), 1):
+        ranks[s] = rank
+    rows = [StateReport(s, *divmod(s, grid.n), *cache.params[s], depths[s], errs[s],
+                        ranks[s], errs[s] < rc.tol_r_mm) for s in range(grid.n_states)]
     return GridReport(grid, rc.delta_opt_mm, rows)
 
 

@@ -21,10 +21,12 @@ as the reference the tests pin the loop to bit for bit, and as names
 perfbench traces.  All randomness flows from the run's seed: episode e
 draws from the PCG64 that numpy seeds from child e of
 SeedSequence(seed).spawn(episodes), so runs are bit-reproducible.
-episode_states computes every child's PCG64 state in one vectorised
-pass, and train reseeds one PCG64 with it before each episode.  train
-draws each episode's numbers with _Draws, which rebuilds in Python the
-values numpy's Generator makes from the same raw PCG64 words.
+episode_states takes the seed's mixed entropy pool from numpy's
+SeedSequence(seed).pool and computes every child's PCG64 state from it
+in one vectorised pass, and train reseeds one PCG64 with it before each
+episode.  train draws each episode's numbers with _Draws, which rebuilds
+in Python the values numpy's Generator makes from the same raw PCG64
+words.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Union
 
 import numpy as np
 
-from .environment import ACTIONS, N_ACTIONS, DepthCache, RewardConfig, state_params
+from .environment import ACTIONS, N_ACTIONS, DepthCache, RewardConfig
 from .outputs import write_csv, write_json
 
 GENERATOR_NAME = "numpy.random.PCG64"
@@ -159,9 +161,9 @@ _POOL = 4
 
 
 def _hashmix(value, h: int, mult: int = _MULT_A):
-    """SeedSequence's hash of a uint32 word (a Python int or a uint64
-    array of them) under hash constant h: (hashed value, next h).  mult
-    is _MULT_A while mixing entropy and _MULT_B in generate_state."""
+    """SeedSequence's hash of uint32 words (a uint64 array of them) under
+    hash constant h: (hashed value, next h).  mult is _MULT_A while
+    mixing entropy and _MULT_B in generate_state."""
     value = value ^ h
     h = h * mult & _M32
     value = value * h & _M32
@@ -180,9 +182,11 @@ def episode_states(seed: int, n: int) -> list[tuple[int, int]]:
 
     A child's entropy is the seed's uint32 words, zero-padded to the
     4-word pool, then its spawn key e.  Everything before the key is the
-    same for every child, so it is mixed once in Python ints; the key,
-    the last word mixed in, and generate_state(4, uint64) run on uint64
-    arrays of uint32 values over all n children at once.  PCG64 then
+    same for every child: that pool is SeedSequence(seed).pool, and the
+    hash constant after it is _INIT_A * _MULT_A ** (4 * max(4, words))
+    mod 2**32 for a seed of `words` uint32 words.  The key, the last word
+    mixed in, and generate_state(4, uint64) run on uint64 arrays of
+    uint32 values over all n children at once.  PCG64 then
     seeds from (initstate, initseq): inc = 2*initseq + 1, one LCG step
     from state 0, add initstate, one more step.  n <= MAX_EPISODES, so
     that each key is one word.  tests/test_qlearn.py pins this against
@@ -190,25 +194,9 @@ def episode_states(seed: int, n: int) -> list[tuple[int, int]]:
     if seed < 0 or not 1 <= n <= MAX_EPISODES:
         raise ValueError(f"episode_states: need seed >= 0 and n in [1, 2**32], "
                          f"got seed {seed}, n {n}")
-    entropy = []
-    while seed:
-        entropy.append(seed & _M32)
-        seed >>= 32
-    entropy += [0] * (_POOL - len(entropy))
-    h = _INIT_A
-    pool = []
-    for w in entropy[:_POOL]:
-        v, h = _hashmix(w, h)
-        pool.append(v)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                v, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], v)
-    for w in entropy[_POOL:]:
-        for dst in range(_POOL):
-            v, h = _hashmix(w, h)
-            pool[dst] = _mix(pool[dst], v)
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    # the pool took 4 * max(4, words) _hashmix calls, each one h *= _MULT_A
+    h = _INIT_A * pow(_MULT_A, 4 * max(_POOL, -(-seed.bit_length() // 32)), 1 << 32) & _M32
     keys = np.arange(n, dtype=np.uint64)
     mixed = []
     for dst in range(_POOL):
@@ -355,8 +343,7 @@ def train(cache: DepthCache, rc: RewardConfig, hp: Hyperparams) -> RunResult:
     qtable = np.array(q)
     qtable[cache.next_state < 0] = 0.0
     best = best_state_of(qtable, cache)
-    p, v = state_params(cache.grid, best)
-    return RunResult(qtable, traces, best, p, v, cache.depth(best).depth_mm)
+    return RunResult(qtable, traces, best, *cache.params[best], cache.depth(best).depth_mm)
 
 
 def write_qtable_csv(path, q: np.ndarray) -> None:

@@ -109,6 +109,28 @@ class TestConfigHandling:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid, key", [("n: 3, p_max_w: 1.7e308", "grid.p_max_w"),
+                                           ("n: 3, v_max_mmpm: 1.7e308", "grid.v_max_mmpm")])
+    def test_grid_spans_that_overflow_exit_before_output(self, tmp_path, capsys, grid, key):
+        """(n - 1) times the power or speed span must be finite, as
+        state_params computes it for every state."""
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(f"grid: {{{grid}}}\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "map", "--out", str(out)]) == EXIT_VALIDATION
+        assert f"{key} must keep (n - 1) * ({key} - " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_finite_span_passes_the_boundary(self, tmp_path, capsys):
+        """With n = 2 the span itself is finite, so the grid is built and
+        its 1.7e308 W states are refused at the 5 mm depth bracket."""
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text("grid: {n: 2, p_max_w: 1.7e308}\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "map", "--out", str(out)]) == EXIT_RUNTIME
+        assert "5 mm depth bracket at state 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("text, command", [
         *((f"grid: {value}\n", ["map"]) for value in ("0", "[]", "false", "''")),

@@ -11,6 +11,7 @@ from meltpool_rl import environment, thermal
 from meltpool_rl.environment import (
     ACTIONS,
     N_ACTIONS,
+    REWARD_VARIANTS,
     DepthCache,
     EnvironmentEvalError,
     RewardConfig,
@@ -99,7 +100,49 @@ class TestValidActions:
             assert 0 <= i + di < grid.n and 0 <= j + dj < grid.n
 
 
+def reward_reference(rc, depth_mm):
+    """reward with each variant's band test written out on its own:
+    reward must match it bit for bit."""
+    dd = abs(depth_mm - rc.delta_opt_mm)
+    if rc.variant == "inverse_error":
+        if dd < rc.tol_r_mm:
+            return 1.0 / max(dd, rc.denom_floor_mm)
+        return -dd
+    if dd < rc.tol_r_mm:
+        return 1.0 / max(abs(rc.delta_opt_mm - dd), rc.denom_floor_mm)
+    return -abs(rc.delta_opt_mm - dd)
+
+
+@st.composite
+def near_band(draw):
+    """A RewardConfig (the default one, one whose band edge is exact in
+    binary, or one whose band is wide enough for the "paper" variant's
+    denominator to reach its floor, at depth 0 and 2 * delta_opt_mm) and
+    a depth: a few ulps from a band edge, the target or one of those two
+    points, within 2 * denom_floor_mm of it, or anywhere in [-1e3, 1e3]
+    mm."""
+    variant = draw(st.sampled_from(REWARD_VARIANTS))
+    rc = draw(st.sampled_from([
+        RewardConfig(variant=variant),
+        RewardConfig(tol_r_mm=0.125, denom_floor_mm=2**-20, variant=variant),
+        RewardConfig(tol_r_mm=1.5, variant=variant)]))
+    d, tol = rc.delta_opt_mm, rc.tol_r_mm
+    at = draw(st.sampled_from([d - tol, d, d + tol, 0.0, 2 * d]))
+    floor = 2 * rc.denom_floor_mm
+    depth = draw(st.one_of(
+        st.integers(-4, 4).map(lambda k: float(at + k * np.spacing(at))),
+        st.floats(at - floor, at + floor),
+        st.floats(-1e3, 1e3)))
+    return rc, depth
+
+
 class TestReward:
+    @given(case=near_band())
+    @settings(max_examples=300)
+    def test_matches_reference_bit_for_bit(self, case):
+        rc, depth = case
+        assert reward(rc, depth).hex() == reward_reference(rc, depth).hex()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RewardConfig(tol_r_mm=-0.1)
@@ -274,7 +317,8 @@ class TestNextState:
     @settings(deadline=None)
     def test_matches_king_move_arithmetic(self, n):
         """next_state[s, a] is (i+di)*n + (j+dj) on the grid, -1 off it,
-        and the moves rows the training loop reads hold the same."""
+        the moves rows the training loop reads hold the same, and params
+        holds each state's (P, v)."""
         with pytest.MonkeyPatch.context() as mp:  # the tables, not the depths
             mp.setattr(DepthCache, "warm", lambda self: None)
             cache = DepthCache(MaterialEnv(), StateGrid(n=n))
@@ -286,6 +330,7 @@ class TestNextState:
                 assert cache.next_state[s, a] == want
             assert cache.moves[s] == cache.next_state[s].tolist()
             assert cache.valid[s] == valid_actions(cache.grid, s)
+            assert cache.params[s] == state_params(cache.grid, s)
         assert cache.next_state.dtype == np.intp
 
 

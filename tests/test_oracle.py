@@ -65,6 +65,21 @@ class TestBruteForceRank:
         for r in report10.rows[:5]:
             assert r.depth == cache10.depth(r.state_id).depth_mm
 
+    def test_exact_ties_rank_in_flat_id_order(self, cache_for, reward_config):
+        """States whose abs_err is equal take consecutive ranks in
+        ascending flat-id order.  The default 20x20 grid has eight such
+        pairs; states 244 and 289 share a depth and take ranks 1 and 2."""
+        rows = brute_force_rank(cache_for(20), reward_config).rows
+        groups: dict[float, list] = {}
+        for r in rows:  # in flat-id order
+            groups.setdefault(r.abs_err, []).append(r.rank)
+        ties = [ranks for ranks in groups.values() if len(ranks) > 1]
+        assert len(ties) == 8
+        for ranks in ties:
+            assert ranks == list(range(ranks[0], ranks[0] + len(ranks)))
+        assert rows[244].depth == rows[289].depth == 0.9982681274414065
+        assert (rows[244].rank, rows[289].rank) == (1, 2)
+
     def test_deterministic(self, cache10, reward_config):
         a = brute_force_rank(cache10, reward_config)
         b = brute_force_rank(cache10, reward_config)
