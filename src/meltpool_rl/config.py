@@ -44,8 +44,6 @@ DEFAULT_SWEEP_VALUES: dict[str, tuple] = {
 }
 
 SWEEPABLE = tuple(DEFAULT_SWEEP_VALUES)
-#: swept parameters that are integer fields
-_INTEGRAL = ("n", "episodes")
 
 
 class ConfigError(ValueError):
@@ -103,13 +101,13 @@ class SweepSpec:
         values = DEFAULT_SWEEP_VALUES[self.param] if self.values is None else self.values
         if not isinstance(values, (list, tuple)) or not values:
             raise ConfigError(f"sweep.values must be a non-empty list, got {_shown(values)}")
-        cls = int if self.param in _INTEGRAL else float
+        section = StateGrid if self.param == "n" else Hyperparams
+        cls = type(getattr(section, self.param))
         typed = []
         for value in values:
             field_value = _number(value, cls, f"sweep.values for {self.param}")
             try:
-                (StateGrid if self.param == "n" else Hyperparams)(
-                    **{self.param: field_value})
+                section(**{self.param: field_value})
             except ValueError as exc:
                 # name the value once: drop the field's own ", got <value>"
                 reason = str(exc).removesuffix(f", got {field_value}")
@@ -218,8 +216,7 @@ def load_config(path: Optional[str] = None) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    cfg = RunConfig(built["material"], built["grid"], built["reward"],
-                    built["qlearn"], snapshot)
+    cfg = RunConfig(**built, snapshot=snapshot)
     param = snapshot["sweep"]["param"]
     if param is None and snapshot["sweep"]["values"] is not None:
         # values no sweep would read must not look used in the snapshot

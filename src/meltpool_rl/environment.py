@@ -180,7 +180,7 @@ class DepthCache:
             causes = "; ".join(
                 (f"melt pool deeper than the {Z_MAX * MM_PER_M:g} mm depth bracket"
                  if at_edge else f"depth not steady by t={depths[s].t_used:g} s")
-                + f" at state {s} (P={pv[s][0]:.1f} W, v={pv[s][1]:.1f} mm/min)"
+                + f" at state {s} (P={pv[s][0]} W, v={pv[s][1]} mm/min)"
                 for at_edge, s in sorted(first.items(), reverse=True))
             raise EnvironmentEvalError(f"{len(unusable)} of {self.grid.n_states} states "
                                        f"have no usable depth: {causes}")

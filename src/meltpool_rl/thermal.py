@@ -446,14 +446,17 @@ def _query_error(idx: int, p: float, v: float, exc: Exception) -> RuntimeError:
 
 
 def _steady_depths(env: MaterialEnv, v: float, powers: list) -> list[DepthResult]:
-    """melt_pool_depth of every power in powers at speed v.  Each distinct
-    positive power is searched once, and each simulated time solves all
-    powers not yet steady together on one scan-line basis."""
+    """melt_pool_depth of every power in powers at speed v.  A zero power
+    is answered here as depth 0, with no search and no basis.  Each
+    distinct positive power is searched once, and each simulated time
+    solves all powers not yet steady together on one scan-line basis.  The
+    loop runs while some power is unsettled: the last extension settles
+    every power still left."""
     todo = sorted({float(p) for p in powers if p != 0.0})
     done = {0.0: DepthResult(0.0, True, 0.0)}
     prev: dict[float, float] = {}
-    t = _T_START
-    for k in range(_MAX_EXTENSIONS + 1):
+    t, k = _T_START, 0
+    while todo:
         unsettled = []
         for p, (depth, at_edge) in zip(todo, _isotherm_depths(env, v, t, todo)):
             if k and abs(depth - prev[p]) * MM_PER_M < _DEPTH_TOL_MM:
@@ -463,10 +466,7 @@ def _steady_depths(env: MaterialEnv, v: float, powers: list) -> list[DepthResult
             else:
                 prev[p] = depth
                 unsettled.append(p)
-        if not unsettled:
-            break
-        todo = unsettled
-        t *= _T_GROWTH
+        todo, t, k = unsettled, t * _T_GROWTH, k + 1
     return [done[float(p)] for p in powers]
 
 
@@ -476,8 +476,9 @@ def melt_pool_depth(env: MaterialEnv, p: float, v: float) -> DepthResult:
     Starts at t = 2 s and extends the simulated time by x1.5 (up to 4
     times) until two successive depths agree within 1e-3 mm.  Returns
     converged = False with the last depth if that never happens, or if
-    the isotherm reaches the 5 mm bracket edge.  It is batch_depths'
-    search run on one power.
+    the isotherm reaches the 5 mm bracket edge.  A zero power is answered
+    as depth 0 with no search, at any speed.  It is batch_depths' search
+    run on one power.
     """
     _check_query(p, v)
     return _steady_depths(env, v, [p])[0]
@@ -488,9 +489,10 @@ def batch_depths(env: MaterialEnv, queries) -> list[DepthResult]:
 
     Every query is validated first.  Then each speed's powers are solved
     together: at each simulated time one scan-line basis and one matrix
-    product per search round serve every power still unsettled.  Results
-    are identical to individual calls; failures carry the offending query
-    index (for a failed basis, the speed's first query with P > 0).
+    product per search round serve every power still unsettled.  A zero
+    power is answered as depth 0 with no search.  Results are identical
+    to individual calls; failures carry the offending query index (for a
+    failed basis, the speed's first query with P > 0).
     """
     queries = list(queries)
     by_speed: dict[float, list[int]] = {}

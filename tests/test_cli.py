@@ -313,6 +313,18 @@ class TestOutputOnlyAfterResults:
             "the 5 mm depth bracket at state 2 (P=20000.0 W, v=400.0 mm/min)")
         assert not out.exists()
 
+    def test_huge_bound_names_its_state_in_one_short_line(self, tmp_path, capsys):
+        """A state's power and speed are named as a depth query names
+        them, so a power near the float limit is not written out in full."""
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text("grid: {n: 2, p_max_w: 1.7e308}\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "map", "--out", str(out)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "error: 2 of 4 states have no usable depth: melt pool deeper than "
+            "the 5 mm depth bracket at state 2 (P=1.7e+308 W, v=400.0 mm/min)\n")
+        assert not out.exists()
+
 
 class TestUsageErrors:
     """argparse's own usage errors are validation errors: exit 1, not

@@ -45,10 +45,14 @@ class TestSweepSpec:
 
     def test_values_are_stored_typed(self):
         """Each value is stored as the field it sets, which names its
-        output directory: n 3.0 is 3, epsilon 1 is 1.0."""
-        assert [repr(v) for v in SweepSpec("n", values=(3.0, 10)).values] == ["3", "10"]
-        assert [repr(v) for v in SweepSpec("epsilon", values=[1, 0.5]).values] == \
-            ["1.0", "0.5"]
+        output directory: n 3.0 and episodes 10.0 are ints, epsilon, alpha
+        and gamma 1 are 1.0."""
+        for param, values, stored in [("n", (3.0, 10), ["3", "10"]),
+                                      ("episodes", (10.0, 25), ["10", "25"]),
+                                      ("epsilon", [1, 0.5], ["1.0", "0.5"]),
+                                      ("alpha", [1, 0.5], ["1.0", "0.5"]),
+                                      ("gamma", [1, 0], ["1.0", "0.0"])]:
+            assert [repr(v) for v in SweepSpec(param, values=values).values] == stored
 
     @pytest.mark.parametrize("param, values", [
         ("epsilon", [0.5, 0.5]), ("alpha", [1, 1.0]), ("n", [3, 5, 3.0]),

@@ -545,6 +545,25 @@ class TestBatchDepths:
         with pytest.raises(RuntimeError, match=r"query 2 \(P=.* W.*power must be finite"):
             batch_depths(material, [(600.0, v), (700.0, v), (bad, v), (800.0, v)])
 
+    def test_zero_power_never_reaches_the_model(self, material, monkeypatch):
+        """A zero power is answered as depth 0 before any basis is built,
+        alone and as the only power of each speed in a batch."""
+        def no_basis(*args):
+            raise AssertionError("a zero power reached the thermal model")
+
+        monkeypatch.setattr(thermal, "_adaptive_basis", no_basis)
+        zero = DepthResult(0.0, True, 0.0)
+        v1, v2 = 500.0 * MMPM_TO_MPS, 650.0 * MMPM_TO_MPS
+        assert melt_pool_depth(material, 0.0, v1) == zero
+        assert batch_depths(material, [(0.0, v1), (0.0, v2)]) == [zero, zero]
+
+    def test_zero_power_at_a_speed_no_basis_serves(self, material):
+        """At 1e308 m/s the quadrature basis fails, yet a zero power there
+        still has its answer, depth 0."""
+        zero = DepthResult(0.0, True, 0.0)
+        assert batch_depths(material, [(0.0, 1e308)]) == [zero]
+        assert melt_pool_depth(material, 0.0, 1e308) == zero
+
 
 class TestMaterialEnv:
     def test_rejects_nonpositive_constants(self):
