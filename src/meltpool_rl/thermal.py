@@ -28,6 +28,7 @@ the interface, matching how process parameters are quoted for L-DED.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -174,6 +175,26 @@ class DepthResult:
     at_edge: bool = field(default=False, repr=False)
 
 
+@functools.lru_cache(maxsize=64)
+def _quadrature_rule(a: float, sig2: float, t: float, n_panels: int) -> tuple:
+    """The speed-free arrays of _profile_basis at diffusivity a, sigma^2
+    sig2, time t and n_panels panels: den_k, w_k, t - u_k^2,
+    -(den_k + 2*sigma^2) and 2 / (2*a*u_k^2 + sigma^2) at the
+    Gauss-Legendre nodes u_k on [0, sqrt(t)].  Every speed of a grid walks
+    the same (t, n_panels) stages, so each rule is built once and shared;
+    its arrays are read-only."""
+    edges = np.linspace(0.0, math.sqrt(t), n_panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    u = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    den = 4.0 * a * u * u
+    rule = (den, w, t - u * u, -(den + 2.0 * sig2), 2.0 / (2.0 * a * u * u + sig2))
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
 def _profile_basis(env: MaterialEnv, v: float, xs: np.ndarray, y: float,
                    t: float, n_panels: int):
     """Power-independent part of the profile on u in [0, sqrt(t)]: damping
@@ -184,7 +205,8 @@ def _profile_basis(env: MaterialEnv, v: float, xs: np.ndarray, y: float,
         T(x_i, z) = T0 + sum_k c_ik * exp(-z^2 / den_k),
 
     so one basis serves every power and every trial depth, and xs may be
-    a whole scan-line batch.
+    a whole scan-line batch.  den and w come read-only from the shared
+    _quadrature_rule; only g depends on v and xs.
 
     g_ik = 2 / (2*a*u_k^2 + sigma^2)
            * exp(-((x_i - v*(t - u_k^2))^2 + y^2) / (den_k + 2*sigma^2))
@@ -192,26 +214,18 @@ def _profile_basis(env: MaterialEnv, v: float, xs: np.ndarray, y: float,
     y^2 is added only when y != 0 (adding +0 to a square, itself >= +0,
     changes nothing), and the square is divided by the negated
     denominator rather than negated itself ((-q)/d == q/(-d) in IEEE)."""
-    a = env.diffusivity
-    sig2 = env.sigma ** 2
-
-    edges = np.linspace(0.0, math.sqrt(t), n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    u = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-
-    den = 4.0 * a * u * u
-    g = np.atleast_1d(xs)[:, None] - v * (t - u * u)[None, :]
+    den, w, lag, neg_spread, scale = _quadrature_rule(env.diffusivity, env.sigma ** 2,
+                                                      t, n_panels)
+    g = np.atleast_1d(xs)[:, None] - v * lag[None, :]
     # at a huge speed the exponent overflows to -inf, and exp(-inf) = 0 is
     # the limit
     with np.errstate(over="ignore"):
         np.multiply(g, g, out=g)
         if y != 0.0:
             np.add(g, y * y, out=g)
-        np.divide(g, -(den + 2.0 * sig2), out=g)
+        np.divide(g, neg_spread, out=g)
     np.exp(g, out=g)
-    np.multiply(g, 2.0 / (2.0 * a * u * u + sig2), out=g)
+    np.multiply(g, scale, out=g)
     return den, w, g
 
 
@@ -334,15 +348,60 @@ def _band(env: MaterialEnv, n_terms: int, t: float, p: float) -> float:
             + (p + 1.0) * math.ldexp(4.0 * n_terms * spread, -1074))
 
 
+def _node_probe(env: MaterialEnv, v: float, t: float, powers: list):
+    """The one node-decision path of the isotherm search, for the powers
+    in powers (W, > 0) at speed v and time t, on one scan-line basis at
+    (v, t): the pool maximum trails the laser, so x spans
+    [x_laser - 5*sigma, x_laser + 2*sigma].  Returns probe(nodes), which
+    computes one unit rise r (_unit_rise) at the tree nodes in nodes and
+    returns its maximum over the scan line, one per node, and above(i, j):
+    whether node nodes[j] is above for powers[i], as _profile_eval decides
+    it on the coefficients amplitude_per_watt * p * w * g.
+
+    The rise is linear in p, so one unit rise serves every power: a node
+    is above for p when max r is >= (D + band) / p and below when it is
+    < (D - band) / p, with D = t_liq - t0 and band from _band, which
+    proves both decisions equal _profile_eval's.  Inside the band,
+    _profile_eval decides the node on the points that are not below."""
+    x_laser = v * t
+    xs = np.linspace(x_laser - _X_WINDOW_BEHIND * env.sigma,
+                     x_laser + _X_WINDOW_AHEAD * env.sigma, _N_X_SAMPLES)
+    den, w, g, wg = _adaptive_basis(env, v, xs, 0.0, t)
+    rise_liq = env.t_liq_k - env.t0_k
+    bands = [_band(env, len(den), t, p) for p in powers]
+    # Python floats: a tiny power's threshold overflows to inf, not a warning
+    upper = [(rise_liq + band) / p for p, band in zip(powers, bands)]
+    lower = [(rise_liq - band) / p for p, band in zip(powers, bands)]
+
+    def probe(nodes: np.ndarray):
+        rise = _unit_rise(den, wg, nodes)
+        top = rise.max(axis=1)
+        tops = top.tolist()
+
+        def above(i: int, j: int) -> bool:
+            if not lower[i] <= tops[j] < upper[i]:
+                return tops[j] >= upper[i]
+            # inside the band: decided on the points not below
+            coef = env.amplitude_per_watt * powers[i] * w * g[rise[j] >= lower[i]]
+            return bool((_profile_eval(env, den, coef, _NODES[nodes[j]])
+                         >= env.t_liq_k).any())
+        return top, above
+    return probe
+
+
+def _leaf_depth(lo: int) -> float:
+    """The bisection's depth (m) when node lo is the deepest node above:
+    the midpoint of leaf lo, or 0 when no node is above (lo = -1)."""
+    return 0.5 * (_NODES.item(lo) + _NODES.item(lo + 1)) if lo >= 0 else 0.0
+
+
 def _isotherm_depths(env: MaterialEnv, v: float, t: float, powers: list) -> list:
     """Max over the scan line of the liquidus-isotherm root depth (m) at
     time t of each power in powers (W, > 0) at speed v, and
     whether it lies at the bracket edge Z_MAX (the pool is deeper than
-    the bracket, so the depth is only a lower bound).
-
-    The pool maximum trails the laser, so x spans [x_laser - 5*sigma,
-    x_laser + 2*sigma]; one basis at (v, t) serves every power and is
-    dropped when the call returns.
+    the bracket, so the depth is only a lower bound).  One scan line
+    (_node_probe) serves every power, and its basis is dropped when the
+    call returns.
 
     The bisection is a fixed tree, whose node depths _NODES holds.  Node
     i is "above" for power p when some scan-line point is at or above the
@@ -355,64 +414,43 @@ def _isotherm_depths(env: MaterialEnv, v: float, t: float, powers: list) -> list
     rounding; and einsum's fixed summation order is monotone in each
     term.  So a node above has only nodes above shallower than it, and
     the bisection of [0, Z_MAX] ends in the leaf n whose shallow end is
-    the deepest node above: the result is that leaf's midpoint, at the
-    edge when n + 1 == 2**16, and 0 when node 0 is below.  It depends only
+    the deepest node above: the result is _leaf_depth(n), at the edge
+    when n + 1 == 2**16, and 0 when node 0 is below.  It depends only
     on which side of the isotherm each node lies, so any order of
-    deciding nodes gives the bisection's bits.
+    deciding nodes gives the bisection's bits, and _settled_at_start
+    needs only two nodes to bound it.
 
-    The rise is linear in p, so one unit rise r per round (_unit_rise)
-    serves every power: a node is above for p when max r over the scan
-    line is >= (D + band) / p and below when it is < (D - band) / p, with
-    D = t_liq - t0 and band from _band, which proves both decisions equal
-    _profile_eval's.  Inside the band, _profile_eval decides the node on
-    the points that are not below.  Each power keeps lo, the deepest node
-    known above (-1: none), and hi, the shallowest known below (_LEAVES:
-    none), and decides only nodes between them.  Round 0 decides the
-    nodes _COARSE for every power.  Each later round probes, for every
-    power whose lo and hi are not adjacent, two adjacent nodes n, n + 1
-    inside (lo, hi) at a Newton step towards log(max r) = log(D / p),
-    through the power's freshest adjacent pair of probed nodes: after
-    round 0 its lo and hi, later its own two probes.  A step that leaves
-    (lo, hi), or a pair along which log(max r) does not fall (as where
-    max r underflowed to 0), bisects (lo, hi) instead."""
-    x_laser = v * t
-    xs = np.linspace(x_laser - _X_WINDOW_BEHIND * env.sigma,
-                     x_laser + _X_WINDOW_AHEAD * env.sigma, _N_X_SAMPLES)
-    den, w, g, wg = _adaptive_basis(env, v, xs, 0.0, t)
+    Each round decides its nodes on one probe of the scan line.  Each
+    power keeps lo, the deepest node known above (-1: none), and hi, the
+    shallowest known below (_LEAVES: none), and decides only nodes
+    between them.  Round 0 decides the nodes _COARSE for every power.
+    Each later round probes, for every power whose lo and hi are not
+    adjacent, two adjacent nodes n, n + 1 inside (lo, hi) at a Newton
+    step towards log(max r) = log(D / p), r the unit rise and
+    D = t_liq - t0, through the power's freshest adjacent pair of probed
+    nodes: after round 0 its lo and hi, later its own two probes.  A step
+    that leaves (lo, hi), or a pair along which log(max r) does not fall
+    (as where max r underflowed to 0), bisects (lo, hi) instead."""
+    probe = _node_probe(env, v, t, powers)
     rise_liq = env.t_liq_k - env.t0_k
-    upper, lower = [], []
-    for p in powers:
-        band = _band(env, len(den), t, p)
-        # Python floats: a tiny power's threshold overflows to inf, not a warning
-        upper.append((rise_liq + band) / p)
-        lower.append((rise_liq - band) / p)
     target = [math.log(rise_liq) - math.log(p) for p in powers]
     lo, hi = [-1] * len(powers), [_LEAVES] * len(powers)
     # power -> positions in nodes of the nodes it reads this round
     reads = dict.fromkeys(range(len(powers)), range(len(_COARSE)))
     nodes = _COARSE
     while reads:
-        rise = _unit_rise(den, wg, nodes)
-        top = rise.max(axis=1)
+        top, above = probe(nodes)
         # a maximum that underflowed to 0 takes the least float's log
         log_top = np.log(np.maximum(top, _TINY)).tolist()
         first = nodes is _COARSE
-        top, probed = top.tolist(), nodes.tolist()
+        probed = nodes.tolist()
         next_reads, nodes = {}, []
         for i, js in reads.items():
             for j in js:
                 node = probed[j]
                 if not lo[i] < node < hi[i]:
                     continue
-                if top[j] >= upper[i]:
-                    above = True
-                elif top[j] < lower[i]:
-                    above = False
-                else:  # inside the band: decided on the points not below
-                    coef = env.amplitude_per_watt * powers[i] * w * g[rise[j] >= lower[i]]
-                    above = bool((_profile_eval(env, den, coef, _NODES[node])
-                                  >= env.t_liq_k).any())
-                if above:
+                if above(i, j):
                     lo[i] = node
                 else:
                     hi[i] = node
@@ -429,8 +467,51 @@ def _isotherm_depths(env: MaterialEnv, v: float, t: float, powers: list) -> list
                 next_reads[i] = (len(nodes), len(nodes) + 1)
                 nodes += [n, n + 1]
         reads, nodes = next_reads, np.array(nodes, dtype=int)
-    return [(float(0.5 * (_NODES[i] + _NODES[j])) if i >= 0 else 0.0, j == _LEAVES)
-            for i, j in zip(lo, hi)]
+    return [(_leaf_depth(i), j == _LEAVES) for i, j in zip(lo, hi)]
+
+
+def _settled(depth: float, prev: float) -> bool:
+    """The steady-state test on a depth and the one before it (m)."""
+    return abs(depth - prev) * MM_PER_M < _DEPTH_TOL_MM
+
+
+def _settled_at_start(env: MaterialEnv, v: float, powers: list, depths: list) -> list[bool]:
+    """Whether each power's depth at the second simulated time, in depths,
+    settles against its depth at _T_START, which is never searched.
+
+    That depth is _leaf_depth(prev) of its deepest node above, prev
+    (-1 for none).  _leaf_depth rises with prev, and the float
+    |depth - _leaf_depth(prev)| first falls, then rises with it, so the
+    prev that pass _settled form one run [a, b] that holds the leaf of the
+    power's depth.  Each end is stepped by the test itself from the leaf
+    that holds depth -+ the tolerance, which lies on that leaf's side of
+    the end.  A node above has only nodes above shallower than it
+    (_isotherm_depths), so prev >= a exactly when node a is above (always
+    when a = -1), and prev <= b exactly when node b + 1 is below (always
+    when b + 1 = 2**16).  So one probe of the _T_START scan line decides
+    at most two nodes per power."""
+    tol = _DEPTH_TOL_MM / MM_PER_M
+    guesses = np.searchsorted(_NODES, np.add.outer(depths, (-tol, tol))).tolist()
+
+    def settles(depth: float, prev: int) -> bool:
+        return -1 <= prev < _LEAVES and _settled(depth, _leaf_depth(prev))
+
+    nodes, checks = [], []
+    for depth, guess in zip(depths, guesses):
+        checks.append([])
+        for step, end in zip((-1, 1), guess):
+            end -= 1
+            while settles(depth, end + step):
+                end += step
+            while not settles(depth, end):
+                end -= step
+            # node a must be above, node b + 1 below
+            node, want = (end, True) if step < 0 else (end + 1, False)
+            if 0 <= node < _LEAVES:
+                checks[-1].append((len(nodes), want))
+                nodes.append(node)
+    _, above = _node_probe(env, v, _T_START, powers)(np.array(nodes, dtype=int))
+    return [all(above(i, j) == want for j, want in js) for i, js in enumerate(checks)]
 
 
 def _check_query(p: float, v: float) -> None:
@@ -448,18 +529,24 @@ def _query_error(idx: int, p: float, v: float, exc: Exception) -> RuntimeError:
 def _steady_depths(env: MaterialEnv, v: float, powers: list) -> list[DepthResult]:
     """melt_pool_depth of every power in powers at speed v.  A zero power
     is answered here as depth 0, with no search and no basis.  Each
-    distinct positive power is searched once, and each simulated time
-    solves all powers not yet steady together on one scan-line basis.  The
-    loop runs while some power is unsettled: the last extension settles
-    every power still left."""
+    distinct positive power is searched once, from the second simulated
+    time on, and each time solves all powers not yet steady together on
+    one scan-line basis.  The first time, _T_START, is never searched: its
+    depth serves only as the previous depth in the second time's test,
+    which _settled_at_start decides on at most two nodes per power, after
+    the second time's basis is dropped.  The loop runs while some power
+    is unsettled: the last extension settles every power still left."""
     todo = sorted({float(p) for p in powers if p != 0.0})
     done = {0.0: DepthResult(0.0, True, 0.0)}
     prev: dict[float, float] = {}
-    t, k = _T_START, 0
+    t, k = _T_START * _T_GROWTH, 1
     while todo:
+        found = _isotherm_depths(env, v, t, todo)
+        settled = (_settled_at_start(env, v, todo, [depth for depth, _ in found]) if k == 1
+                   else [_settled(depth, prev[p]) for p, (depth, _) in zip(todo, found)])
         unsettled = []
-        for p, (depth, at_edge) in zip(todo, _isotherm_depths(env, v, t, todo)):
-            if k and abs(depth - prev[p]) * MM_PER_M < _DEPTH_TOL_MM:
+        for p, (depth, at_edge), ok in zip(todo, found, settled):
+            if ok:
                 done[p] = DepthResult(depth * MM_PER_M, not at_edge, t, at_edge)
             elif k == _MAX_EXTENSIONS:
                 done[p] = DepthResult(depth * MM_PER_M, False, t, at_edge)
@@ -474,7 +561,9 @@ def melt_pool_depth(env: MaterialEnv, p: float, v: float) -> DepthResult:
     """Steady-state melt-pool depth for power p (W) and speed v (m/s).
 
     Starts at t = 2 s and extends the simulated time by x1.5 (up to 4
-    times) until two successive depths agree within 1e-3 mm.  Returns
+    times) until two successive depths agree within 1e-3 mm.  The depth
+    at t = 2 s is never searched: whether the t = 3 s depth agrees with
+    it is decided on at most two bisection nodes.  Returns
     converged = False with the last depth if that never happens, or if
     the isotherm reaches the 5 mm bracket edge.  A zero power is answered
     as depth 0 with no search, at any speed.  It is batch_depths' search
@@ -488,8 +577,11 @@ def batch_depths(env: MaterialEnv, queries) -> list[DepthResult]:
     """Element-wise melt_pool_depth over (p, v) pairs.
 
     Every query is validated first.  Then each speed's powers are solved
-    together: at each simulated time one scan-line basis and one matrix
-    product per search round serve every power still unsettled.  A zero
+    together: at each simulated time from 3 s on, one scan-line basis and
+    one matrix product per search round serve every power still
+    unsettled, and at 2 s one basis and one product decide the at most
+    two nodes per power that settle the 3 s depths.  Every speed shares
+    the quadrature rules of each (time, panel count).  A zero
     power is answered as depth 0 with no search.  Results are identical
     to individual calls; failures carry the offending query index (for a
     failed basis, the speed's first query with P > 0).

@@ -276,25 +276,48 @@ class TestDepthCache:
         assert len(calls) <= 300
 
     def test_cold_20x20_warm_up_rounds_and_fallbacks(self, material, monkeypatch):
-        """The same warm-up takes 187 search rounds over 4,755 nodes (a
+        """The same warm-up takes 127 search rounds over 3,419 nodes (a
         Newton step with the wrong sign took thousands), and no node
         falls inside the rounding band, so none is decided by a profile
         evaluation outside the checkpoints."""
-        counts = dict.fromkeys(("rounds", "bases", "evals"), 0)
-
-        def counting(name, fn):
-            def wrapped(*args):
-                counts[name] += 1
-                return fn(*args)
-            return wrapped
-
-        monkeypatch.setattr(thermal, "_unit_rise", counting("rounds", thermal._unit_rise))
-        monkeypatch.setattr(thermal, "_profile_basis", counting("bases", thermal._profile_basis))
-        monkeypatch.setattr(thermal, "_profile_eval", counting("evals", thermal._profile_eval))
-        DepthCache(material, StateGrid(n=20, p_min_w=450.0, p_max_w=1150.0,
-                                       v_min_mmpm=330.0, v_max_mmpm=860.0))
+        counts = cold_20x20_warm_up_work(material, monkeypatch)
         assert counts["rounds"] <= 200
         assert counts["evals"] - 2 * counts["bases"] == 0
+
+    def test_cold_20x20_warm_up_work(self, material, monkeypatch):
+        """The first simulated time is settled on at most two node
+        decisions per power instead of a search: 127 search rounds over
+        3,419 nodes, against 187 over 4,755 when every time was searched,
+        with the same 148 basis stages and 296 checkpoint evaluations."""
+        counts = cold_20x20_warm_up_work(material, monkeypatch)
+        assert counts["rounds"] <= 135 and counts["rows"] <= 3500
+        assert (counts["bases"], counts["evals"]) == (148, 296)
+
+
+def cold_20x20_warm_up_work(material, monkeypatch) -> dict:
+    """The work of a cold 20x20 warm-up: search rounds and the tree nodes
+    their products take (_unit_rise), basis stages (_profile_basis) and
+    profile evaluations (_profile_eval)."""
+    counts = dict.fromkeys(("rounds", "rows", "bases", "evals"), 0)
+    unit_rise = thermal._unit_rise
+
+    def counting_rise(den, wg, nodes):
+        counts["rounds"] += 1
+        counts["rows"] += len(nodes)
+        return unit_rise(den, wg, nodes)
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(thermal, "_unit_rise", counting_rise)
+    monkeypatch.setattr(thermal, "_profile_basis", counting("bases", thermal._profile_basis))
+    monkeypatch.setattr(thermal, "_profile_eval", counting("evals", thermal._profile_eval))
+    DepthCache(material, StateGrid(n=20, p_min_w=450.0, p_max_w=1150.0,
+                                   v_min_mmpm=330.0, v_max_mmpm=860.0))
+    return counts
 
 
 class TestScores:

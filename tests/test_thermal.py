@@ -131,6 +131,39 @@ def depth_at_time_reference(env, p, v, t, bases):
             bool(np.any(melted & (hi == Z_MAX))))
 
 
+def steady_depths_reference(env, v, powers):
+    """_steady_depths when it searched every simulated time: each time,
+    the first included, is searched by _isotherm_depths, and from the
+    second on each power's depth settles when it lies within 1e-3 mm of
+    the one before it."""
+    todo = sorted({float(p) for p in powers if p != 0.0})
+    done = {0.0: DepthResult(0.0, True, 0.0)}
+    prev = {}
+    for k, t in enumerate(DEPTH_TIMES):
+        if not todo:
+            break
+        unsettled = []
+        for p, (depth, at_edge) in zip(todo, _isotherm_depths(env, v, t, todo)):
+            if k and abs(depth - prev[p]) * MM_PER_M < 1e-3:
+                done[p] = DepthResult(depth * MM_PER_M, not at_edge, t, at_edge)
+            elif k == len(DEPTH_TIMES) - 1:
+                done[p] = DepthResult(depth * MM_PER_M, False, t, at_edge)
+            else:
+                prev[p] = depth
+                unsettled.append(p)
+        todo = unsettled
+    return [done[float(p)] for p in powers]
+
+
+def assert_steady_depths_match_reference(env, powers, v_mmpm):
+    """batch_depths over powers at one speed equals the reference result
+    for result: depth bits, steady flag, t_used and edge flag."""
+    v = v_mmpm * MMPM_TO_MPS
+    got = batch_depths(env, [(p, v) for p in powers])
+    want = steady_depths_reference(env, v, powers)
+    assert [(repr(r), r.at_edge) for r in got] == [(repr(r), r.at_edge) for r in want]
+
+
 def assert_depths_bit_identical(env, powers, v_mmpm, times=DEPTH_TIMES):
     """The batched search over powers equals the reference power by power,
     bit for bit, edge flag included."""
@@ -313,6 +346,23 @@ class TestProfileBasis:
         assert [a.tobytes() for a in new] == [b.tobytes() for b in old]
 
 
+    def test_quadrature_rule_is_shared_and_read_only(self, material):
+        """The speed-free arrays are built once per (t, n_panels): writing
+        one raises, and a basis built on the shared rule has the bytes of
+        one built on a fresh rule."""
+        v = V_MID
+        xs = scan_line(material, v, 3.0)
+        thermal._quadrature_rule.cache_clear()
+        fresh = _profile_basis(material, v, xs, 0.0, 3.0, 16)
+        shared = _profile_basis(material, v, xs, 0.0, 3.0, 16)
+        assert thermal._quadrature_rule.cache_info().hits == 1
+        assert [a.tobytes() for a in shared] == [b.tobytes() for b in fresh]
+        for array in thermal._quadrature_rule(material.diffusivity, material.sigma ** 2,
+                                              3.0, 16):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+
 class TestProfileEval:
     """The scalar-depth evaluator against one depth per row."""
 
@@ -427,6 +477,54 @@ class TestDepthAtTime:
     ])
     def test_named_points_bit_identical(self, material, p, v_mmpm):
         assert_depths_bit_identical(material, [p], v_mmpm)
+
+
+class TestSettleRule:
+    """The steady-state rule, whose first simulated time is settled on at
+    most two node decisions per power, against a search at every time."""
+
+    @given(powers=BATCHES,
+           v_mmpm=st.floats(100.0, 2000.0) | st.sampled_from([100.0, 200.0, 500.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_batches_match_searching_every_time(self, material, powers, v_mmpm):
+        assert_steady_depths_match_reference(material, powers, v_mmpm)
+
+    @pytest.mark.parametrize("powers, v_mmpm", [
+        ([0.0, 50.0], 550.0),           # zero power, and a power that never melts
+        ([919.0], 200.0),               # not steady after the last time extension
+        ([5000.0, 20000.0], 100.0),     # isotherm at the bracket edge
+        # near the melting threshold: the 3 s depth is 0 or so shallow that
+        # a 2 s depth of 0 (no node above) still settles against it
+        ([190.0, 190.56, 190.8, 191.0, 191.5, 192.0], 500.0),
+        # the 2 s depth in the first leaf that settles (622.8 W, 632.5 W)
+        # and one leaf short of it (642.1 W)
+        ([622.8, 632.5, 642.1], 400.0),
+        ([217.5, 227.2, 236.8], 300.0),
+    ])
+    def test_named_points_match_searching_every_time(self, material, powers, v_mmpm):
+        assert_steady_depths_match_reference(material, powers, v_mmpm)
+
+    @pytest.mark.parametrize("p, v_mmpm", [
+        (800.0, 550.0),
+        (190.0, 500.0),     # no node above at 2 s
+        (5000.0, 100.0),    # the deepest leaf at 2 s
+    ])
+    def test_two_node_decisions_give_the_settle_test(self, material, p, v_mmpm):
+        """For second-time depths in every leaf up to 20 leaves either
+        side of the searched 2 s depth, the two node decisions give the
+        settle test's answer against that depth, so both ends of the run
+        of settling leaves are crossed.  Real inputs reach only the
+        shallow end: over 100-5000 W x 100-2000 mm/min the 2 s depth
+        exceeds the 3 s depth by at most 2.3e-4 mm, far below the 1e-3 mm
+        tolerance."""
+        v = v_mmpm * MMPM_TO_MPS
+        [(d0, _)] = _isotherm_depths(material, v, 2.0, [p])
+        lo0 = int(np.searchsorted(_NODES, d0)) - 1 if d0 > 0.0 else -1
+        depths = [thermal._leaf_depth(lo)
+                  for lo in range(max(lo0 - 20, -1), min(lo0 + 21, 2**16))]
+        want = [abs(d - d0) * MM_PER_M < 1e-3 for d in depths]
+        assert thermal._settled_at_start(material, v, [p] * len(depths), depths) == want
+        assert True in want and False in want
 
 
 class TestScipyReference:
