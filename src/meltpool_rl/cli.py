@@ -1,9 +1,10 @@
 """Command-line entry point: depth evaluation, training, oracle mapping,
 and hyperparameter sweeps.
 
-main loads and checks the whole config file once, before any command
-runs, and passes it to the command as cfg; so a bad key anywhere in the
-file, the sweep section included, fails every command before it writes.
+main loads and checks the whole config file named by --config once
+(the built-in defaults without it), before any command runs, and passes
+it to the command as cfg; so a bad key anywhere in the file, the sweep
+section included, fails every command before it writes.
 Every output directory receives a config_snapshot.json with the fully
 resolved configuration (including any --seed override, and for sweep the
 sweep that ran), so a run can be re-created from its outputs alone: the
@@ -20,7 +21,7 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .config import CONFIG_ENV_VAR, SWEEPABLE, load_config
+from .config import SWEEPABLE, load_config
 from .environment import DepthCache, write_depth_map_csv
 from .experiments import run_sweep
 from .oracle import brute_force_rank, validate_run, write_pv_map_csv
@@ -62,7 +63,7 @@ def cmd_train(args, cfg) -> int:
     cache = DepthCache(cfg.material, cfg.grid)
     result = train(cache, cfg.reward, hp)
     report = brute_force_rank(cache, cfg.reward)
-    verdict = validate_run(report, result)
+    rank = validate_run(report, result)
 
     out = _open_output(args.out, cfg)
     write_qtable_csv(out / "qtable.csv", result.qtable)
@@ -72,7 +73,7 @@ def cmd_train(args, cfg) -> int:
         "best_power_w": round(result.best_power, 4),
         "best_speed_mmpm": round(result.best_speed, 4),
         "best_depth_mm": round(result.best_depth, 4),
-        "oracle_rank": verdict.rank,
+        "oracle_rank": rank,
         "seed": hp.seed,
         "generator": GENERATOR_NAME,
     }
@@ -80,7 +81,7 @@ def cmd_train(args, cfg) -> int:
     print(f"best P={summary['best_power_w']:.1f} W "
           f"v={summary['best_speed_mmpm']:.1f} mm/min "
           f"depth={summary['best_depth_mm']:.4f} mm "
-          f"(oracle rank {verdict.rank})")
+          f"(oracle rank {rank})")
     return EXIT_OK
 
 
@@ -114,13 +115,13 @@ def cmd_sweep(args, cfg) -> int:
                   ["episode", "mean_total_reward", "std_total_reward"],
                   ([e, repr(m), repr(s)] for e, (m, s) in
                    enumerate(zip(vr.curve.mean.tolist(), vr.curve.std.tolist()))))
-        for rep, (run, verdict, seed) in enumerate(
-                zip(vr.runs, vr.verdicts, vr.seeds)):
+        for rep, (run, rank, seed) in enumerate(
+                zip(vr.runs, vr.ranks, vr.seeds)):
             write_qtable_csv(vdir / f"run_{rep}_qtable.csv", run.qtable)
             write_convergence_csv(vdir / f"run_{rep}_convergence.csv", run.traces)
             summary.append([vr.value, rep, seed, f"{run.best_power:.4f}",
                             f"{run.best_speed:.4f}", f"{run.best_depth:.4f}",
-                            verdict.rank])
+                            rank])
     # written last, so a complete summary.csv marks a finished sweep
     write_csv(out / "summary.csv", ["value", "replicate", "seed", "best_power_w",
               "best_speed_mmpm", "best_depth_mm", "oracle_rank"], summary)
@@ -145,8 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Q-learning process-parameter search for L-DED "
                     "melt-pool depth on an analytical thermal model.")
     parser.add_argument("--config", default=None,
-                        help=f"YAML config path (default: ${CONFIG_ENV_VAR} "
-                             "or built-in defaults)")
+                        help="YAML config path (default: built-in defaults)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("depth", help="steady-state melt-pool depth for one (P, v)")

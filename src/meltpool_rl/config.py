@@ -2,14 +2,15 @@
 
 Every key has a default reproducing the standard SS316L setup (10x10 grid
 over 500-1000 W x 400-700 mm/min, 1 mm target depth, alpha = gamma =
-epsilon = 0.25, 100 episodes), so an empty or missing file is a valid
-configuration.  This module is the one boundary between YAML and typed
-settings: it builds each section's dataclass and the sweep's SweepSpec,
-with one number check for every key and sweep value.  A section's keys
-are its dataclass's field names and their defaults the fields' defaults,
-so each setting has one name, the one the file, the snapshot and every
-error message use.  The whole file is
-checked at load, whichever command reads it: one section check serves
+epsilon = 0.25, 100 episodes), so an empty file, or none, is a valid
+configuration.  Only load_config's path (the CLI's --config) names the
+file; nothing is read from the environment.  This module is the one
+boundary between YAML and typed settings: it builds each section's
+dataclass and the sweep's SweepSpec, with one number check for every key
+and sweep value.  A section's keys are its dataclass's field names and
+their defaults the fields' defaults, so each setting has one name, the
+one the file, the snapshot and every error message use.  The whole file
+is checked at load, whichever command reads it: one section check serves
 the top level and every section, so an unknown key is an error at any
 level, and the sweep section goes through SweepSpec even when no sweep
 runs.  Only null means "not set": a section left empty takes its
@@ -21,7 +22,6 @@ error.  Validation failures name the offending key.
 from __future__ import annotations
 
 import math
-import os
 import re
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -31,8 +31,6 @@ import yaml
 from .environment import RewardConfig, StateGrid
 from .qlearn import Hyperparams
 from .thermal import MaterialEnv
-
-CONFIG_ENV_VAR = "MELTPOOL_RL_CONFIG"
 
 #: swept values used when a sweep spec does not list its own
 DEFAULT_SWEEP_VALUES: dict[str, tuple] = {
@@ -188,10 +186,8 @@ def _section(sec, name: str, defaults: dict) -> dict:
 
 
 def load_config(path: Optional[str] = None) -> RunConfig:
-    """Load and validate a config file; None uses the environment
-    variable MELTPOOL_RL_CONFIG, and if that is unset, pure defaults."""
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR)
+    """Load and validate the config file at path; None means the built-in
+    defaults."""
     raw = None
     if path is not None:
         try:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import SweepSpec
 from .environment import DepthCache, RewardConfig, StateGrid
-from .oracle import Verdict, brute_force_rank, validate_run
+from .oracle import brute_force_rank, validate_run
 from .qlearn import EpisodeTrace, Hyperparams, RunResult, train
 from .thermal import MaterialEnv
 
@@ -30,11 +30,14 @@ class ConvergenceCurve:
 
 @dataclass
 class ValueResult:
+    """One swept value: its replicate runs and seeds, their convergence
+    curve, and each run's oracle rank (validate_run)."""
+
     value: object
     runs: list[RunResult]
     seeds: list[int]
     curve: ConvergenceCurve
-    verdicts: list[Verdict]
+    ranks: list[int]
 
 
 def replicate_seed(base_seed: int, value_index: int, replicate: int) -> int:
@@ -54,9 +57,9 @@ def aggregate_convergence(trace_sets: list[list[EpisodeTrace]]) -> ConvergenceCu
 
 def run_sweep(spec: SweepSpec, material: MaterialEnv, grid: StateGrid,
               rc: RewardConfig, hp: Hyperparams) -> list[ValueResult]:
-    """R replicated runs per swept value, aggregated and oracle-checked.
-    One DepthCache and one oracle ranking serve every value that keeps
-    the grid."""
+    """R replicated runs per swept value, aggregated, each ranked by the
+    oracle.  One DepthCache and one oracle ranking serve every value that
+    keeps the grid."""
     cache = None
     out = []
     for vi, value in enumerate(spec.values):
@@ -65,7 +68,7 @@ def run_sweep(spec: SweepSpec, material: MaterialEnv, grid: StateGrid,
         if cache is None or cache.grid != g:
             cache = DepthCache(material, g)
             report = brute_force_rank(cache, rc)
-        runs, seeds, verdicts = [], [], []
+        runs, seeds, ranks = [], [], []
         for rep in range(spec.replicates):
             seed = replicate_seed(spec.base_seed, vi, rep)
             try:
@@ -75,7 +78,7 @@ def run_sweep(spec: SweepSpec, material: MaterialEnv, grid: StateGrid,
                                    f"failed: {exc}") from exc
             runs.append(result)
             seeds.append(seed)
-            verdicts.append(validate_run(report, result))
+            ranks.append(validate_run(report, result))
         curve = aggregate_convergence([r.traces for r in runs])
-        out.append(ValueResult(value, runs, seeds, curve, verdicts))
+        out.append(ValueResult(value, runs, seeds, curve, ranks))
     return out

@@ -1,8 +1,9 @@
 """Brute-force ground truth over the grid.
 
 Evaluates every state's steady-state depth, ranks states by distance to
-the target depth, and checks a trained run against that ranking.  This is
-deliberately independent of anything the learner produces.
+the target depth, and reports where a trained run's best state stands in
+that ranking.  This is deliberately independent of anything the learner
+produces.
 """
 
 from __future__ import annotations
@@ -12,9 +13,6 @@ from dataclasses import dataclass
 from .environment import DepthCache, RewardConfig, StateGrid
 from .outputs import write_csv
 from .qlearn import RunResult
-
-TOP_K = 3
-DEPTH_TOL_MM = 0.05
 
 
 @dataclass(frozen=True)
@@ -33,7 +31,6 @@ class StateReport:
 @dataclass
 class GridReport:
     grid: StateGrid
-    delta_opt: float
     rows: list[StateReport]
 
     @property
@@ -44,18 +41,6 @@ class GridReport:
         if not 0 <= s < len(self.rows):
             raise ValueError(f"state {s} out of range for n={self.grid.n}")
         return self.rows[s].rank
-
-
-@dataclass(frozen=True)
-class Verdict:
-    rank: int
-    in_top_k: bool
-    depth_gap: float
-    depth_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.in_top_k or self.depth_ok
 
 
 def brute_force_rank(cache: DepthCache, rc: RewardConfig) -> GridReport:
@@ -73,18 +58,15 @@ def brute_force_rank(cache: DepthCache, rc: RewardConfig) -> GridReport:
         ranks[s] = rank
     rows = [StateReport(s, *divmod(s, grid.n), *cache.params[s], depths[s], errs[s],
                         ranks[s], errs[s] < rc.tol_r_mm) for s in range(grid.n_states)]
-    return GridReport(grid, rc.delta_opt_mm, rows)
+    return GridReport(grid, rows)
 
 
-def validate_run(report: GridReport, result: RunResult) -> Verdict:
-    """Is the learner's best state within the oracle's top TOP_K, and is
-    its depth within DEPTH_TOL_MM of the target?  Both criteria are
-    reported; passed is their disjunction."""
+def validate_run(report: GridReport, result: RunResult) -> int:
+    """The oracle's rank (1 = closest to the target) of the learner's best
+    state, for a run trained on the report's grid."""
     if report.grid.n_states != result.qtable.shape[0]:
         raise ValueError("grid mismatch between oracle report and run result")
-    rank = report.rank_of(result.best_state)
-    gap = abs(result.best_depth - report.delta_opt)
-    return Verdict(rank, rank <= TOP_K, gap, gap <= DEPTH_TOL_MM)
+    return report.rank_of(result.best_state)
 
 
 def write_pv_map_csv(path, report: GridReport) -> None:

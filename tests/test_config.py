@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meltpool_rl.cli import EXIT_VALIDATION, main
-from meltpool_rl.config import CONFIG_ENV_VAR, SWEEPABLE, ConfigError, SweepSpec, load_config
+from meltpool_rl.config import SWEEPABLE, ConfigError, SweepSpec, load_config
 from meltpool_rl.environment import RewardConfig, StateGrid
 from meltpool_rl.qlearn import Hyperparams
 from meltpool_rl.thermal import BEAM_TO_SIGMA, MaterialEnv
@@ -83,8 +83,7 @@ def sweep_values_with_one_bad(draw):
 
 
 class TestDefaults:
-    def test_no_file_gives_working_defaults(self, monkeypatch):
-        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    def test_no_file_gives_working_defaults(self):
         cfg = load_config()
         assert cfg.grid.n == 10
         assert cfg.qlearn.alpha == 0.25
@@ -92,22 +91,19 @@ class TestDefaults:
         assert cfg.material.t_liq_k == 1700.0
         assert cfg.snapshot["sweep"]["param"] is None
 
-    def test_defaults_are_the_dataclass_defaults(self, monkeypatch):
-        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    def test_defaults_are_the_dataclass_defaults(self):
         cfg = load_config(None)
         assert cfg.material == MaterialEnv()
         assert cfg.grid == StateGrid()
         assert cfg.reward == RewardConfig()
         assert cfg.qlearn == Hyperparams()
 
-    def test_empty_file_equals_defaults(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    def test_empty_file_equals_defaults(self, tmp_path):
         cfg = load_config(write(tmp_path, ""))
         assert cfg.snapshot == load_config().snapshot
 
-    def test_example_file_holds_the_defaults(self, monkeypatch):
+    def test_example_file_holds_the_defaults(self):
         """config.example.yaml's header says its values are the defaults."""
-        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
         example = load_config(str(EXAMPLE_CONFIG))
         default = load_config(None)
         for name in ("material", "grid", "reward", "qlearn"):
@@ -136,16 +132,11 @@ class TestOverrides:
         cfg = load_config(write(tmp_path, "material:\n  sigma_l_mm: 1.0\n"))
         assert cfg.material.sigma == pytest.approx(BEAM_TO_SIGMA * 1e-3)
 
-    def test_env_var_supplies_path(self, tmp_path, monkeypatch):
-        path = write(tmp_path, "grid:\n  n: 15\n")
-        monkeypatch.setenv(CONFIG_ENV_VAR, path)
-        assert load_config().grid.n == 15
-
-    def test_explicit_path_beats_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CONFIG_ENV_VAR, write(tmp_path, "grid:\n  n: 15\n"))
-        other = tmp_path / "other.yaml"
-        other.write_text("grid:\n  n: 5\n")
-        assert load_config(str(other)).grid.n == 5
+    def test_environment_names_no_config(self, tmp_path, monkeypatch):
+        """Only a path names the config file: no environment variable,
+        MELTPOOL_RL_CONFIG included, changes the defaults."""
+        monkeypatch.setenv("MELTPOOL_RL_CONFIG", write(tmp_path, "grid:\n  n: 15\n"))
+        assert load_config().grid.n == 10
 
     def test_exponent_floats_are_numbers(self, tmp_path):
         """YAML 1.1 reads 1e-06 as a string, and JSON writes it so in every
@@ -350,8 +341,7 @@ class TestOnlyNullIsUnset:
 
     @pytest.mark.parametrize("text", ["# only a comment\n", "grid:\n",
                                       "sweep:\n  param: epsilon\n  values: null\n"])
-    def test_null_takes_the_defaults(self, tmp_path, monkeypatch, text):
-        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    def test_null_takes_the_defaults(self, tmp_path, text):
         cfg = load_config(write(tmp_path, text))
         assert (cfg.material, cfg.grid, cfg.reward, cfg.qlearn) == \
             (MaterialEnv(), StateGrid(), RewardConfig(), Hyperparams())

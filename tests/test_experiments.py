@@ -160,8 +160,8 @@ class TestRunSweep:
     def test_every_replicate_gets_a_verdict(self, small_sweep):
         _, results = small_sweep
         for vr in results:
-            assert len(vr.verdicts) == len(vr.runs)
-            assert all(v.rank >= 1 for v in vr.verdicts)
+            assert len(vr.ranks) == len(vr.runs)
+            assert all(rank >= 1 for rank in vr.ranks)
 
     def test_reproducible_from_spec(self, small_sweep, material, grid,
                                     reward_config):

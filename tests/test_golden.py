@@ -11,7 +11,7 @@ import hashlib
 import pytest
 
 from meltpool_rl.cli import main
-from meltpool_rl.config import CONFIG_ENV_VAR, load_config
+from meltpool_rl.config import load_config
 from meltpool_rl.environment import DepthCache, RewardConfig, StateGrid, state_params
 from meltpool_rl.qlearn import Hyperparams, train
 from meltpool_rl.thermal import MMPM_TO_MPS, batch_depths
@@ -102,24 +102,22 @@ def test_grid_map_depths_digest(material, seed):
     assert batch_depths_digest(material, GRID_MAP_GRIDS[seed]) == GRID_MAP_DEPTHS_SHA256[seed]
 
 
-def run_and_digest(tmp_path, monkeypatch, argv) -> dict:
+def run_and_digest(tmp_path, argv) -> dict:
     """SHA-256 of every file the default-config command leaves in its
     output directory."""
-    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
     assert main(argv + ["--out", str(tmp_path)]) == 0
     return {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()}
 
 
-def test_seed0_train_qtable_digest(tmp_path, monkeypatch):
-    assert run_and_digest(tmp_path, monkeypatch, ["train", "--seed", "0"]) == TRAIN_SHA256
+def test_seed0_train_qtable_digest(tmp_path):
+    assert run_and_digest(tmp_path, ["train", "--seed", "0"]) == TRAIN_SHA256
 
 
-def test_default_map_digests(tmp_path, monkeypatch):
-    assert run_and_digest(tmp_path, monkeypatch, ["map"]) == MAP_SHA256
+def test_default_map_digests(tmp_path):
+    assert run_and_digest(tmp_path, ["map"]) == MAP_SHA256
 
 
-def test_seed0_train_best_state(cache10, monkeypatch):
-    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+def test_seed0_train_best_state(cache10):
     cfg = load_config()
     result = train(cache10, cfg.reward, cfg.qlearn)
     assert result.best_state == 75  # (i, j) = (7, 5)
@@ -127,13 +125,12 @@ def test_seed0_train_best_state(cache10, monkeypatch):
     assert result.best_depth == 1.0023117065429688
 
 
-def test_small_epsilon_sweep_digests(tmp_path, monkeypatch):
+def test_small_epsilon_sweep_digests(tmp_path):
     """Every replicate's Q-table and convergence file, and the summary,
     of a sweep that includes epsilon = 1 and eight spawned seeds."""
     config = tmp_path / "sweep.yaml"
     config.write_text(SMALL_SWEEP_YAML)
     out = tmp_path / "out"
-    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
     assert main(["--config", str(config), "sweep", "--param", "epsilon",
                  "--out", str(out)]) == 0
     got = {p.relative_to(out).as_posix(): sha256(p.read_bytes())
