@@ -18,12 +18,15 @@ import numpy as np
 from .config import SweepSpec
 from .environment import DepthCache, RewardConfig, StateGrid
 from .oracle import brute_force_rank, validate_run
-from .qlearn import EpisodeTrace, Hyperparams, RunResult, train
+from .qlearn import Hyperparams, RunResult, train
 from .thermal import MaterialEnv
 
 
 @dataclass
 class ConvergenceCurve:
+    """Per-episode mean and population standard deviation of total reward
+    across one swept value's replicates."""
+
     mean: np.ndarray
     std: np.ndarray
 
@@ -44,15 +47,6 @@ def replicate_seed(base_seed: int, value_index: int, replicate: int) -> int:
     """Deterministic, pairwise-distinct seed for one replicate."""
     ss = np.random.SeedSequence([base_seed, value_index, replicate])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def aggregate_convergence(trace_sets: list[list[EpisodeTrace]]) -> ConvergenceCurve:
-    """Per-episode mean and std of total reward across replicates."""
-    lengths = {len(ts) for ts in trace_sets}
-    if len(lengths) != 1:
-        raise ValueError(f"ragged trace sets: episode counts {sorted(lengths)}")
-    rewards = np.array([[tr.total_reward for tr in ts] for ts in trace_sets])
-    return ConvergenceCurve(rewards.mean(axis=0), rewards.std(axis=0))
 
 
 def run_sweep(spec: SweepSpec, material: MaterialEnv, grid: StateGrid,
@@ -79,6 +73,7 @@ def run_sweep(spec: SweepSpec, material: MaterialEnv, grid: StateGrid,
             runs.append(result)
             seeds.append(seed)
             ranks.append(validate_run(report, result))
-        curve = aggregate_convergence([r.traces for r in runs])
+        rewards = np.array([[tr.total_reward for tr in r.traces] for r in runs])
+        curve = ConvergenceCurve(rewards.mean(axis=0), rewards.std(axis=0))
         out.append(ValueResult(value, runs, seeds, curve, ranks))
     return out

@@ -28,7 +28,6 @@ the interface, matching how process parameters are quoted for L-DED.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -175,14 +174,13 @@ class DepthResult:
     at_edge: bool = field(default=False, repr=False)
 
 
-@functools.lru_cache(maxsize=64)
 def _quadrature_rule(a: float, sig2: float, t: float, n_panels: int) -> tuple:
     """The speed-free arrays of _profile_basis at diffusivity a, sigma^2
     sig2, time t and n_panels panels: den_k, w_k, t - u_k^2,
     -(den_k + 2*sigma^2) and 2 / (2*a*u_k^2 + sigma^2) at the
-    Gauss-Legendre nodes u_k on [0, sqrt(t)].  Every speed of a grid walks
-    the same (t, n_panels) stages, so each rule is built once and shared;
-    its arrays are read-only."""
+    Gauss-Legendre nodes u_k on [0, sqrt(t)].  Every speed of one
+    batch_depths call walks the same (t, n_panels) stages, so
+    _profile_basis shares each rule among them; its arrays are read-only."""
     edges = np.linspace(0.0, math.sqrt(t), n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -196,7 +194,7 @@ def _quadrature_rule(a: float, sig2: float, t: float, n_panels: int) -> tuple:
 
 
 def _profile_basis(env: MaterialEnv, v: float, xs: np.ndarray, y: float,
-                   t: float, n_panels: int):
+                   t: float, n_panels: int, rules):
     """Power-independent part of the profile on u in [0, sqrt(t)]: damping
     denominators den_k = 4*a*u_k^2 at the Gauss-Legendre nodes u_k, weights
     w_k and kernel g_ik.  At power p the coefficients
@@ -205,8 +203,10 @@ def _profile_basis(env: MaterialEnv, v: float, xs: np.ndarray, y: float,
         T(x_i, z) = T0 + sum_k c_ik * exp(-z^2 / den_k),
 
     so one basis serves every power and every trial depth, and xs may be
-    a whole scan-line batch.  den and w come read-only from the shared
-    _quadrature_rule; only g depends on v and xs.
+    a whole scan-line batch.  den and w come read-only from the
+    _quadrature_rule that rules holds under (t, n_panels), built there on
+    first use; only g depends on v and xs.  A rules dict serves one
+    material, whose diffusivity and sigma its rules were built with.
 
     g_ik = 2 / (2*a*u_k^2 + sigma^2)
            * exp(-((x_i - v*(t - u_k^2))^2 + y^2) / (den_k + 2*sigma^2))
@@ -214,8 +214,9 @@ def _profile_basis(env: MaterialEnv, v: float, xs: np.ndarray, y: float,
     y^2 is added only when y != 0 (adding +0 to a square, itself >= +0,
     changes nothing), and the square is divided by the negated
     denominator rather than negated itself ((-q)/d == q/(-d) in IEEE)."""
-    den, w, lag, neg_spread, scale = _quadrature_rule(env.diffusivity, env.sigma ** 2,
-                                                      t, n_panels)
+    if (t, n_panels) not in rules:
+        rules[t, n_panels] = _quadrature_rule(env.diffusivity, env.sigma ** 2, t, n_panels)
+    den, w, lag, neg_spread, scale = rules[t, n_panels]
     g = np.atleast_1d(xs)[:, None] - v * lag[None, :]
     # at a huge speed the exponent overflows to -inf, and exp(-inf) = 0 is
     # the limit
@@ -242,11 +243,12 @@ def _profile_eval(env: MaterialEnv, den: np.ndarray, coef: np.ndarray,
     return env.t0_k + np.einsum("ik,k->i", coef, damp)
 
 
-def _adaptive_basis(env: MaterialEnv, v: float, xs, y: float, t: float):
+def _adaptive_basis(env: MaterialEnv, v: float, xs, y: float, t: float, rules):
     """Panel-doubling composite Gauss-Legendre basis, converged at the
     surface and at mid-depth (z = 0.5 mm).  The test is relative and the
     rise is linear in P, so it runs at unit power and its panel count
-    holds for every power.
+    holds for every power.  Its stages take their rules from rules
+    (_profile_basis).
 
     The two checkpoints do not bound the error at every depth.  Just
     below the surface the damping exp(-z^2/4au^2) is a near-step at
@@ -271,11 +273,11 @@ def _adaptive_basis(env: MaterialEnv, v: float, xs, y: float, t: float):
                          for z in (0.0, 0.5e-3)]) - env.t0_k, wg
 
     n_panels = 8
-    basis = _profile_basis(env, v, xs, y, t, n_panels)
+    basis = _profile_basis(env, v, xs, y, t, n_panels, rules)
     prev, _ = checkpoints(*basis)
     while True:
         n_panels *= 2
-        basis = _profile_basis(env, v, xs, y, t, n_panels)
+        basis = _profile_basis(env, v, xs, y, t, n_panels, rules)
         cur, wg = checkpoints(*basis)
         if not np.all(np.isfinite(cur)):
             raise QuadratureError("quadrature divergence")
@@ -294,7 +296,7 @@ def temperature(env: MaterialEnv, q: LaserQuery) -> float:
     """
     if q.t == 0.0 or q.p == 0.0:
         return env.t0_k
-    den, w, g, _ = _adaptive_basis(env, q.v, q.x, q.y, q.t)
+    den, w, g, _ = _adaptive_basis(env, q.v, q.x, q.y, q.t, {})
     coef = env.amplitude_per_watt * q.p * w * g
     val = float(_profile_eval(env, den, coef, q.z)[0])
     if not math.isfinite(val):
@@ -348,7 +350,7 @@ def _band(env: MaterialEnv, n_terms: int, t: float, p: float) -> float:
             + (p + 1.0) * math.ldexp(4.0 * n_terms * spread, -1074))
 
 
-def _node_probe(env: MaterialEnv, v: float, t: float, powers: list):
+def _node_probe(env: MaterialEnv, v: float, t: float, powers: list, rules):
     """The one node-decision path of the isotherm search, for the powers
     in powers (W, > 0) at speed v and time t, on one scan-line basis at
     (v, t): the pool maximum trails the laser, so x spans
@@ -366,7 +368,7 @@ def _node_probe(env: MaterialEnv, v: float, t: float, powers: list):
     x_laser = v * t
     xs = np.linspace(x_laser - _X_WINDOW_BEHIND * env.sigma,
                      x_laser + _X_WINDOW_AHEAD * env.sigma, _N_X_SAMPLES)
-    den, w, g, wg = _adaptive_basis(env, v, xs, 0.0, t)
+    den, w, g, wg = _adaptive_basis(env, v, xs, 0.0, t, rules)
     rise_liq = env.t_liq_k - env.t0_k
     bands = [_band(env, len(den), t, p) for p in powers]
     # Python floats: a tiny power's threshold overflows to inf, not a warning
@@ -395,7 +397,7 @@ def _leaf_depth(lo: int) -> float:
     return 0.5 * (_NODES.item(lo) + _NODES.item(lo + 1)) if lo >= 0 else 0.0
 
 
-def _isotherm_depths(env: MaterialEnv, v: float, t: float, powers: list) -> list:
+def _isotherm_depths(env: MaterialEnv, v: float, t: float, powers: list, rules) -> list:
     """Max over the scan line of the liquidus-isotherm root depth (m) at
     time t of each power in powers (W, > 0) at speed v, and
     whether it lies at the bracket edge Z_MAX (the pool is deeper than
@@ -431,7 +433,7 @@ def _isotherm_depths(env: MaterialEnv, v: float, t: float, powers: list) -> list
     nodes: after round 0 its lo and hi, later its own two probes.  A step
     that leaves (lo, hi), or a pair along which log(max r) does not fall
     (as where max r underflowed to 0), bisects (lo, hi) instead."""
-    probe = _node_probe(env, v, t, powers)
+    probe = _node_probe(env, v, t, powers, rules)
     rise_liq = env.t_liq_k - env.t0_k
     target = [math.log(rise_liq) - math.log(p) for p in powers]
     lo, hi = [-1] * len(powers), [_LEAVES] * len(powers)
@@ -475,7 +477,8 @@ def _settled(depth: float, prev: float) -> bool:
     return abs(depth - prev) * MM_PER_M < _DEPTH_TOL_MM
 
 
-def _settled_at_start(env: MaterialEnv, v: float, powers: list, depths: list) -> list[bool]:
+def _settled_at_start(env: MaterialEnv, v: float, powers: list, depths: list,
+                      rules) -> list[bool]:
     """Whether each power's depth at the second simulated time, in depths,
     settles against its depth at _T_START, which is never searched.
 
@@ -510,7 +513,7 @@ def _settled_at_start(env: MaterialEnv, v: float, powers: list, depths: list) ->
             if 0 <= node < _LEAVES:
                 checks[-1].append((len(nodes), want))
                 nodes.append(node)
-    _, above = _node_probe(env, v, _T_START, powers)(np.array(nodes, dtype=int))
+    _, above = _node_probe(env, v, _T_START, powers, rules)(np.array(nodes, dtype=int))
     return [all(above(i, j) == want for j, want in js) for i, js in enumerate(checks)]
 
 
@@ -526,7 +529,7 @@ def _query_error(idx: int, p: float, v: float, exc: Exception) -> RuntimeError:
                         f"(P={p} W, v={v} m/s): {exc}")
 
 
-def _steady_depths(env: MaterialEnv, v: float, powers: list) -> list[DepthResult]:
+def _steady_depths(env: MaterialEnv, v: float, powers: list, rules) -> list[DepthResult]:
     """melt_pool_depth of every power in powers at speed v.  A zero power
     is answered here as depth 0, with no search and no basis.  Each
     distinct positive power is searched once, from the second simulated
@@ -541,8 +544,9 @@ def _steady_depths(env: MaterialEnv, v: float, powers: list) -> list[DepthResult
     prev: dict[float, float] = {}
     t, k = _T_START * _T_GROWTH, 1
     while todo:
-        found = _isotherm_depths(env, v, t, todo)
-        settled = (_settled_at_start(env, v, todo, [depth for depth, _ in found]) if k == 1
+        found = _isotherm_depths(env, v, t, todo, rules)
+        settled = (_settled_at_start(env, v, todo, [depth for depth, _ in found], rules)
+                   if k == 1
                    else [_settled(depth, prev[p]) for p, (depth, _) in zip(todo, found)])
         unsettled = []
         for p, (depth, at_edge), ok in zip(todo, found, settled):
@@ -570,7 +574,7 @@ def melt_pool_depth(env: MaterialEnv, p: float, v: float) -> DepthResult:
     run on one power.
     """
     _check_query(p, v)
-    return _steady_depths(env, v, [p])[0]
+    return _steady_depths(env, v, [p], {})[0]
 
 
 def batch_depths(env: MaterialEnv, queries) -> list[DepthResult]:
@@ -581,10 +585,11 @@ def batch_depths(env: MaterialEnv, queries) -> list[DepthResult]:
     one matrix product per search round serve every power still
     unsettled, and at 2 s one basis and one product decide the at most
     two nodes per power that settle the 3 s depths.  Every speed shares
-    the quadrature rules of each (time, panel count).  A zero
-    power is answered as depth 0 with no search.  Results are identical
-    to individual calls; failures carry the offending query index (for a
-    failed basis, the speed's first query with P > 0).
+    the quadrature rules of each (time, panel count) through one dict,
+    which serves this call's material and is dropped when it returns.
+    A zero power is answered as depth 0 with no search.  Results are
+    identical to individual calls; failures carry the offending query
+    index (for a failed basis, the speed's first query with P > 0).
     """
     queries = list(queries)
     by_speed: dict[float, list[int]] = {}
@@ -595,10 +600,11 @@ def batch_depths(env: MaterialEnv, queries) -> list[DepthResult]:
             raise _query_error(idx, p, v, exc) from exc
         by_speed.setdefault(v, []).append(idx)
     out: list[DepthResult] = [None] * len(queries)
+    rules: dict = {}
     for v, idxs in by_speed.items():
         powers = [queries[idx][0] for idx in idxs]
         try:
-            results = _steady_depths(env, v, powers)
+            results = _steady_depths(env, v, powers, rules)
         except Exception as exc:
             idx = next(idx for idx, p in zip(idxs, powers) if p != 0.0)
             raise _query_error(idx, queries[idx][0], v, exc) from exc

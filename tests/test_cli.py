@@ -75,8 +75,11 @@ class TestDepth:
         assert capsys.readouterr().err == "error: --speed must be finite and > 0\n"
 
     @pytest.mark.parametrize("flag, value", [("--speed", "inf"), ("--speed", "nan"),
+                                             ("--speed", "-500"),
                                              ("--power", "inf"), ("--power", "nan")])
     def test_non_finite_value_fails_validation(self, capsys, flag, value):
+        """A non-finite value of either flag, or a negative speed, exits 1
+        naming its flag."""
         argv = {"--power": "800", "--speed": "500", flag: value}
         assert main(["depth", *(x for kv in argv.items() for x in kv)]) == \
             EXIT_VALIDATION

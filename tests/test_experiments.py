@@ -1,17 +1,13 @@
-"""Sweep harness: seeding scheme, convergence aggregation, and the
-replicated runner."""
+"""Sweep harness: seeding scheme and the replicated runner with its
+convergence curves."""
 
 import numpy as np
 import pytest
 
 from meltpool_rl.config import DEFAULT_SWEEP_VALUES, SweepSpec
 from meltpool_rl.environment import StateGrid
-from meltpool_rl.experiments import aggregate_convergence, replicate_seed, run_sweep
-from meltpool_rl.qlearn import EpisodeTrace, Hyperparams
-
-
-def traces(*totals, epochs=10):
-    return [EpisodeTrace(t, epochs, False) for t in totals]
+from meltpool_rl.experiments import replicate_seed, run_sweep
+from meltpool_rl.qlearn import Hyperparams
 
 
 class TestSweepSpec:
@@ -118,29 +114,6 @@ class TestReplicateSeed:
         assert len(seeds) == 2 * 4 * 10
 
 
-class TestAggregateConvergence:
-    def test_single_replicate_has_zero_std(self):
-        curve = aggregate_convergence([traces(1.0, 2.0, 3.0)])
-        assert np.array_equal(curve.mean, [1.0, 2.0, 3.0])
-        assert np.array_equal(curve.std, [0.0, 0.0, 0.0])
-
-    def test_two_replicate_arithmetic(self):
-        curve = aggregate_convergence([traces(1.0), traces(3.0)])
-        assert curve.mean[0] == 2.0
-        assert curve.std[0] == 1.0
-
-    def test_replicate_order_irrelevant(self):
-        sets = [traces(1.0, 5.0), traces(2.0, -1.0), traces(0.0, 0.0)]
-        a = aggregate_convergence(sets)
-        b = aggregate_convergence(sets[::-1])
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.std, b.std)
-
-    def test_ragged_inputs_rejected(self):
-        with pytest.raises(ValueError, match="ragged"):
-            aggregate_convergence([traces(1.0, 2.0), traces(1.0)])
-
-
 @pytest.fixture(scope="module")
 def small_sweep(material, grid, reward_config):
     spec = SweepSpec("episodes", values=(5, 10), replicates=2)
@@ -156,6 +129,15 @@ class TestRunSweep:
             assert len(vr.runs) == 2
             assert len(vr.curve.mean) == len(vr.curve.std) == episodes
             assert all(len(r.traces) == episodes for r in vr.runs)
+
+    def test_curve_is_mean_and_std_over_replicates(self, small_sweep):
+        """Each episode's mean and population std of the replicates'
+        total rewards, exactly."""
+        _, results = small_sweep
+        for vr in results:
+            rewards = [[tr.total_reward for tr in r.traces] for r in vr.runs]
+            assert vr.curve.mean.tolist() == np.mean(rewards, axis=0).tolist()
+            assert vr.curve.std.tolist() == np.std(rewards, axis=0).tolist()
 
     def test_every_replicate_gets_a_verdict(self, small_sweep):
         _, results = small_sweep
@@ -178,6 +160,7 @@ class TestRunSweep:
         results = run_sweep(spec, material, grid, reward_config,
                             Hyperparams(episodes=3))
         assert results[0].runs[0].qtable.shape == (25, 8)
+        assert np.array_equal(results[0].curve.std, np.zeros(3))
 
     def test_midsize_episode_budget_can_hit_target(self, material, grid,
                                                    reward_config):

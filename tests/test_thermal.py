@@ -2,6 +2,7 @@
 melt-pool depth extraction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ def depth_at_time_reference(env, p, v, t, bases):
     point is bisected on its own, and the deepest melted midpoint is
     kept."""
     if t not in bases:
-        bases[t] = _adaptive_basis(env, v, scan_line(env, v, t), 0.0, t)
+        bases[t] = _adaptive_basis(env, v, scan_line(env, v, t), 0.0, t, {})
     den, w, g, _ = bases[t]
     u = basis_nodes(t, len(den) // len(_GL_NODES))
     coef = env.amplitude_per_watt * p * w * g
@@ -143,7 +144,7 @@ def steady_depths_reference(env, v, powers):
         if not todo:
             break
         unsettled = []
-        for p, (depth, at_edge) in zip(todo, _isotherm_depths(env, v, t, todo)):
+        for p, (depth, at_edge) in zip(todo, _isotherm_depths(env, v, t, todo, {})):
             if k and abs(depth - prev[p]) * MM_PER_M < 1e-3:
                 done[p] = DepthResult(depth * MM_PER_M, not at_edge, t, at_edge)
             elif k == len(DEPTH_TIMES) - 1:
@@ -170,7 +171,7 @@ def assert_depths_bit_identical(env, powers, v_mmpm, times=DEPTH_TIMES):
     v = v_mmpm * MMPM_TO_MPS
     bases: dict = {}
     for t in times:
-        got = _isotherm_depths(env, v, t, powers)
+        got = _isotherm_depths(env, v, t, powers, {})
         for p, (depth, at_edge) in zip(powers, got, strict=True):
             ref_depth, ref_edge = depth_at_time_reference(env, p, v, t, bases)
             assert (depth.hex(), at_edge) == (ref_depth.hex(), ref_edge), (p, v_mmpm, t)
@@ -214,6 +215,18 @@ class TestTemperature:
         q = LaserQuery(p=p, v=V_MID, x=V_MID * 2.0, y=y, z=z, t=2.0)
         assert temperature(material, q) >= material.t0_k
 
+    def test_calls_keep_no_quadrature_rules(self, material):
+        """Each call builds the rules it needs for itself, so 64 calls at
+        times that never repeat keep almost nothing once they return."""
+        tracemalloc.start()
+        try:
+            for t in range(100, 164):
+                temperature(material, LaserQuery(800.0, V_MID, 0.0, 0.0, 1e-4, float(t)))
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 0.05e6
+
     def test_query_validation(self):
         with pytest.raises(ValueError):
             LaserQuery(p=-1.0, v=V_MID, x=0.0, y=0.0, z=0.0, t=1.0)
@@ -254,10 +267,10 @@ class TestQuadrature:
     def test_self_convergence_on_panel_doubling(self, material):
         """The converged rule changes by < 1e-5 relative when refined again."""
         xs = np.array([V_MID * 2.0 - 2e-4])
-        den, w, g, _ = _adaptive_basis(material, V_MID, xs, 0.0, 2.0)
+        den, w, g, _ = _adaptive_basis(material, V_MID, xs, 0.0, 2.0, {})
         coef = material.amplitude_per_watt * 800.0 * w * g
         n_panels = (len(den) // 12) * 2
-        den2, w2, g2 = _profile_basis(material, V_MID, xs, 0.0, 2.0, n_panels)
+        den2, w2, g2 = _profile_basis(material, V_MID, xs, 0.0, 2.0, n_panels, {})
         coef2 = material.amplitude_per_watt * 800.0 * w2 * g2
         for z in (0.0, 2e-4, 1e-3):
             a = float(_profile_eval(material, den, coef, z)[0]) - material.t0_k
@@ -266,7 +279,7 @@ class TestQuadrature:
 
     def test_coefficients_scale_with_power(self, material):
         xs = np.array([1e-3])
-        _, w, g = _profile_basis(material, V_MID, xs, 0.0, 2.0, 32)
+        _, w, g = _profile_basis(material, V_MID, xs, 0.0, 2.0, 32, {})
         c1 = material.amplitude_per_watt * 500.0 * w * g
         c2 = material.amplitude_per_watt * 1000.0 * w * g
         assert np.allclose(c2, 2.0 * c1)
@@ -341,24 +354,26 @@ class TestProfileBasis:
         square: both reach exp(-inf) = 0."""
         v = v_mmpm * MMPM_TO_MPS
         xs = scan_line(material, v, t)
-        new = _profile_basis(material, v, xs, y, t, n_panels)
+        new = _profile_basis(material, v, xs, y, t, n_panels, {})
         old = profile_basis_reference(material, v, xs, y, t, n_panels)
         assert [a.tobytes() for a in new] == [b.tobytes() for b in old]
 
 
     def test_quadrature_rule_is_shared_and_read_only(self, material):
-        """The speed-free arrays are built once per (t, n_panels): writing
-        one raises, and a basis built on the shared rule has the bytes of
-        one built on a fresh rule."""
+        """The speed-free arrays are built once per (t, n_panels) and
+        rules dict: a second basis on the same dict reads the first one's
+        rule, a fresh dict builds it again with the same bytes, and
+        writing a rule array raises."""
         v = V_MID
         xs = scan_line(material, v, 3.0)
-        thermal._quadrature_rule.cache_clear()
-        fresh = _profile_basis(material, v, xs, 0.0, 3.0, 16)
-        shared = _profile_basis(material, v, xs, 0.0, 3.0, 16)
-        assert thermal._quadrature_rule.cache_info().hits == 1
-        assert [a.tobytes() for a in shared] == [b.tobytes() for b in fresh]
-        for array in thermal._quadrature_rule(material.diffusivity, material.sigma ** 2,
-                                              3.0, 16):
+        rules = {}
+        first = _profile_basis(material, v, xs, 0.0, 3.0, 16, rules)
+        shared = _profile_basis(material, v, xs, 0.0, 3.0, 16, rules)
+        fresh = _profile_basis(material, v, xs, 0.0, 3.0, 16, {})
+        assert list(rules) == [(3.0, 16)]
+        assert shared[0] is first[0] and fresh[0] is not first[0]
+        assert [a.tobytes() for a in fresh] == [b.tobytes() for b in shared]
+        for array in rules[3.0, 16]:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
@@ -376,7 +391,7 @@ class TestProfileEval:
                                              p, z, mask):
         v = v_mmpm * MMPM_TO_MPS
         den, w, g = _profile_basis(material, v, scan_line(material, v, t), 0.0, t,
-                                   n_panels)
+                                   n_panels, {})
         u = basis_nodes(t, n_panels)
         assert den.tobytes() == (4.0 * material.diffusivity * u * u).tobytes()
         rows = (material.amplitude_per_watt * p * w * g)[np.array(mask)]
@@ -455,7 +470,7 @@ class TestDepthAtTime:
         bound rests on both paths taking the same damping floats, which
         is checked too."""
         env, v = material, v_mmpm * MMPM_TO_MPS
-        den, w, g = _profile_basis(env, v, scan_line(env, v, t), 0.0, t, n_panels)
+        den, w, g = _profile_basis(env, v, scan_line(env, v, t), 0.0, t, n_panels, {})
         wg = env.amplitude_per_watt * w * g
         nodes = np.array(nodes)
         z = _NODES[nodes]
@@ -518,12 +533,12 @@ class TestSettleRule:
         exceeds the 3 s depth by at most 2.3e-4 mm, far below the 1e-3 mm
         tolerance."""
         v = v_mmpm * MMPM_TO_MPS
-        [(d0, _)] = _isotherm_depths(material, v, 2.0, [p])
+        [(d0, _)] = _isotherm_depths(material, v, 2.0, [p], {})
         lo0 = int(np.searchsorted(_NODES, d0)) - 1 if d0 > 0.0 else -1
         depths = [thermal._leaf_depth(lo)
                   for lo in range(max(lo0 - 20, -1), min(lo0 + 21, 2**16))]
         want = [abs(d - d0) * MM_PER_M < 1e-3 for d in depths]
-        assert thermal._settled_at_start(material, v, [p] * len(depths), depths) == want
+        assert thermal._settled_at_start(material, v, [p] * len(depths), depths, {}) == want
         assert True in want and False in want
 
 
@@ -592,7 +607,7 @@ class TestFineReference:
             p, v_mmpm = state_params(grid, s)
             v, t = v_mmpm * MMPM_TO_MPS, res.t_used
             if (v, t) not in bases:
-                bases[v, t] = _adaptive_basis(env, v, scan_line(env, v, t), 0.0, t)
+                bases[v, t] = _adaptive_basis(env, v, scan_line(env, v, t), 0.0, t, {})
             den, w, g, _ = bases[v, t]
             depth = res.depth_mm / MM_PER_M
             coef = env.amplitude_per_watt * p * w * g
