@@ -36,10 +36,14 @@ EXIT_RUNTIME = 2
 
 
 def _open_output(path: str, cfg) -> Path:
-    """Create the output directory and write its config snapshot; called
-    once a command's results exist, so a failed run leaves no directory."""
+    """Create the output directory, remove an earlier run's completion
+    marker and write the config snapshot; called once a command's results
+    exist, so a failed run leaves no directory, and a failed rerun no
+    summary."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
+    for marker in ("summary.json", "summary.csv"):
+        (out / marker).unlink(missing_ok=True)
     write_json(out / "config_snapshot.json", cfg.snapshot, sort_keys=True)
     return out
 

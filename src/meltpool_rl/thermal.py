@@ -38,10 +38,6 @@ MMPM_TO_MPS = 1.0 / 60000.0  # mm/min -> m/s
 
 #: distribution parameter = BEAM_TO_SIGMA * quoted beam parameter
 BEAM_TO_SIGMA = 0.5
-#: the machine's quoted beam parameter, mm (an e^-2 radius)
-DEFAULT_BEAM_MM = 0.918
-#: dimensionless source amplitude calibration (see module docstring)
-DEFAULT_SOURCE_GAIN = 2.42
 
 # Depth-extraction protocol constants
 _X_WINDOW_BEHIND = 5.0  # trailing window, multiples of sigma
@@ -50,9 +46,9 @@ _N_X_SAMPLES = 64
 _QUAD_REL_TOL = 1e-6  # panel doubling stops at this relative change
 #: depth bracket of the liquidus root search, m
 Z_MAX = 5e-3
-_T_START = 2.0  # s
-_T_GROWTH = 1.5
-_MAX_EXTENSIONS = 4
+#: simulated times (s) of the steady-state search: 2 s grown by x1.5 four
+#: times, each exact in binary
+_TIMES = (2.0, 3.0, 4.5, 6.75, 10.125)
 _DEPTH_TOL_MM = 1e-3
 #: final bisection intervals (leaves) in [0, Z_MAX], each 7.6e-8 m wide
 _LEAVES = 2**16
@@ -97,7 +93,8 @@ class MaterialEnv:
     Defaults are the SS316L values used throughout: ambient 300 K,
     liquidus 1700 K, cp 680 J/(kg K), rho 7400 kg/m^3, diffusivity
     7.1542e-6 m^2/s, the machine's 0.918 mm beam parameter (an e^-2
-    radius) and absorptivity 0.3.  The thermal code reads the Gaussian
+    radius), absorptivity 0.3 and the calibrated source gain 2.42 (see
+    the module docstring).  The thermal code reads the Gaussian
     distribution parameter, half the beam parameter in m, from sigma.
     """
 
@@ -106,9 +103,9 @@ class MaterialEnv:
     cp: float = 680.0
     rho: float = 7400.0
     diffusivity: float = 7.1542e-6
-    sigma_l_mm: float = DEFAULT_BEAM_MM
+    sigma_l_mm: float = 0.918
     absorptivity: float = 0.3
-    source_gain: float = DEFAULT_SOURCE_GAIN
+    source_gain: float = 2.42
 
     def __post_init__(self):
         for f in fields(self):
@@ -193,7 +190,7 @@ def _quadrature_rule(a: float, sig2: float, t: float, n_panels: int) -> tuple:
     return rule
 
 
-def _profile_basis(env: MaterialEnv, v: float, xs: np.ndarray, y: float,
+def _profile_basis(env: MaterialEnv, v: float, xs, y: float,
                    t: float, n_panels: int, rules):
     """Power-independent part of the profile on u in [0, sqrt(t)]: damping
     denominators den_k = 4*a*u_k^2 at the Gauss-Legendre nodes u_k, weights
@@ -202,11 +199,12 @@ def _profile_basis(env: MaterialEnv, v: float, xs: np.ndarray, y: float,
 
         T(x_i, z) = T0 + sum_k c_ik * exp(-z^2 / den_k),
 
-    so one basis serves every power and every trial depth, and xs may be
-    a whole scan-line batch.  den and w come read-only from the
-    _quadrature_rule that rules holds under (t, n_panels), built there on
-    first use; only g depends on v and xs.  A rules dict serves one
-    material, whose diffusivity and sigma its rules were built with.
+    so one basis serves every power and every trial depth, and xs, a
+    number or a whole scan-line batch, is taken as a float array.  den
+    and w come read-only from the _quadrature_rule that rules holds under
+    (t, n_panels), built there on first use; only g depends on v and xs.
+    A rules dict serves one material, whose diffusivity and sigma its
+    rules were built with.
 
     g_ik = 2 / (2*a*u_k^2 + sigma^2)
            * exp(-((x_i - v*(t - u_k^2))^2 + y^2) / (den_k + 2*sigma^2))
@@ -217,7 +215,7 @@ def _profile_basis(env: MaterialEnv, v: float, xs: np.ndarray, y: float,
     if (t, n_panels) not in rules:
         rules[t, n_panels] = _quadrature_rule(env.diffusivity, env.sigma ** 2, t, n_panels)
     den, w, lag, neg_spread, scale = rules[t, n_panels]
-    g = np.atleast_1d(xs)[:, None] - v * lag[None, :]
+    g = np.atleast_1d(np.asarray(xs, dtype=float))[:, None] - v * lag[None, :]
     # at a huge speed the exponent overflows to -inf, and exp(-inf) = 0 is
     # the limit
     with np.errstate(over="ignore"):
@@ -265,7 +263,6 @@ def _adaptive_basis(env: MaterialEnv, v: float, xs, y: float, t: float, rules):
 
     Returns den, w, g and the unit-power coefficients
     wg = amplitude_per_watt * w * g the checkpoints were computed on."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
 
     def checkpoints(den, w, g):
         wg = env.amplitude_per_watt * w * g
@@ -479,8 +476,9 @@ def _settled(depth: float, prev: float) -> bool:
 
 def _settled_at_start(env: MaterialEnv, v: float, powers: list, depths: list,
                       rules) -> list[bool]:
-    """Whether each power's depth at the second simulated time, in depths,
-    settles against its depth at _T_START, which is never searched.
+    """Whether each power's depth at the second simulated time, _TIMES[1],
+    in depths, settles against its depth at the first, _TIMES[0], which
+    is never searched.
 
     That depth is _leaf_depth(prev) of its deepest node above, prev
     (-1 for none).  _leaf_depth rises with prev, and the float
@@ -491,7 +489,7 @@ def _settled_at_start(env: MaterialEnv, v: float, powers: list, depths: list,
     the end.  A node above has only nodes above shallower than it
     (_isotherm_depths), so prev >= a exactly when node a is above (always
     when a = -1), and prev <= b exactly when node b + 1 is below (always
-    when b + 1 = 2**16).  So one probe of the _T_START scan line decides
+    when b + 1 = 2**16).  So one probe of the _TIMES[0] scan line decides
     at most two nodes per power."""
     tol = _DEPTH_TOL_MM / MM_PER_M
     guesses = np.searchsorted(_NODES, np.add.outer(depths, (-tol, tol))).tolist()
@@ -513,7 +511,7 @@ def _settled_at_start(env: MaterialEnv, v: float, powers: list, depths: list,
             if 0 <= node < _LEAVES:
                 checks[-1].append((len(nodes), want))
                 nodes.append(node)
-    _, above = _node_probe(env, v, _T_START, powers, rules)(np.array(nodes, dtype=int))
+    _, above = _node_probe(env, v, _TIMES[0], powers, rules)(np.array(nodes, dtype=int))
     return [all(above(i, j) == want for j, want in js) for i, js in enumerate(checks)]
 
 
@@ -532,39 +530,38 @@ def _query_error(idx: int, p: float, v: float, exc: Exception) -> RuntimeError:
 def _steady_depths(env: MaterialEnv, v: float, powers: list, rules) -> list[DepthResult]:
     """melt_pool_depth of every power in powers at speed v.  A zero power
     is answered here as depth 0, with no search and no basis.  Each
-    distinct positive power is searched once, from the second simulated
-    time on, and each time solves all powers not yet steady together on
-    one scan-line basis.  The first time, _T_START, is never searched: its
+    distinct positive power is searched once, at the times _TIMES[1:],
+    and each time solves all powers not yet steady together on one
+    scan-line basis.  The first time, _TIMES[0], is never searched: its
     depth serves only as the previous depth in the second time's test,
     which _settled_at_start decides on at most two nodes per power, after
-    the second time's basis is dropped.  The loop runs while some power
-    is unsettled: the last extension settles every power still left."""
-    todo = sorted({float(p) for p in powers if p != 0.0})
+    the second time's basis is dropped.  A power is done when its depth
+    settles or at the last time, and steady only if it settled off the
+    bracket edge; the walk stops once no power is left."""
     done = {0.0: DepthResult(0.0, True, 0.0)}
-    prev: dict[float, float] = {}
-    t, k = _T_START * _T_GROWTH, 1
-    while todo:
+    # each unsettled power -> its depth at the previous time (None at first)
+    prev = dict.fromkeys(sorted({float(p) for p in powers if p != 0.0}))
+    for t in _TIMES[1:]:
+        if not prev:
+            break
+        todo = list(prev)
         found = _isotherm_depths(env, v, t, todo, rules)
         settled = (_settled_at_start(env, v, todo, [depth for depth, _ in found], rules)
-                   if k == 1
+                   if t == _TIMES[1]
                    else [_settled(depth, prev[p]) for p, (depth, _) in zip(todo, found)])
-        unsettled = []
         for p, (depth, at_edge), ok in zip(todo, found, settled):
-            if ok:
-                done[p] = DepthResult(depth * MM_PER_M, not at_edge, t, at_edge)
-            elif k == _MAX_EXTENSIONS:
-                done[p] = DepthResult(depth * MM_PER_M, False, t, at_edge)
+            if ok or t == _TIMES[-1]:
+                done[p] = DepthResult(depth * MM_PER_M, ok and not at_edge, t, at_edge)
+                del prev[p]
             else:
                 prev[p] = depth
-                unsettled.append(p)
-        todo, t, k = unsettled, t * _T_GROWTH, k + 1
     return [done[float(p)] for p in powers]
 
 
 def melt_pool_depth(env: MaterialEnv, p: float, v: float) -> DepthResult:
     """Steady-state melt-pool depth for power p (W) and speed v (m/s).
 
-    Starts at t = 2 s and extends the simulated time by x1.5 (up to 4
+    Walks the simulated times _TIMES (2 s, extended by x1.5 up to 4
     times) until two successive depths agree within 1e-3 mm.  The depth
     at t = 2 s is never searched: whether the t = 3 s depth agrees with
     it is decided on at most two bisection nodes.  Returns

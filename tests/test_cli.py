@@ -186,6 +186,27 @@ class TestTrain:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+class TestRerunIntoSameOut:
+    def test_failed_rerun_leaves_no_summary(self, tmp_path, capsys, monkeypatch):
+        """A run that fails in a directory earlier runs finished in leaves
+        neither of their summaries there: a summary marks a finished run."""
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(GAMMA_SWEEP)
+        out = tmp_path / "out"
+        for argv in (["train", "--seed", "1"], ["sweep", "--param", "gamma"]):
+            assert main(["--config", str(cfg), *argv, "--out", str(out)]) == EXIT_OK
+
+        def fail(*args):
+            raise OSError("disk full")
+        monkeypatch.setattr(cli, "write_convergence_csv", fail)
+        assert main(["--config", str(cfg), "train", "--seed", "2",
+                     "--out", str(out)]) == EXIT_RUNTIME
+        assert "disk full" in capsys.readouterr().err
+        assert json.loads((out / "config_snapshot.json").read_text())["qlearn"]["seed"] == 2
+        assert not (out / "summary.json").exists()
+        assert not (out / "summary.csv").exists()
+
+
 class TestNegativeSeeds:
     """A negative seed fails validation, naming its key, before any output
     directory exists."""

@@ -108,7 +108,7 @@ class TestDefaults:
         default = load_config(None)
         for name in ("material", "grid", "reward", "qlearn"):
             assert getattr(example, name) == getattr(default, name)
-            assert example.snapshot[name] == default.snapshot[name]
+        assert example.snapshot == default.snapshot
         assert example.sweep_for("epsilon") == default.sweep_for("epsilon")
 
     def test_example_file_lists_every_key(self):

@@ -3,6 +3,7 @@ melt-pool depth extraction."""
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from meltpool_rl.thermal import (
     _GL_WEIGHTS,
     _NODES,
     _N_X_SAMPLES,
+    _TIMES,
     _X_WINDOW_AHEAD,
     _X_WINDOW_BEHIND,
     _adaptive_basis,
@@ -37,6 +39,8 @@ from meltpool_rl.thermal import (
 )
 
 from conftest import EDGE_GRID
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 V_MID = 550.0 * MMPM_TO_MPS
 #: the simulated times melt_pool_depth visits: 2 s grown by x1.5 four times
@@ -286,6 +290,20 @@ class TestQuadrature:
 
 
 class TestMeltPoolDepth:
+    def test_benchmark_counts_extensions_on_the_schedule(self, cache10, monkeypatch):
+        """perfbench/workloads.py recomputes a depth's time extensions
+        from t_used with 2 s and x1.5 of its own; every positive-power
+        depth ends on a time of _TIMES past the first, and the benchmark
+        counts time _TIMES[k] as k extensions.  perfbench/ is only
+        imported, never changed."""
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from workloads import extensions
+
+        assert [extensions(t) for t in _TIMES] == list(range(len(_TIMES)))
+        for s, (p, _) in enumerate(cache10.params):
+            if p > 0:
+                assert cache10.depth(s).t_used in _TIMES[1:]
+
     def test_zero_power_is_zero_depth(self, material):
         res = melt_pool_depth(material, 0.0, V_MID)
         assert res == DepthResult(0.0, True, 0.0)
