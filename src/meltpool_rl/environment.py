@@ -143,7 +143,7 @@ class DepthCache:
     mm/min) from state_params, each state's DepthResult from one
     batch_depths call in warm() (the constructor calls it; later calls
     are no-ops), and per RewardConfig each state's score, which
-    run_episode looks up once per episode and step once per call.
+    qlearn.train looks up once per run and step once per call.
 
     Only a grid on which every state has a usable depth gets a cache:
     warm() raises EnvironmentEvalError otherwise, so every score exists."""
@@ -213,9 +213,9 @@ def step(cache: DepthCache, s: int, action: int, rc: RewardConfig) -> StepOutcom
     The action must be valid for s (callers select from cache.valid[s]).
     Every landing state has a score, since DepthCache rejects a grid with
     an unusable depth when it is built.  Training does not call it:
-    qlearn.run_episode inlines this step and reads cache.scores once per
-    episode.  It stays as the single-step reference the tests pin that
-    loop to, and as a name perfbench traces.
+    qlearn.train inlines this step and reads cache.scores once per run.
+    It stays as the single-step reference the tests pin that loop to,
+    and as a name perfbench traces.
     """
     if not 0 <= s < len(cache.valid) or action not in cache.valid[s]:
         raise ValueError(f"action {action} invalid in state {s}")

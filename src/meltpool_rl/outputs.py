@@ -30,6 +30,17 @@ def write_csv(path, header, rows) -> None:
     _replace(path, buf.getvalue())
 
 
+def write_numbers_csv(path, header, rows) -> None:
+    """write_csv's bytes for rows of ints and floats, Python or numpy:
+    csv.writer writes such a field as its str(), which never needs
+    quoting, so each row is those joined by commas.  The header goes
+    through csv.writer, which quotes a name holding a comma."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(header)
+    buf.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
+    _replace(path, buf.getvalue())
+
+
 def write_json(path, obj, sort_keys: bool = False) -> None:
     """obj as 2-space-indented JSON and a final newline."""
     _replace(path, json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n")

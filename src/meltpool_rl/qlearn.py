@@ -13,20 +13,21 @@ standard one-step temporal-difference target:
     Q(s,a) <- Q(s,a) + alpha * (r + gamma * max_a' Q(s',a') - Q(s,a))
 
 with the max taken over the actions actually available at s' (edge states
-have fewer than 8).  run_episode is the training loop, one step inlined,
-reading cache.scores once per episode; select_action, environment.step
-and q_update are the same step as single-call functions that take an
-unmasked list or ndarray table.  Training does not call them; they stay
-as the reference the tests pin the loop to bit for bit, and as names
-perfbench traces.  All randomness flows from the run's seed: episode e
-draws from the PCG64 that numpy seeds from child e of
-SeedSequence(seed).spawn(episodes), so runs are bit-reproducible.
-episode_states takes the seed's mixed entropy pool from numpy's
-SeedSequence(seed).pool and computes every child's PCG64 state from it
-in one vectorised pass, and train reseeds one PCG64 with it before each
-episode.  train draws each episode's numbers with _Draws, which rebuilds
-in Python the values numpy's Generator makes from the same raw PCG64
-words.
+have fewer than 8).  train is the one training loop, one step inlined,
+binding the grid's tables, cache.scores and the hyperparameters once per
+run; it decides exploration on the raw PCG64 word (_explore_bound) and
+reuses each update's bootstrap max as the next greedy pick's max.
+select_action, environment.step and q_update are the same step as
+single-call functions that take an unmasked list or ndarray table.
+Training does not call them; they stay as the reference the tests pin
+the loop to bit for bit, and as names perfbench traces.  All randomness
+flows from the run's seed: episode e draws from the PCG64 that numpy
+seeds from child e of SeedSequence(seed).spawn(episodes), so runs are
+bit-reproducible.  episode_states takes the seed's mixed entropy pool
+from numpy's SeedSequence(seed).pool and computes every child's PCG64
+state from it in one vectorised pass, and train reseeds its one _Draws
+with it before each episode.  _Draws rebuilds in Python the values
+numpy's Generator makes from the same raw PCG64 words.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Union
 import numpy as np
 
 from .environment import ACTIONS, N_ACTIONS, DepthCache, RewardConfig
-from .outputs import write_csv, write_json
+from .outputs import write_csv, write_json, write_numbers_csv
 
 GENERATOR_NAME = "numpy.random.PCG64"
 
@@ -99,8 +100,8 @@ _2_32 = 0x100000000
 
 
 class _Draws:
-    """The draws select_action and run_episode ask of a Generator, made
-    from the same PCG64 stream without the cost of numpy's scalar calls.
+    """The draws select_action and train ask of a Generator, made from
+    the same PCG64 stream without the cost of numpy's scalar calls.
 
     random() and integers(n) return the values np.random.Generator(bits)
     returns, call for call, in any interleaving: random() is a raw word's
@@ -109,8 +110,11 @@ class _Draws:
     low half first, the high half kept for the next call as PCG64's
     next_uint32 keeps it (random() leaves it in place).  n == 1 draws
     nothing.  bits is a freshly seeded PCG64 that nothing else draws from
-    while this _Draws is in use.  tests/test_qlearn.py pins this against
-    numpy's Generator."""
+    while this _Draws is in use; reseed(state, inc) starts it over on
+    another stream, so train keeps one _Draws for a run and reseeds it
+    before each episode.  _words is one list for the _Draws' lifetime,
+    refilled in place, so a caller may hold its pop().
+    tests/test_qlearn.py pins this against numpy's Generator."""
 
     __slots__ = ("_bits", "_words", "_half")
 
@@ -119,10 +123,16 @@ class _Draws:
         self._words: list[int] = []  # reversed, so pop() takes the next
         self._half = None  # the unused high half of the last word, if any
 
+    def reseed(self, state: int, inc: int) -> None:
+        """Draw from here on as a PCG64 started at (state, inc) would."""
+        self._bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+        self._words.clear()
+        self._half = None
+
     def _refill(self) -> list[int]:
-        words = self._bits.random_raw(_CHUNK).tolist()
-        words.reverse()
-        self._words = words
+        words = self._words
+        words.extend(self._bits.random_raw(_CHUNK)[::-1].tolist())
         return words
 
     def random(self) -> float:
@@ -146,6 +156,18 @@ class _Draws:
             # numpy rejects low < (2**32 - n) % n, a threshold below n
             if low >= n or low >= (_2_32 - n) % n:
                 return m >> 32
+
+
+def _explore_bound(epsilon: float) -> int:
+    """The raw-word test of random() < epsilon: a raw word w gives
+    random() < epsilon exactly when w < _explore_bound(epsilon).
+
+    random() is k * 2**-53 with k = w >> 11 < 2**53, an exact float, so
+    it is below epsilon exactly when k < E = epsilon * 2**53, which a
+    power-of-two scaling also keeps exact.  k is an integer, so that is
+    k < ceil(E), that is w < ceil(E) << 11.  epsilon = 1 gives 2**64,
+    above every word; epsilon = 0 gives 0, above none."""
+    return math.ceil(epsilon * 2.0**53) << 11
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64
@@ -257,56 +279,6 @@ def masked_qtable(cache: DepthCache) -> list:
     return np.where(cache.next_state < 0, -np.inf, 0.0).tolist()
 
 
-def run_episode(cache: DepthCache, rc: RewardConfig, q: list,
-                hp: Hyperparams, rng: Union[np.random.Generator, _Draws]) -> EpisodeTrace:
-    """One episode on a masked_qtable list: random start, then
-    select/step/update until the landing state is within tol_delta_mm of
-    the target or the epoch cap.
-
-    Each step draws, moves and updates as select_action, step and
-    q_update do, in the same order.  With off-grid entries at -inf the
-    greedy pick is max() over the row; a unique max takes no draw, as
-    select_action's integers(1) takes none.  Termination is evaluated on
-    the landing state, so even a lucky start takes at least one step.
-    Every landing state has a score: DepthCache is built only for a grid
-    on which every depth is usable.  rng is a Generator or the _Draws
-    train passes, which draws the same numbers.
-    """
-    valid, moves, scores = cache.valid, cache.moves, cache.scores(rc)
-    alpha, gamma, epsilon = hp.alpha, hp.gamma, hp.epsilon
-    keep = 1.0 - alpha
-    random, integers = rng.random, rng.integers
-    total, epochs, terminal = 0.0, 0, False
-    s = int(integers(cache.grid.n_states))
-    while epochs < hp.n_epochs:
-        row = q[s]
-        if random() < epsilon:
-            acts = valid[s]
-            a = acts[integers(len(acts))]
-        else:
-            best = max(row)
-            if row.count(best) == 1:
-                a = row.index(best)
-            else:
-                ties = [k for k, v in enumerate(row) if v == best]
-                a = ties[integers(len(ties))]
-        nxt = moves[s][a]
-        if nxt < 0:
-            raise ValueError(f"off-grid move at state {s}, action {a}: "
-                             "the Q list must hold -inf there")
-        r, terminal = scores[nxt]
-        val = keep * row[a] + alpha * (r + gamma * max(q[nxt]))
-        if not math.isfinite(val):
-            raise ArithmeticError(f"non-finite Q-value at state {s}, action {a}")
-        row[a] = val
-        total += r
-        epochs += 1
-        s = nxt
-        if terminal:
-            break
-    return EpisodeTrace(total, epochs, terminal)
-
-
 def best_state_of(q: np.ndarray, cache: DepthCache) -> int:
     """Learned optimum: the landing state of the globally maximal
     state-action entry.
@@ -326,20 +298,67 @@ def best_state_of(q: np.ndarray, cache: DepthCache) -> int:
 
 
 def train(cache: DepthCache, rc: RewardConfig, hp: Hyperparams) -> RunResult:
-    """Run hp.episodes episodes against one persistent Q-table.
+    """Run hp.episodes episodes against one masked_qtable list: each
+    starts from a random state and selects, moves and updates until the
+    landing state is within tol_delta_mm of the target or the epoch cap.
+
+    Each step draws, moves and updates as select_action, step and
+    q_update do, in the same order.  Exploration tests the raw word
+    against _explore_bound(epsilon), which decides as random() < epsilon
+    does.  With off-grid entries at -inf the greedy pick is max() over
+    the row; a unique max takes no draw, as select_action's integers(1)
+    takes none.  That max is the step before's bootstrap max(q[nxt]),
+    or one max() at an episode's start: every action leaves its state,
+    so the one row written since is another.  Termination is evaluated
+    on the landing state, so even a lucky start takes at least one step.
+    Every landing state has a score: DepthCache is built only for a grid
+    on which every depth is usable.
 
     Episode e draws from the PCG64 numpy seeds from child e of
     SeedSequence(hp.seed).spawn(hp.episodes), so traces are reproducible
-    episode by episode.  One PCG64 serves the whole run: before each
-    episode it is set to that child's state from episode_states.
+    episode by episode: one _Draws serves the run, reseeded before each
+    episode with that child's state from episode_states.
     """
+    valid, moves, scores = cache.valid, cache.moves, cache.scores(rc)
+    alpha, gamma, keep = hp.alpha, hp.gamma, 1.0 - hp.alpha
+    explore = _explore_bound(hp.epsilon)
     q = masked_qtable(cache)
-    bits = np.random.PCG64()
+    draws = _Draws(np.random.PCG64())
+    words, refill, integers = draws._words, draws._refill, draws.integers
+    pop = words.pop
     traces = []
     for state, inc in episode_states(hp.seed, hp.episodes):
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        traces.append(run_episode(cache, rc, q, hp, _Draws(bits)))
+        draws.reseed(state, inc)
+        s = integers(cache.grid.n_states)
+        best = max(q[s])
+        total = 0.0
+        for epochs in range(1, hp.n_epochs + 1):
+            row = q[s]
+            if not words:
+                refill()
+            if pop() < explore:
+                acts = valid[s]
+                a = acts[integers(len(acts))]
+            elif row.count(best) == 1:
+                a = row.index(best)
+            else:
+                ties = [k for k, v in enumerate(row) if v == best]
+                a = ties[integers(len(ties))]
+            nxt = moves[s][a]
+            if nxt < 0:
+                raise ValueError(f"off-grid move at state {s}, action {a}: "
+                                 "the Q list must hold -inf there")
+            r, terminal = scores[nxt]
+            best = max(q[nxt])
+            val = keep * row[a] + alpha * (r + gamma * best)
+            if not math.isfinite(val):
+                raise ArithmeticError(f"non-finite Q-value at state {s}, action {a}")
+            row[a] = val
+            total += r
+            s = nxt
+            if terminal:
+                break
+        traces.append(EpisodeTrace(total, epochs, terminal))
     qtable = np.array(q)
     qtable[cache.next_state < 0] = 0.0
     best = best_state_of(qtable, cache)
@@ -347,8 +366,8 @@ def train(cache: DepthCache, rc: RewardConfig, hp: Hyperparams) -> RunResult:
 
 
 def write_qtable_csv(path, q: np.ndarray) -> None:
-    write_csv(path, ["state_id"] + [f"a({di},{dj})" for di, dj in ACTIONS],
-              ([flat, *map(repr, row)] for flat, row in enumerate(q.tolist())))
+    write_numbers_csv(path, ["state_id"] + [f"a({di},{dj})" for di, dj in ACTIONS],
+                      ([flat, *row] for flat, row in enumerate(q.tolist())))
 
 
 def write_qtable_json(path, q: np.ndarray, config_snapshot: dict, seed: int) -> None:

@@ -1,15 +1,17 @@
-"""Output writer: whole-file replacement, CSV round-trip, JSON format,
-and no temporary files left behind by the CLI."""
+"""Output writers: whole-file replacement, CSV round-trip, the number
+writer's bytes against csv.writer's, JSON format, and no temporary files
+left behind by the CLI."""
 
 import csv
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meltpool_rl.cli import EXIT_OK, main
-from meltpool_rl.outputs import write_csv, write_json
+from meltpool_rl.outputs import write_csv, write_json, write_numbers_csv
 
 SMALL = """\
 grid:
@@ -28,24 +30,25 @@ cells = st.one_of(st.integers(), st.text(st.characters(
 
 
 def test_failing_rows_leave_the_target_untouched(tmp_path):
-    path = tmp_path / "table.csv"
-    write_csv(path, ["a", "b"], [[1, 2]])
-    before = path.read_bytes()
-
     def rows():
         yield [3, 4]
         raise RuntimeError("interrupted")
 
-    with pytest.raises(RuntimeError, match="interrupted"):
-        write_csv(path, ["a", "b"], rows())
-    assert path.read_bytes() == before
-    assert list(tmp_path.glob("*.tmp")) == []
+    for write in (write_csv, write_numbers_csv):
+        path = tmp_path / f"{write.__name__}.csv"
+        write(path, ["a", "b"], [[1, 2]])
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write(path, ["a", "b"], rows())
+        assert path.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 @pytest.mark.parametrize("write", [
     lambda path: write_csv(path, ["a"], [[1]]),
     lambda path: write_json(path, {"a": 1}),
-], ids=["csv", "json"])
+    lambda path: write_numbers_csv(path, ["a"], [[1]]),
+], ids=["csv", "json", "numbers"])
 def test_failing_rename_removes_the_temporary_file(tmp_path, write):
     """Writing onto a directory fails at the rename; the directory and
     its contents stay as they were and no .tmp file is left."""
@@ -67,6 +70,28 @@ def test_csv_round_trip(tmp_path_factory, rows):
     with open(path, encoding="utf-8", newline="") as fh:
         back = list(csv.reader(fh))
     assert back == [["x", "y"]] + [[str(c) for c in row] for row in rows]
+
+
+numbers = st.one_of(
+    st.integers(), st.floats(),
+    st.sampled_from([np.float64(-0.0), np.float64(1e16), np.float64(np.nan), np.float32(0.1),
+                     np.int64(-2**63), np.int32(7)]),
+    st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64))
+SPECIAL = [float("inf"), float("-inf"), float("nan"), -0.0, 5e-324, 1e16, 1e-05]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(numbers, max_size=9), max_size=6))
+@example(rows=[SPECIAL, [0, -1, 2**70], [np.float64(x) for x in SPECIAL]])
+def test_numbers_csv_matches_csv_writer(tmp_path_factory, rows):
+    """Rows of ints and floats, Python or numpy, give csv.writer's bytes,
+    under a header with names that need quoting."""
+    header = ["state_id", "a(-1,-1)", 'say "hi"', "plain"]
+    tmp = tmp_path_factory.mktemp("numbers")
+    write_csv(tmp / "csv.csv", header, rows)
+    write_numbers_csv(tmp / "numbers.csv", header, rows)
+    assert (tmp / "numbers.csv").read_bytes() == (tmp / "csv.csv").read_bytes()
 
 
 @pytest.mark.parametrize("sort_keys", [False, True])

@@ -20,12 +20,11 @@ from meltpool_rl.qlearn import (
     EpisodeTrace,
     Hyperparams,
     _Draws,
+    _explore_bound,
     best_state_of,
     episode_states,
-    masked_qtable,
     new_qtable,
     q_update,
-    run_episode,
     select_action,
     train,
     write_convergence_csv,
@@ -242,16 +241,33 @@ class TestDraws:
     @settings(max_examples=60, deadline=None)
     def test_episodes_match_generator(self, cache10, reward_config, seed,
                                       epsilon, n_epochs):
-        """Successive episodes on one Q list, each drawing from its own
-        substream, give the same traces and Q lists from either source."""
-        hp = Hyperparams(epsilon=epsilon, n_epochs=n_epochs)
-        q_draws, q_ref = masked_qtable(cache10), masked_qtable(cache10)
-        for ss in np.random.SeedSequence(seed).spawn(4):
-            got = run_episode(cache10, reward_config, q_draws, hp, seeded_draws(ss))
-            want = run_episode(cache10, reward_config, q_ref, hp,
-                               np.random.default_rng(ss))
-            assert got == want
-            assert q_draws == q_ref
+        """train's episodes, each on its own substream, give the Q-table,
+        traces and best state of the reference loop drawing from numpy's
+        own Generator on the same substreams."""
+        hp = Hyperparams(epsilon=epsilon, n_epochs=n_epochs, episodes=4, seed=seed)
+        result = train(cache10, reward_config, hp)
+        qtable, traces, best = train_reference(cache10, reward_config, hp,
+                                               np.random.default_rng)
+        assert result.qtable.tobytes() == qtable.tobytes()
+        assert result.traces == traces
+        assert result.best_state == best
+
+    @given(word=st.integers(0, 2**64 - 1), epsilon=st.floats(0.0, 1.0))
+    @example(word=0, epsilon=0.0)
+    @example(word=2**64 - 1, epsilon=5e-324)
+    @example(word=2**11, epsilon=2**-53)
+    @example(word=2**62, epsilon=0.25)
+    @example(word=2**64 - 2**11, epsilon=1 - 2**-53)
+    @example(word=2**64 - 1, epsilon=1.0)
+    @settings(max_examples=500, deadline=None)
+    def test_explore_bound_is_exact(self, word, epsilon):
+        """A raw word is below the bound exactly when the random() it
+        makes is below epsilon; checked also at the words 0, bound - 1,
+        bound and 2**64 - 1."""
+        bound = _explore_bound(epsilon)
+        for w in (word, 0, bound - 1, bound, 2**64 - 1):
+            if 0 <= w < 2**64:
+                assert ((w >> 11) * 2**-53 < epsilon) == (w < bound)
 
 
 class TestEpisodeStates:
@@ -277,10 +293,10 @@ class TestEpisodeStates:
             episode_states(seed, n)
 
 
-def run_episode_reference(cache, rc, q, hp, rng):
-    """The training loop as calls to the single-step functions
-    select_action, environment.step and q_update, looked up by name on
-    each step, on an unmasked table: run_episode must match it."""
+def episode_reference(cache, rc, q, hp, rng):
+    """One episode of the training loop as calls to the single-step
+    functions select_action, environment.step and q_update, looked up by
+    name on each step, on an unmasked table."""
     trace = EpisodeTrace()
     s = int(rng.integers(cache.grid.n_states))
     while trace.epochs < hp.n_epochs:
@@ -297,18 +313,19 @@ def run_episode_reference(cache, rc, q, hp, rng):
     return trace
 
 
-def train_reference(cache, rc, hp):
-    """train built on run_episode_reference and a zero table: the
-    Q-table, the traces and the best state."""
+def train_reference(cache, rc, hp, make_rng):
+    """train built on episode_reference and a zero table, episode e
+    drawing from make_rng(child e): the Q-table, the traces and the best
+    state.  train must match it."""
     q = new_qtable(cache.grid.n).tolist()
-    traces = [run_episode_reference(cache, rc, q, hp, seeded_draws(ss))
+    traces = [episode_reference(cache, rc, q, hp, make_rng(ss))
               for ss in np.random.SeedSequence(hp.seed).spawn(hp.episodes)]
     qtable = np.array(q)
     return qtable, traces, best_state_of(qtable, cache)
 
 
 def record_calls(monkeypatch, module, name):
-    """Wrap module.<name>, which run_episode_reference calls by name, so
+    """Wrap module.<name>, which episode_reference calls by name, so
     that every call's arguments and result are recorded, in order."""
     calls = []
     real = getattr(module, name)
@@ -323,77 +340,76 @@ def record_calls(monkeypatch, module, name):
 
 
 class TestRunEpisode:
-    def test_single_epoch_cap(self, cache10, reward_config):
-        hp = Hyperparams(n_epochs=1)
-        for seed in range(10):
-            trace = run_episode(cache10, reward_config, masked_qtable(cache10),
-                                hp, np.random.default_rng(seed))
-            assert trace.epochs == 1
+    """Episode mechanics, asserted over train's traces."""
 
-    def test_trace_totals_consistent(self, grid, cache10, reward_config,
-                                     monkeypatch):
+    def test_single_epoch_cap(self, cache10, reward_config):
+        for seed in range(10):
+            result = train(cache10, reward_config,
+                           Hyperparams(n_epochs=1, episodes=10, seed=seed))
+            assert [tr.epochs for tr in result.traces] == [1] * 10
+
+    def test_trace_totals_consistent(self, cache10, reward_config, monkeypatch):
         """epochs counts the steps taken, total_reward sums their rewards
         in order, and terminated_early says whether the last one landed
         on a terminal state, which ends the episode.  The steps are
-        recorded on the reference loop, which gives the same trace."""
+        recorded on the reference loop, which gives the same traces."""
+        hp = Hyperparams(episodes=5, seed=5)
         steps = record_calls(monkeypatch, environment, "step")
-        trace = run_episode_reference(cache10, reward_config, new_qtable(grid.n),
-                                      Hyperparams(), np.random.default_rng(5))
-        assert trace == run_episode(cache10, reward_config, masked_qtable(cache10),
-                                    Hyperparams(), np.random.default_rng(5))
-        assert trace.epochs == len(steps) <= Hyperparams().n_epochs
-        total = 0.0
-        for _, out in steps:
-            total += out.reward
-        assert trace.total_reward == total
-        assert trace.terminated_early == steps[-1][1].terminal
-        assert not any(out.terminal for _, out in steps[:-1])
+        _, traces, _ = train_reference(cache10, reward_config, hp, seeded_draws)
+        assert train(cache10, reward_config, hp).traces == traces
+        assert sum(tr.epochs for tr in traces) == len(steps)
+        rest = steps
+        for trace in traces:
+            episode, rest = rest[:trace.epochs], rest[trace.epochs:]
+            assert 1 <= trace.epochs <= hp.n_epochs
+            total = 0.0
+            for _, out in episode:
+                total += out.reward
+            assert trace.total_reward == total
+            assert trace.terminated_early == episode[-1][1].terminal
+            assert not any(out.terminal for _, out in episode[:-1])
 
     def test_always_records_at_least_one_transition(self, cache10, reward_config):
         """Termination is judged on the landing state, so even an episode
         starting next to the target takes a step."""
         for seed in range(30):
-            trace = run_episode(cache10, reward_config,
-                                masked_qtable(cache10), Hyperparams(),
-                                np.random.default_rng(seed))
-            assert trace.epochs >= 1
+            result = train(cache10, reward_config, Hyperparams(episodes=30, seed=seed))
+            assert min(tr.epochs for tr in result.traces) >= 1
 
-    def test_deterministic_for_fixed_seed(self, cache10, reward_config):
-        def run():
-            return run_episode(cache10, reward_config,
-                               masked_qtable(cache10), Hyperparams(),
-                               np.random.default_rng(42))
-
-        assert run() == run()
-
-    def test_unmasked_table_rejected(self, cache_for, reward_config):
+    def test_unmasked_table_rejected(self, cache_for, reward_config, monkeypatch):
         """A zero table lets the greedy pick tie on off-grid moves, which
         fail with the state and action named, before anything is written
         off the grid."""
         cache = cache_for(2)
-        q = new_qtable(2).tolist()
+        tables = []
+
+        def unmasked(c):
+            tables.append(new_qtable(c.grid.n).tolist())
+            return tables[-1]
+
+        monkeypatch.setattr(qlearn, "masked_qtable", unmasked)
         with pytest.raises(ValueError, match=r"off-grid move at state \d, action \d"):
-            for ss in np.random.SeedSequence(0).spawn(20):
-                run_episode(cache, reward_config, q, Hyperparams(epsilon=0.0), seeded_draws(ss))
-        assert not np.array(q)[cache.next_state < 0].any()
+            train(cache, reward_config, Hyperparams(epsilon=0.0, episodes=20))
+        assert len(tables) == 1
+        assert not np.array(tables[0])[cache.next_state < 0].any()
 
 
 class TestFusedLoop:
     @given(n=st.sampled_from([2, 3, 5, 10]), variant=st.sampled_from(["paper", "inverse_error"]),
            epsilon=st.sampled_from([0.0, 0.25, 1.0]), gamma=st.sampled_from([0.0, 0.25, 1.0]),
            alpha=st.sampled_from([0.25, 1.0]), episodes=st.integers(1, 20),
-           seed=st.integers(0, 2**32 - 1))
+           n_epochs=st.sampled_from([1, 2, 50]), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_train_matches_reference(self, cache_for, n, variant, epsilon, gamma,
-                                     alpha, episodes, seed):
+                                     alpha, episodes, n_epochs, seed):
         """train's Q-table, traces and best state, bit for bit, against
         the same run of the single-step functions on an unmasked table."""
         cache = cache_for(n)
         rc = RewardConfig(variant=variant)
         hp = Hyperparams(alpha=alpha, gamma=gamma, epsilon=epsilon,
-                         episodes=episodes, seed=seed)
+                         episodes=episodes, n_epochs=n_epochs, seed=seed)
         result = train(cache, rc, hp)
-        qtable, traces, best = train_reference(cache, rc, hp)
+        qtable, traces, best = train_reference(cache, rc, hp, seeded_draws)
         assert result.qtable.tobytes() == qtable.tobytes()
         assert [(tr.total_reward.hex(), tr.epochs, tr.terminated_early)
                 for tr in result.traces] == \
@@ -441,7 +457,7 @@ class TestTrain:
         the same result."""
         hp = Hyperparams(episodes=3, seed=2)
         updates = record_calls(monkeypatch, qlearn, "q_update")
-        qtable, traces, _ = train_reference(cache10, reward_config, hp)
+        qtable, traces, _ = train_reference(cache10, reward_config, hp, seeded_draws)
         result = train(cache10, reward_config, hp)
         assert result.qtable.tobytes() == qtable.tobytes()
         assert result.traces == traces
