@@ -117,8 +117,8 @@ def cmd_sweep(args, cfg) -> int:
             "band": "across-replicate std", "base_config": cfg.snapshot})
         write_csv(vdir / "convergence.csv",
                   ["episode", "mean_total_reward", "std_total_reward"],
-                  ([e, repr(m), repr(s)] for e, (m, s) in
-                   enumerate(zip(vr.curve.mean.tolist(), vr.curve.std.tolist()))))
+                  ([e, m, s] for e, (m, s) in
+                   enumerate(zip(vr.mean.tolist(), vr.std.tolist()))))
         for rep, (run, rank, seed) in enumerate(
                 zip(vr.runs, vr.ranks, vr.seeds)):
             write_qtable_csv(vdir / f"run_{rep}_qtable.csv", run.qtable)

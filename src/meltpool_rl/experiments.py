@@ -23,23 +23,16 @@ from .thermal import MaterialEnv
 
 
 @dataclass
-class ConvergenceCurve:
-    """Per-episode mean and population standard deviation of total reward
-    across one swept value's replicates."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-
-@dataclass
 class ValueResult:
-    """One swept value: its replicate runs and seeds, their convergence
-    curve, and each run's oracle rank (validate_run)."""
+    """One swept value: its replicate runs and seeds, the per-episode mean
+    and population standard deviation of their total rewards, and each
+    run's oracle rank (validate_run)."""
 
     value: object
     runs: list[RunResult]
     seeds: list[int]
-    curve: ConvergenceCurve
+    mean: np.ndarray
+    std: np.ndarray
     ranks: list[int]
 
 
@@ -74,6 +67,6 @@ def run_sweep(spec: SweepSpec, material: MaterialEnv, grid: StateGrid,
             seeds.append(seed)
             ranks.append(validate_run(report, result))
         rewards = np.array([[tr.total_reward for tr in r.traces] for r in runs])
-        curve = ConvergenceCurve(rewards.mean(axis=0), rewards.std(axis=0))
-        out.append(ValueResult(value, runs, seeds, curve, ranks))
+        out.append(ValueResult(value, runs, seeds, rewards.mean(axis=0),
+                               rewards.std(axis=0), ranks))
     return out

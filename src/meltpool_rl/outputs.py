@@ -24,17 +24,12 @@ def _replace(path, text: str) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """The header row, then rows, in csv.writer's default dialect."""
-    buf = io.StringIO()
-    csv.writer(buf).writerows([header, *rows])
-    _replace(path, buf.getvalue())
-
-
-def write_numbers_csv(path, header, rows) -> None:
-    """write_csv's bytes for rows of ints and floats, Python or numpy:
-    csv.writer writes such a field as its str(), which never needs
-    quoting, so each row is those joined by commas.  The header goes
-    through csv.writer, which quotes a name holding a comma."""
+    """The header row through csv.writer, which quotes a name such as
+    ``a(-1,-1)``, then each row as its fields' str() joined by commas.
+    Each field is an int or a float (Python or numpy), or a non-empty
+    string with no comma, quote, CR or LF, so no field needs quoting and
+    the bytes are csv.writer's; that holds for every table the package
+    writes."""
     buf = io.StringIO()
     csv.writer(buf).writerow(header)
     buf.writelines(",".join(map(str, row)) + "\r\n" for row in rows)

@@ -39,7 +39,7 @@ from typing import Union
 import numpy as np
 
 from .environment import ACTIONS, N_ACTIONS, DepthCache, RewardConfig
-from .outputs import write_csv, write_json, write_numbers_csv
+from .outputs import write_csv, write_json
 
 GENERATOR_NAME = "numpy.random.PCG64"
 
@@ -366,8 +366,8 @@ def train(cache: DepthCache, rc: RewardConfig, hp: Hyperparams) -> RunResult:
 
 
 def write_qtable_csv(path, q: np.ndarray) -> None:
-    write_numbers_csv(path, ["state_id"] + [f"a({di},{dj})" for di, dj in ACTIONS],
-                      ([flat, *row] for flat, row in enumerate(q.tolist())))
+    write_csv(path, ["state_id"] + [f"a({di},{dj})" for di, dj in ACTIONS],
+              ([flat, *row] for flat, row in enumerate(q.tolist())))
 
 
 def write_qtable_json(path, q: np.ndarray, config_snapshot: dict, seed: int) -> None:
@@ -377,5 +377,5 @@ def write_qtable_json(path, q: np.ndarray, config_snapshot: dict, seed: int) -> 
 
 def write_convergence_csv(path, traces) -> None:
     write_csv(path, ["episode", "total_reward", "epochs", "terminated_early"],
-              ([e, repr(tr.total_reward), tr.epochs, int(tr.terminated_early)]
+              ([e, tr.total_reward, tr.epochs, int(tr.terminated_early)]
                for e, tr in enumerate(traces)))

@@ -179,7 +179,7 @@ def test_acceptance_6_discretization_ordering(material, grid, reward_config):
     """
     results = run_sweep(SweepSpec("n"), material, grid, reward_config,
                         Hyperparams())
-    final = {vr.value: float(vr.curve.mean[-1]) for vr in results}
+    final = {vr.value: float(vr.mean[-1]) for vr in results}
     ok = min(final[15], final[20]) > max(final[5], final[10])
     detail = ", ".join(f"N={n}: {final[n]:.1f}" for n in (5, 10, 15, 20))
     report(6, ok, f"mean final-episode total reward {detail} "

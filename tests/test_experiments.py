@@ -127,7 +127,7 @@ class TestRunSweep:
         assert [vr.value for vr in results] == [5, 10]
         for vr, episodes in zip(results, (5, 10)):
             assert len(vr.runs) == 2
-            assert len(vr.curve.mean) == len(vr.curve.std) == episodes
+            assert len(vr.mean) == len(vr.std) == episodes
             assert all(len(r.traces) == episodes for r in vr.runs)
 
     def test_curve_is_mean_and_std_over_replicates(self, small_sweep):
@@ -136,8 +136,8 @@ class TestRunSweep:
         _, results = small_sweep
         for vr in results:
             rewards = [[tr.total_reward for tr in r.traces] for r in vr.runs]
-            assert vr.curve.mean.tolist() == np.mean(rewards, axis=0).tolist()
-            assert vr.curve.std.tolist() == np.std(rewards, axis=0).tolist()
+            assert vr.mean.tolist() == np.mean(rewards, axis=0).tolist()
+            assert vr.std.tolist() == np.std(rewards, axis=0).tolist()
 
     def test_every_replicate_gets_a_verdict(self, small_sweep):
         _, results = small_sweep
@@ -151,7 +151,7 @@ class TestRunSweep:
         again = run_sweep(spec, material, grid, reward_config, Hyperparams())
         for vr, vr2 in zip(results, again):
             assert vr.seeds == vr2.seeds
-            assert np.array_equal(vr.curve.mean, vr2.curve.mean)
+            assert np.array_equal(vr.mean, vr2.mean)
             for r, r2 in zip(vr.runs, vr2.runs):
                 assert np.array_equal(r.qtable, r2.qtable)
 
@@ -160,7 +160,7 @@ class TestRunSweep:
         results = run_sweep(spec, material, grid, reward_config,
                             Hyperparams(episodes=3))
         assert results[0].runs[0].qtable.shape == (25, 8)
-        assert np.array_equal(results[0].curve.std, np.zeros(3))
+        assert np.array_equal(results[0].std, np.zeros(3))
 
     def test_midsize_episode_budget_can_hit_target(self, material, grid,
                                                    reward_config):

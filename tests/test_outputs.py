@@ -1,8 +1,9 @@
-"""Output writers: whole-file replacement, CSV round-trip, the number
-writer's bytes against csv.writer's, JSON format, and no temporary files
-left behind by the CLI."""
+"""Output writers: whole-file replacement, the CSV writer's bytes against
+csv.writer's, JSON format, and, for every CLI command, no temporary files
+left behind and CSV rows that need no quoting."""
 
 import csv
+import io
 import json
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meltpool_rl.cli import EXIT_OK, main
-from meltpool_rl.outputs import write_csv, write_json, write_numbers_csv
+from meltpool_rl.outputs import write_csv, write_json
 
 SMALL = """\
 grid:
@@ -25,30 +26,24 @@ sweep:
   replicates: 2
 """
 
-cells = st.one_of(st.integers(), st.text(st.characters(
-    blacklist_categories=("Cs",), blacklist_characters="\x00")))
-
-
 def test_failing_rows_leave_the_target_untouched(tmp_path):
     def rows():
         yield [3, 4]
         raise RuntimeError("interrupted")
 
-    for write in (write_csv, write_numbers_csv):
-        path = tmp_path / f"{write.__name__}.csv"
-        write(path, ["a", "b"], [[1, 2]])
-        before = path.read_bytes()
-        with pytest.raises(RuntimeError, match="interrupted"):
-            write(path, ["a", "b"], rows())
-        assert path.read_bytes() == before
-        assert list(tmp_path.glob("*.tmp")) == []
+    path = tmp_path / "rows.csv"
+    write_csv(path, ["a", "b"], [[1, 2]])
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_csv(path, ["a", "b"], rows())
+    assert path.read_bytes() == before
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 @pytest.mark.parametrize("write", [
     lambda path: write_csv(path, ["a"], [[1]]),
     lambda path: write_json(path, {"a": 1}),
-    lambda path: write_numbers_csv(path, ["a"], [[1]]),
-], ids=["csv", "json", "numbers"])
+], ids=["csv", "json"])
 def test_failing_rename_removes_the_temporary_file(tmp_path, write):
     """Writing onto a directory fails at the rename; the directory and
     its contents stay as they were and no .tmp file is left."""
@@ -62,36 +57,30 @@ def test_failing_rename_removes_the_temporary_file(tmp_path, write):
     assert (target / "kept.csv").read_text() == "previous\n"
 
 
-@settings(max_examples=50, deadline=None)
-@given(rows=st.lists(st.lists(cells, max_size=4), max_size=6))
-def test_csv_round_trip(tmp_path_factory, rows):
-    path = tmp_path_factory.mktemp("csv") / "rows.csv"
-    write_csv(path, ["x", "y"], rows)
-    with open(path, encoding="utf-8", newline="") as fh:
-        back = list(csv.reader(fh))
-    assert back == [["x", "y"]] + [[str(c) for c in row] for row in rows]
-
-
 numbers = st.one_of(
     st.integers(), st.floats(),
     st.sampled_from([np.float64(-0.0), np.float64(1e16), np.float64(np.nan), np.float32(0.1),
                      np.int64(-2**63), np.int32(7)]),
     st.floats(width=32).map(np.float32), st.floats().map(np.float64),
     st.integers(-2**63, 2**63 - 1).map(np.int64))
+# the strings the package's tables hold: rounded and repr'd numbers
+formatted = st.one_of(st.floats().map(lambda x: f"{x:.4f}"), st.floats().map(repr))
 SPECIAL = [float("inf"), float("-inf"), float("nan"), -0.0, 5e-324, 1e16, 1e-05]
 
 
 @settings(max_examples=100, deadline=None)
-@given(rows=st.lists(st.lists(numbers, max_size=9), max_size=6))
-@example(rows=[SPECIAL, [0, -1, 2**70], [np.float64(x) for x in SPECIAL]])
+@given(rows=st.lists(st.lists(st.one_of(numbers, formatted), max_size=9), max_size=6))
+@example(rows=[SPECIAL, [0, -1, 2**70], [np.float64(x) for x in SPECIAL],
+               [f"{x:.4f}" for x in SPECIAL] + [repr(x) for x in SPECIAL]])
 def test_numbers_csv_matches_csv_writer(tmp_path_factory, rows):
-    """Rows of ints and floats, Python or numpy, give csv.writer's bytes,
-    under a header with names that need quoting."""
+    """Rows of ints, floats (Python or numpy) and number strings give
+    csv.writer's bytes, under a header with names that need quoting."""
     header = ["state_id", "a(-1,-1)", 'say "hi"', "plain"]
-    tmp = tmp_path_factory.mktemp("numbers")
-    write_csv(tmp / "csv.csv", header, rows)
-    write_numbers_csv(tmp / "numbers.csv", header, rows)
-    assert (tmp / "numbers.csv").read_bytes() == (tmp / "csv.csv").read_bytes()
+    path = tmp_path_factory.mktemp("numbers") / "rows.csv"
+    write_csv(path, header, rows)
+    want = io.StringIO()
+    csv.writer(want).writerows([header, *rows])
+    assert path.read_bytes() == want.getvalue().encode()
 
 
 @pytest.mark.parametrize("sort_keys", [False, True])
@@ -110,3 +99,26 @@ def test_cli_leaves_no_temporary_files(tmp_path, command):
     assert main(["--config", str(config), *command, "--out", str(out)]) == EXIT_OK
     assert any(out.iterdir())
     assert list(out.rglob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("command", [["train"], ["map"], ["sweep", "--param", "episodes"]])
+def test_cli_csv_fields_need_no_quoting(tmp_path, command):
+    """Every CSV row a command writes is its fields joined by commas:
+    csv.reader reads each line after the header as that line split on
+    commas, into as many fields as the header names, and no field holds
+    a quote, so no column carries text that needs quoting."""
+    config = tmp_path / "config.yaml"
+    config.write_text(SMALL)
+    out = tmp_path / "out"
+    assert main(["--config", str(config), *command, "--out", str(out)]) == EXIT_OK
+    paths = sorted(out.rglob("*.csv"))
+    assert paths
+    for path in paths:
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fields = [line.split(",") for line in lines[1:]]
+        assert fields, path
+        assert rows[1:] == fields, path
+        assert all(len(f) == len(rows[0]) for f in fields), path
+        assert not any('"' in line for line in lines[1:]), path
