@@ -3,10 +3,12 @@ working tree.
 
     python bench/ab.py --base REV --workload W --pairs N [--seconds S] [--seed K] [--json PATH]
 
-REV is unpacked with ``git archive`` into a temporary directory, which is
-removed afterwards.  Each pair runs ``perfbench/run.py --trace 0`` once in
-that tree and once in the working tree; pair k starts with the base when
-k is even and with the change when k is odd.  S defaults to the
+REV is unpacked with ``git archive`` into a temporary directory, and the
+working tree is copied into a sibling one (its tracked and untracked
+files, less those git ignores or that were deleted), so both sides run
+from fresh copies; both are removed afterwards.  Each pair runs
+``perfbench/run.py --trace 0`` once in each tree; pair k starts with the
+base when k is even and with the change when k is odd.  S defaults to the
 ``run_seconds`` of ``BENCHMARK.json``.
 
 For each end-to-end metric it prints the median and quartiles of both
@@ -23,6 +25,7 @@ import argparse
 import io
 import json
 import math
+import shutil
 import statistics
 import subprocess
 import sys
@@ -64,6 +67,19 @@ def compare(base: list[float], change: list[float], better: str) -> dict:
             "losses": losses, "p": sign_test_p(wins, losses)}
 
 
+def copy_worktree(root: Path, dest: Path) -> None:
+    """Copy the files of root's working tree that git tracks or would
+    track (untracked, not ignored) into dest; a tracked file deleted from
+    the working tree is skipped."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, capture_output=True, check=True).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        if (root / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
+
+
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced run in tree; its JSON result line."""
     proc = subprocess.run(
@@ -91,10 +107,12 @@ def main(argv=None) -> int:
                              capture_output=True, check=True).stdout
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     order = pair_order(args.pairs)
-    with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="ab-base-") as base, \
+            tempfile.TemporaryDirectory(prefix="ab-change-") as change:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, filter="data")
-        trees = {"base": Path(tmp), "change": ROOT}
+            tar.extractall(base, filter="data")
+        copy_worktree(ROOT, Path(change))
+        trees = {"base": Path(base), "change": Path(change)}
         for k, sides in enumerate(order):
             for side in sides:
                 runs[side].append(run(trees[side], args.workload, args.seed, args.seconds))

@@ -5,6 +5,11 @@ main loads and checks the whole config file named by --config once
 (the built-in defaults without it), before any command runs, and passes
 it to the command as cfg; so a bad key anywhere in the file, the sweep
 section included, fails every command before it writes.
+main owns the output directory of train, map and sweep: it refuses an
+--out that is . or .., or exists and is not an empty directory, runs the
+command into a fresh directory staged beside --out, and renames that
+onto --out once every file is written.  So --out is either a whole
+run's or absent; a killed run can leave only a hidden .<name>.* sibling.
 Every output directory receives a config_snapshot.json with the fully
 resolved configuration (including any --seed override, and for sweep the
 sweep that ran), so a run can be re-created from its outputs alone: the
@@ -17,7 +22,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -35,17 +43,27 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
-def _open_output(path: str, cfg) -> Path:
-    """Create the output directory, remove an earlier run's completion
-    marker and write the config snapshot; called once a command's results
-    exist, so a failed run leaves no directory, and a failed rerun no
-    summary."""
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    for marker in ("summary.json", "summary.csv"):
-        (out / marker).unlink(missing_ok=True)
-    write_json(out / "config_snapshot.json", cfg.snapshot, sort_keys=True)
-    return out
+def _staged(args, cfg) -> int:
+    """Run args.func into a directory staged beside --out, write the
+    config snapshot and rename the directory onto --out; the stage goes
+    whether the command succeeds or fails."""
+    out = Path(args.out)
+    if out.name in ("", ".."):  # "." or "..": no entry of its own to rename onto
+        raise ValueError(f"--out {args.out} must name a directory, not . or ..")
+    if out.exists() and not (out.is_dir() and not any(out.iterdir())):
+        raise ValueError(f"--out {out} exists and is not an empty directory")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent)
+    try:
+        staged = Path(stage, out.name)
+        staged.mkdir()  # mkdtemp's mode is 0700; mkdir follows the umask
+        rc = args.func(args, cfg, staged)
+        # after the command, which records its seed or sweep in the snapshot
+        write_json(staged / "config_snapshot.json", cfg.snapshot, sort_keys=True)
+        os.rename(staged, out)  # onto an empty directory, or fails
+        return rc
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def cmd_depth(args, cfg) -> int:
@@ -60,7 +78,7 @@ def cmd_depth(args, cfg) -> int:
     return EXIT_OK if res.converged else EXIT_RUNTIME
 
 
-def cmd_train(args, cfg) -> int:
+def cmd_train(args, cfg, out: Path) -> int:
     hp = cfg.qlearn if args.seed is None else replace(cfg.qlearn, seed=args.seed)
     cfg.snapshot["qlearn"]["seed"] = hp.seed
 
@@ -69,7 +87,6 @@ def cmd_train(args, cfg) -> int:
     report = brute_force_rank(cache, cfg.reward)
     rank = validate_run(report, result)
 
-    out = _open_output(args.out, cfg)
     write_qtable_csv(out / "qtable.csv", result.qtable)
     write_qtable_json(out / "qtable.json", result.qtable, cfg.snapshot, hp.seed)
     write_convergence_csv(out / "convergence.csv", result.traces)
@@ -89,10 +106,9 @@ def cmd_train(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_map(args, cfg) -> int:
+def cmd_map(args, cfg, out: Path) -> int:
     cache = DepthCache(cfg.material, cfg.grid)
     report = brute_force_rank(cache, cfg.reward)
-    out = _open_output(args.out, cfg)
     write_pv_map_csv(out / "pv_map.csv", report)
     write_depth_map_csv(out / "depth_map.csv", cache)
     best = report.best
@@ -101,16 +117,15 @@ def cmd_map(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args, cfg) -> int:
+def cmd_sweep(args, cfg, out: Path) -> int:
     spec = cfg.sweep_for(args.param)
     cfg.snapshot["sweep"] = asdict(spec)
     results = run_sweep(spec, cfg.material, cfg.grid, cfg.reward, cfg.qlearn)
 
-    out = _open_output(args.out, cfg)
     summary = []
     for vr in results:
         vdir = out / f"{spec.param}_{vr.value}"
-        vdir.mkdir(exist_ok=True)
+        vdir.mkdir()
         write_json(vdir / "config.json", {
             "param": spec.param, "value": vr.value, "replicates": spec.replicates,
             "base_seed": spec.base_seed, "seeds": vr.seeds, "generator": GENERATOR_NAME,
@@ -126,11 +141,10 @@ def cmd_sweep(args, cfg) -> int:
             summary.append([vr.value, rep, seed, f"{run.best_power:.4f}",
                             f"{run.best_speed:.4f}", f"{run.best_depth:.4f}",
                             rank])
-    # written last, so a complete summary.csv marks a finished sweep
     write_csv(out / "summary.csv", ["value", "replicate", "seed", "best_power_w",
               "best_speed_mmpm", "best_depth_mm", "oracle_rank"], summary)
     print(f"swept {spec.param} over {list(spec.values)} "
-          f"with {spec.replicates} replicates -> {out}")
+          f"with {spec.replicates} replicates -> {Path(args.out)}")
     return EXIT_OK
 
 
@@ -178,7 +192,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, load_config(args.config))
+        cfg = load_config(args.config)
+        return _staged(args, cfg) if "out" in args else args.func(args, cfg)
     except ValueError as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -323,7 +323,7 @@ def train(cache: DepthCache, rc: RewardConfig, hp: Hyperparams) -> RunResult:
     alpha, gamma, keep = hp.alpha, hp.gamma, 1.0 - hp.alpha
     explore = _explore_bound(hp.epsilon)
     q = masked_qtable(cache)
-    draws = _Draws(np.random.PCG64())
+    draws = _Draws(np.random.PCG64(0))  # seeded, so it reads no OS entropy
     words, refill, integers = draws._words, draws._refill, draws.integers
     pop = words.pop
     traces = []

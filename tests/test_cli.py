@@ -6,6 +6,8 @@ the thermal warm-up cheap.
 
 import csv
 import json
+import os
+import stat
 from dataclasses import replace
 
 import pytest
@@ -186,25 +188,99 @@ class TestTrain:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-class TestRerunIntoSameOut:
-    def test_failed_rerun_leaves_no_summary(self, tmp_path, capsys, monkeypatch):
-        """A run that fails in a directory earlier runs finished in leaves
-        neither of their summaries there: a summary marks a finished run."""
+def _tree(root):
+    """Every file under root by relative path, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestOneOutputDirectory:
+    """main stages each run's --out and renames it into place, so --out
+    holds one whole run or is absent."""
+
+    @pytest.mark.parametrize("argv", [["train"], ["map"], ["sweep", "--param", "gamma"]])
+    def test_used_out_is_refused_before_any_thermal_work(self, tmp_path, capsys,
+                                                          monkeypatch, argv):
+        """A rerun into a used --out exits 1 naming --out before the depth
+        cache is built, and the earlier run's files stay as they were."""
         cfg = tmp_path / "config.yaml"
         cfg.write_text(GAMMA_SWEEP)
         out = tmp_path / "out"
-        for argv in (["train", "--seed", "1"], ["sweep", "--param", "gamma"]):
-            assert main(["--config", str(cfg), *argv, "--out", str(out)]) == EXIT_OK
+        assert main(["--config", str(cfg), *argv, "--out", str(out)]) == EXIT_OK
+        before = _tree(out)
 
         def fail(*args):
+            pytest.fail("thermal work started")
+        monkeypatch.setattr(cli, "DepthCache", fail)
+        monkeypatch.setattr(cli, "run_sweep", fail)
+        capsys.readouterr()
+        assert main(["--config", str(cfg), *argv, "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            f"error: --out {out} exists and is not an empty directory\n"
+        assert _tree(out) == before
+
+    @pytest.mark.parametrize("argv, writer", [
+        (["train"], "write_convergence_csv"),
+        (["map"], "write_depth_map_csv"),
+        (["sweep", "--param", "gamma"], "write_convergence_csv"),
+    ])
+    def test_failed_writer_leaves_no_out(self, tmp_path, capsys, monkeypatch, argv, writer):
+        """A writer that fails after others have written exits 2, and
+        leaves neither --out nor a staged directory beside it."""
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(GAMMA_SWEEP)
+        out = tmp_path / "out"
+        written = []
+
+        def fail(path, *args):
+            written.extend(path.parent.iterdir())
             raise OSError("disk full")
-        monkeypatch.setattr(cli, "write_convergence_csv", fail)
-        assert main(["--config", str(cfg), "train", "--seed", "2",
-                     "--out", str(out)]) == EXIT_RUNTIME
+        monkeypatch.setattr(cli, writer, fail)
+        assert main(["--config", str(cfg), *argv, "--out", str(out)]) == EXIT_RUNTIME
         assert "disk full" in capsys.readouterr().err
-        assert json.loads((out / "config_snapshot.json").read_text())["qlearn"]["seed"] == 2
-        assert not (out / "summary.json").exists()
-        assert not (out / "summary.csv").exists()
+        assert written
+        assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+
+    def test_empty_out_is_accepted(self, tmp_path):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(GAMMA_SWEEP)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["--config", str(cfg), "map", "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["config_snapshot.json", "depth_map.csv", "pv_map.csv"]
+
+    def test_file_out_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(GAMMA_SWEEP)
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        assert main(["--config", str(cfg), "map", "--out", str(out)]) == EXIT_VALIDATION
+        assert "--out" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("name", [".", ".."])
+    def test_dot_out_is_refused(self, tmp_path, capsys, monkeypatch, name):
+        """An --out of . or .. has no name of its own to rename the staged
+        directory onto, even when it is an empty directory."""
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(GAMMA_SWEEP)
+        (tmp_path / "empty").mkdir()
+        monkeypatch.chdir(tmp_path / "empty")
+        assert main(["--config", str(cfg), "map", "--out", name]) == EXIT_VALIDATION
+        assert f"--out {name} must name a directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "empty"]
+        assert not any((tmp_path / "empty").iterdir())
+
+    def test_out_mode_is_that_of_a_plain_directory(self, tmp_path):
+        """The renamed directory has the mode os.mkdir gives under the
+        umask, not mkdtemp's 0700."""
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(GAMMA_SWEEP)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "map", "--out", str(out)]) == EXIT_OK
+        os.mkdir(tmp_path / "plain")
+        assert stat.S_IMODE(out.stat().st_mode) == \
+            stat.S_IMODE((tmp_path / "plain").stat().st_mode)
 
 
 class TestNegativeSeeds:

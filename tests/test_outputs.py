@@ -1,6 +1,6 @@
-"""Output writers: whole-file replacement, the CSV writer's bytes against
-csv.writer's, JSON format, and, for every CLI command, no temporary files
-left behind and CSV rows that need no quoting."""
+"""Output writers: the CSV writer's bytes against csv.writer's, JSON
+format, and, for every CLI command, nothing left beside --out and CSV
+rows that need no quoting."""
 
 import csv
 import io
@@ -25,37 +25,6 @@ sweep:
   values: [2]
   replicates: 2
 """
-
-def test_failing_rows_leave_the_target_untouched(tmp_path):
-    def rows():
-        yield [3, 4]
-        raise RuntimeError("interrupted")
-
-    path = tmp_path / "rows.csv"
-    write_csv(path, ["a", "b"], [[1, 2]])
-    before = path.read_bytes()
-    with pytest.raises(RuntimeError, match="interrupted"):
-        write_csv(path, ["a", "b"], rows())
-    assert path.read_bytes() == before
-    assert list(tmp_path.glob("*.tmp")) == []
-
-
-@pytest.mark.parametrize("write", [
-    lambda path: write_csv(path, ["a"], [[1]]),
-    lambda path: write_json(path, {"a": 1}),
-], ids=["csv", "json"])
-def test_failing_rename_removes_the_temporary_file(tmp_path, write):
-    """Writing onto a directory fails at the rename; the directory and
-    its contents stay as they were and no .tmp file is left."""
-    target = tmp_path / "target"
-    target.mkdir()
-    (target / "kept.csv").write_text("previous\n")
-    with pytest.raises(IsADirectoryError):
-        write(target)
-    assert list(tmp_path.rglob("*.tmp")) == []
-    assert [p.name for p in target.iterdir()] == ["kept.csv"]
-    assert (target / "kept.csv").read_text() == "previous\n"
-
 
 numbers = st.one_of(
     st.integers(), st.floats(),
@@ -99,6 +68,7 @@ def test_cli_leaves_no_temporary_files(tmp_path, command):
     assert main(["--config", str(config), *command, "--out", str(out)]) == EXIT_OK
     assert any(out.iterdir())
     assert list(out.rglob("*.tmp")) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "out"]
 
 
 @pytest.mark.parametrize("command", [["train"], ["map"], ["sweep", "--param", "episodes"]])
