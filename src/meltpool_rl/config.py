@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields, replace
 from typing import Optional
 
 import yaml
@@ -80,14 +80,18 @@ class SweepSpec:
     """One sweep: values None takes the parameter's standard list.  It
     checks every field itself, so it alone checks the sweep section; the
     values are stored as the StateGrid or Hyperparams field they set, and
-    replicates and base_seed as ints."""
+    replicates and base_seed as ints.  Each value is checked on grid and
+    hp, the sections the sweep's runs replace it into (run_sweep), so a
+    value those runs would refuse is refused here, before any run."""
 
     param: str
     values: Optional[tuple] = None
     replicates: int = 10
     base_seed: int = 0
+    grid: InitVar[StateGrid] = StateGrid()
+    hp: InitVar[Hyperparams] = Hyperparams()
 
-    def __post_init__(self):
+    def __post_init__(self, grid, hp):
         if self.param not in SWEEPABLE:
             raise ConfigError(f"sweep.param must be one of {SWEEPABLE}, "
                               f"got {_shown(self.param)}")
@@ -99,13 +103,13 @@ class SweepSpec:
         values = DEFAULT_SWEEP_VALUES[self.param] if self.values is None else self.values
         if not isinstance(values, (list, tuple)) or not values:
             raise ConfigError(f"sweep.values must be a non-empty list, got {_shown(values)}")
-        section = StateGrid if self.param == "n" else Hyperparams
+        section = grid if self.param == "n" else hp
         cls = type(getattr(section, self.param))
         typed = []
         for value in values:
             field_value = _number(value, cls, f"sweep.values for {self.param}")
             try:
-                section(**{self.param: field_value})
+                replace(section, **{self.param: field_value})
             except ValueError as exc:
                 # name the value once: drop the field's own ", got <value>"
                 reason = str(exc).removesuffix(f", got {field_value}")
@@ -160,13 +164,15 @@ class RunConfig:
     snapshot: dict
 
     def sweep_for(self, param: str) -> SweepSpec:
-        """Sweep spec for a parameter, checked in full: the config's
-        values only if its sweep.param is this parameter (else the
-        standard list), and base_seed qlearn.seed when left out."""
+        """Sweep spec for a parameter, checked in full on this config's
+        grid and qlearn: the config's values only if its sweep.param is
+        this parameter (else the standard list), and base_seed
+        qlearn.seed when left out."""
         s = self.snapshot["sweep"]
         base_seed = s["base_seed"] if s["base_seed"] is not None else self.qlearn.seed
         return SweepSpec(param=param, values=s["values"] if s["param"] == param else None,
-                         replicates=s["replicates"], base_seed=base_seed)
+                         replicates=s["replicates"], base_seed=base_seed,
+                         grid=self.grid, hp=self.qlearn)
 
 
 def _section(sec, name: str, defaults: dict) -> dict:
@@ -219,6 +225,8 @@ def load_config(path: Optional[str] = None) -> RunConfig:
         raise ConfigError("sweep.values: set without sweep.param, "
                           "so no sweep would use them")
     # every command checks the sweep section, so a bad one fails here
-    # whether or not a sweep runs
-    cfg.sweep_for(SWEEPABLE[0] if param is None else param)
+    # whether or not a sweep runs; with no sweep.param, epsilon stands in
+    # because its standard values fit any qlearn, while n's would refuse a
+    # grid whose bounds only fit its own n, for a sweep nobody asked for
+    cfg.sweep_for("epsilon" if param is None else param)
     return cfg

@@ -63,10 +63,14 @@ def brute_force_rank(cache: DepthCache, rc: RewardConfig) -> GridReport:
 
 def validate_run(report: GridReport, result: RunResult) -> int:
     """The oracle's rank (1 = closest to the target) of the learner's best
-    state, for a run trained on the report's grid."""
-    if report.grid.n_states != result.qtable.shape[0]:
-        raise ValueError("grid mismatch between oracle report and run result")
-    return report.rank_of(result.best_state)
+    state, for a run trained on the report's grid: the report must have
+    as many states, and its row for the best state the run's (P, v), which
+    both take from state_params."""
+    s = result.best_state
+    row = report.rows[s] if report.grid.n_states == result.qtable.shape[0] else None
+    if row is None or (row.power, row.speed) != (result.best_power, result.best_speed):
+        raise ValueError(f"grid mismatch between oracle report and run result at state {s}")
+    return row.rank
 
 
 def write_pv_map_csv(path, report: GridReport) -> None:

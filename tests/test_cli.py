@@ -240,6 +240,47 @@ class TestOneOutputDirectory:
         assert written
         assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
 
+    @pytest.mark.parametrize("argv", [["train"], ["map"], ["sweep", "--param", "gamma"]])
+    def test_failed_rename_prints_nothing_and_leaves_no_out(self, tmp_path, capsys,
+                                                            monkeypatch, argv):
+        """The report reaches stdout only once --out is in place: a rename
+        that fails after every file is written exits 2 with nothing on
+        stdout, and leaves neither --out nor a staged directory."""
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(GAMMA_SWEEP)
+        out = tmp_path / "out"
+
+        def fail(*args):
+            raise OSError("rename refused")
+        monkeypatch.setattr(cli.os, "rename", fail)
+        assert main(["--config", str(cfg), *argv, "--out", str(out)]) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rename refused\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+
+    @pytest.mark.parametrize("argv", [["train"], ["map"], ["sweep", "--param", "gamma"]])
+    def test_symlinked_out_is_refused_before_any_thermal_work(self, tmp_path, capsys,
+                                                              monkeypatch, argv):
+        """An --out that is a symbolic link, here to an empty directory,
+        exits 1 naming it before the depth cache is built; the link and its
+        target stay as they were."""
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(GAMMA_SWEEP)
+        (tmp_path / "real").mkdir()
+        link = tmp_path / "link"
+        link.symlink_to("real")
+
+        def fail(*args):
+            pytest.fail("thermal work started")
+        monkeypatch.setattr(cli, "DepthCache", fail)
+        monkeypatch.setattr(cli, "run_sweep", fail)
+        assert main(["--config", str(cfg), *argv, "--out", str(link)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: --out {link} is a symbolic link\n"
+        assert os.readlink(link) == "real"
+        assert not any((tmp_path / "real").iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "link", "real"]
+
     def test_empty_out_is_accepted(self, tmp_path):
         cfg = tmp_path / "config.yaml"
         cfg.write_text(GAMMA_SWEEP)
@@ -484,6 +525,27 @@ class TestSweep:
         assert rc == EXIT_VALIDATION
         assert "sweep.values" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("sweep", [
+        "sweep: {param: n, values: [2, 3], replicates: 1}\n",  # the config's own values
+        "",  # the standard list, 5 first
+    ])
+    def test_swept_n_is_checked_on_the_configs_grid_before_any_work(
+            self, tmp_path, capsys, monkeypatch, sweep):
+        """This grid's speed span is finite only for n = 2, so the sweep
+        exits 1 naming the first value that overflows it, before the depth
+        cache of any value is built."""
+        monkeypatch.setattr(cli, "DepthCache", lambda *args: pytest.fail("thermal work started"))
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text("grid: {n: 2, v_min_mmpm: 400.0, v_max_mmpm: 1.0e308}\n"
+                       "qlearn: {episodes: 5}\n" + sweep)
+        out = tmp_path / "sweep"
+        assert main(["--config", str(cfg), "sweep", "--param", "n",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        value = 3 if sweep else 5
+        assert capsys.readouterr().err.startswith(
+            f"error: sweep.values: {value} is invalid: grid.v_max_mmpm must keep")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
 
     def test_outputs_name_the_typed_value(self, tmp_path):
         cfg = tmp_path / "config.yaml"

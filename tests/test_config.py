@@ -24,6 +24,9 @@ def write(tmp_path, text):
     return str(path)
 
 
+#: a 2x2 grid whose speed span is finite only while n - 1 is 1
+HUGE_SPEED_GRID = "grid: {n: 2, v_min_mmpm: 400.0, v_max_mmpm: 1.0e308}\n"
+
 INTEGER_KEYS = [("grid", "n"), ("qlearn", "episodes"), ("qlearn", "n_epochs"),
                 ("qlearn", "seed"), ("sweep", "replicates"), ("sweep", "base_seed")]
 FLOAT_KEYS = [("material", k) for k in ("t0_k", "t_liq_k", "cp", "rho", "diffusivity",
@@ -188,6 +191,26 @@ class TestValidation:
             load_config(write(tmp_path, f"sweep:\n  param: n\n  values: [5, {10**400}]\n"))
         with pytest.raises(ValueError, match=r"grid\.n must be <= 2\*\*16"):
             SweepSpec("n", values=[10**400])
+
+    def test_swept_n_is_checked_on_the_configs_own_grid(self, tmp_path):
+        """n = 3 keeps the default bounds' spans finite, but not this
+        grid's speed span, which only n = 2 keeps finite: the sweep is
+        refused at load, naming the value, and not after n = 2 has run."""
+        text = (HUGE_SPEED_GRID + "qlearn: {episodes: 5}\n"
+                "sweep: {param: n, values: [2, 3], replicates: 1}\n")
+        with pytest.raises(ConfigError, match=r"^sweep\.values: 3 is invalid: "
+                           r"grid\.v_max_mmpm must keep \(n - 1\)"):
+            load_config(write(tmp_path, text))
+
+    def test_huge_bound_grid_loads_when_no_sweep_is_set(self, tmp_path):
+        """With no sweep.param the load check stands in a hyperparameter,
+        whose standard values fit any config; a sweep of n over the
+        standard list is refused on this grid when it is asked for."""
+        cfg = load_config(write(tmp_path, HUGE_SPEED_GRID))
+        assert cfg.grid.v_max_mmpm == 1.0e308
+        assert cfg.sweep_for("epsilon").values == (0.25, 0.5, 0.75, 1.0)
+        with pytest.raises(ConfigError, match=r"^sweep\.values: 5 is invalid: grid\.v_max_mmpm"):
+            cfg.sweep_for("n")
 
     def test_unknown_key_is_named(self, tmp_path):
         with pytest.raises(ConfigError, match="grid.n_states"):

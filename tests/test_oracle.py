@@ -138,6 +138,17 @@ class TestValidateRun:
         with pytest.raises(ValueError, match="grid mismatch"):
             validate_run(report10, small)
 
+    def test_report_of_another_grid_with_as_many_states_rejected(
+            self, material, cache_for, reward_config):
+        """Two 4x4 grids have as many states; the report of the default
+        bounds holds other (P, v) than a run over 600-1100 W, whose own
+        report ranks its best state 1 (the other's row there ranks 7)."""
+        shifted = DepthCache(material, StateGrid(4, 600.0, 1100.0))
+        result = train(shifted, reward_config, Hyperparams(episodes=20, seed=0))
+        assert validate_run(brute_force_rank(shifted, reward_config), result) == 1
+        with pytest.raises(ValueError, match=f"grid mismatch .* at state {result.best_state}$"):
+            validate_run(brute_force_rank(cache_for(4), reward_config), result)
+
 
 class TestPvMapCsv:
     def test_schema_and_rank_column(self, tmp_path, report10, grid):
